@@ -19,13 +19,15 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import DomainError, ParseError, UniverseTooLarge
 
-# Exact subset enumeration sweeps 2^n sets; past this the sweep is no longer
-# a desk-scale operation.
+# Output size, not the enumeration, bounds the universe: a majority of 20
+# nodes already has 167,960 minimal quorums per side, and find_strategy makes
+# each of them an LP column.
 ENUMERATION_BOUND = 20
 
 
 class Expression:
-    """Base class; concrete nodes are Var, Or, And, and Choose."""
+    """Base class; concrete nodes are Var, and Or, And, and Choose, which hold
+    a tuple of children."""
 
     __slots__ = ()
 
@@ -50,11 +52,11 @@ class Expression:
 
     def depth(self) -> int:
         """Height of the syntax tree; a bare variable has depth 0."""
-        raise NotImplementedError
+        return 1 + max(c.depth() for c in self.children)
 
     def leaves(self) -> tuple[str, ...]:
         """Leaf names in syntactic order, with repetitions."""
-        raise NotImplementedError
+        return tuple(itertools.chain.from_iterable(c.leaves() for c in self.children))
 
     def names(self) -> frozenset[str]:
         return frozenset(self.leaves())
@@ -114,12 +116,6 @@ class Or(Expression):
     def dual(self) -> Expression:
         return And(tuple(c.dual() for c in self.children))
 
-    def depth(self) -> int:
-        return 1 + max(c.depth() for c in self.children)
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(itertools.chain.from_iterable(c.leaves() for c in self.children))
-
     def __str__(self) -> str:
         return " + ".join(str(c) for c in self.children)
 
@@ -137,12 +133,6 @@ class And(Expression):
 
     def dual(self) -> Expression:
         return Or(tuple(c.dual() for c in self.children))
-
-    def depth(self) -> int:
-        return 1 + max(c.depth() for c in self.children)
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(itertools.chain.from_iterable(c.leaves() for c in self.children))
 
     def __str__(self) -> str:
         # Or children need parentheses under *; everything else binds tighter.
@@ -178,12 +168,6 @@ class Choose(Expression):
     def dual(self) -> Expression:
         n = len(self.children)
         return Choose(n - self.k + 1, tuple(c.dual() for c in self.children))
-
-    def depth(self) -> int:
-        return 1 + max(c.depth() for c in self.children)
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(itertools.chain.from_iterable(c.leaves() for c in self.children))
 
     def __str__(self) -> str:
         inner = ", ".join(str(c) for c in self.children)
@@ -408,31 +392,57 @@ def minimal_sets(
     e: Expression, universe: Iterable[str] | None = None
 ) -> list[frozenset[str]]:
     """All inclusion-minimal S with e.evaluate(S) true, in canonical order
-    (by size, then lexicographically).
+    (by size, then lexicographically by position in the universe, which
+    defaults to the sorted names of e); see :func:`minimal_masks`."""
+    names = sorted(e.names()) if universe is None else list(universe)
+    bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
+    return [frozenset(x for b, x in bits if m & b) for m in minimal_masks(e, names)]
 
-    Runs an exact subset sweep in increasing size with superset pruning:
-    a true set none of whose strict subsets was already found is minimal.
-    Bounded at ENUMERATION_BOUND names.
-    """
-    if universe is None:
-        names = sorted(e.names())
-    else:
-        names = list(universe)
-        missing = e.names() - set(names)
-        if missing:
-            raise DomainError(
-                f"expression names {sorted(missing)} are not in the universe"
-            )
+
+def minimal_masks(e: Expression, universe: Iterable[str] | None = None) -> list[int]:
+    """:func:`minimal_sets` as bitmasks, the universe's first name in the top
+    bit, so canonical order is by bit count, then by descending value.
+
+    Or, And and choose(k) each take k of their children (k = 1, n, k), so a
+    node's minimal sets are the unions of one minimal set from each of k
+    children, built bottom-up without sweeping subsets. A union can be
+    non-minimal only where children share a variable; there, non-minimal
+    unions are dropped after every child, so partial families stay antichains."""
+    names = sorted(e.names()) if universe is None else list(universe)
+    missing = e.names() - set(names)
+    if missing:
+        raise DomainError(f"expression names {sorted(missing)} are not in the universe")
     if len(names) > ENUMERATION_BOUND:
         raise UniverseTooLarge(
             f"{len(names)} nodes exceeds the enumeration bound of {ENUMERATION_BOUND}"
         )
-    found: list[frozenset[str]] = []
-    for size in range(1, len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            s = frozenset(combo)
-            if any(m <= s for m in found):
-                continue
-            if e.evaluate(s):
-                found.append(s)
-    return found
+    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
+    masks = _masks(e, bit, e.uses_each_variable_once())
+    return sorted(masks, key=lambda m: (m.bit_count(), -m))
+
+
+def _masks(e: Expression, bit: dict[str, int], read_once: bool) -> list[int]:
+    if isinstance(e, Var):
+        return [bit[e.name]]
+    families = [_masks(c, bit, read_once) for c in e.children]
+    n = len(families)
+    k = e.k if isinstance(e, Choose) else 1 if isinstance(e, Or) else n
+    # picked[j]: unions of one set from each of j children so far, if k is reachable
+    picked = [[0]] + [[] for _ in range(k)]
+    # read_once: no name repeats anywhere, so no two children can share one
+    shared = not read_once and sum(len(c.names()) for c in e.children) > len(e.names())
+    for i, family in enumerate(families):
+        for j in range(min(k, i + 1), max(0, k - n + i), -1):
+            picked[j].extend(a | b for a in picked[j - 1] for b in family)
+            if shared and j < k:  # absorb, or products of sums grow multiplicatively
+                picked[j] = _minimal(picked[j])
+    return _minimal(picked[k]) if shared else picked[k]
+
+
+def _minimal(masks: list[int]) -> list[int]:
+    """The inclusion-minimal masks among ``masks``, smallest first."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return kept

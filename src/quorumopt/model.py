@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Mapping, Sequence, Union
 
 from . import expr as _expr
 from .errors import (
@@ -149,9 +149,9 @@ class QuorumSystem:
     """A pair of read/write expressions over a node universe in which every
     read quorum intersects every write quorum.
 
-    If only one side is given, the other is its dual, which is the optimal
-    complementary choice. Minimal quorums of both sides are enumerated and
-    cached at construction in canonical order.
+    If only one side is given, the other is its dual: the optimal complement,
+    which always intersects it. Minimal quorums of both sides are enumerated
+    and cached at construction in canonical order.
     """
 
     def __init__(
@@ -168,6 +168,7 @@ class QuorumSystem:
         writes = _coerce_expr(writes)
         if reads is None and writes is None:
             raise DomainError("supply read quorums, write quorums, or both")
+        derived = reads is None or writes is None
         if reads is None:
             reads = writes.dual()
         elif writes is None:
@@ -180,13 +181,17 @@ class QuorumSystem:
             )
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
-        self._reads = reads
-        self._writes = writes
-        self._read_minimal = _expr.minimal_sets(reads)
-        self._write_minimal = _expr.minimal_sets(writes)
-        for r, w in itertools.product(self._read_minimal, self._write_minimal):
-            if not r & w:
-                raise IntersectionViolation(r, w)
+        self._exprs = {"read": reads, "write": writes}
+        self._minimal = {side: _expr.minimal_sets(e) for side, e in self._exprs.items()}
+        # Minimal quorums of each side's dual. A derived side is the other's
+        # dual (dual(dual(e)) is e), and a side and its dual always intersect.
+        if derived:
+            self._dual_minimal = {"read": self.write_minimal, "write": self.read_minimal}
+        else:
+            self._dual_minimal = {}
+            for r, w in itertools.product(self._minimal["read"], self._minimal["write"]):
+                if not r & w:
+                    raise IntersectionViolation(r, w)
 
     @property
     def universe(self) -> tuple[Node, ...]:
@@ -194,19 +199,19 @@ class QuorumSystem:
 
     @property
     def reads(self) -> _expr.Expression:
-        return self._reads
+        return self._exprs["read"]
 
     @property
     def writes(self) -> _expr.Expression:
-        return self._writes
+        return self._exprs["write"]
 
     @property
     def read_minimal(self) -> list[frozenset[str]]:
-        return list(self._read_minimal)
+        return list(self._minimal["read"])
 
     @property
     def write_minimal(self) -> list[frozenset[str]]:
-        return list(self._write_minimal)
+        return list(self._minimal["write"])
 
     def node(self, name: str) -> Node:
         try:
@@ -218,83 +223,79 @@ class QuorumSystem:
         return sorted(self._nodes)
 
     def __repr__(self) -> str:
-        return f"QuorumSystem(reads={self._reads}, writes={self._writes})"
+        return f"QuorumSystem(reads={self.reads}, writes={self.writes})"
 
     # -- membership ---------------------------------------------------------
 
     def is_read_quorum(self, names: AbstractSet[str]) -> bool:
-        return self._reads.evaluate(names)
+        return self.reads.evaluate(names)
 
     def is_write_quorum(self, names: AbstractSet[str]) -> bool:
-        return self._writes.evaluate(names)
+        return self.writes.evaluate(names)
 
-    def _side(self, side: str) -> _expr.Expression:
-        if side == "read":
-            return self._reads
-        if side == "write":
-            return self._writes
-        raise DomainError(f"side must be 'read' or 'write', got {side!r}")
+    def side(self, side: str) -> _expr.Expression:
+        """The expression of ``side``, which must be "read" or "write"."""
+        if side not in ("read", "write"):
+            raise DomainError(f"side must be 'read' or 'write', got {side!r}")
+        return self._exprs[side]
 
     def minimal_quorums(self, side: str) -> list[frozenset[str]]:
-        self._side(side)
-        return list(self._read_minimal if side == "read" else self._write_minimal)
+        self.side(side)
+        return list(self._minimal[side])
 
     # -- fault tolerance -----------------------------------------------------
 
     def read_fault_tolerance(self) -> int:
-        return _min_hitting_set_size(self._read_minimal) - 1
+        """Largest f such that some read quorum survives any f failures, via the dual."""
+        return self._fault_tolerance("read")
 
     def write_fault_tolerance(self) -> int:
-        return _min_hitting_set_size(self._write_minimal) - 1
+        """Largest f such that some write quorum survives any f failures, via the dual."""
+        return self._fault_tolerance("write")
 
     def fault_tolerance(self) -> int:
+        """The smaller side's fault tolerance, computed from the duals."""
         return min(self.read_fault_tolerance(), self.write_fault_tolerance())
+
+    def _fault_tolerance(self, side: str) -> int:
+        # Killing a node set removes every quorum iff the set meets every
+        # quorum. The minimal such sets are the minimal quorums of the dual.
+        if side not in self._dual_minimal:
+            self._dual_minimal[side] = _expr.minimal_sets(self.side(side).dual())
+        return len(self._dual_minimal[side][0]) - 1
 
     # -- resilient quorums ---------------------------------------------------
 
+    def is_resilient(self, side: str, quorum: AbstractSet[str], f: int) -> bool:
+        """True iff ``quorum`` stays a quorum of ``side`` after the removal of
+        any f of its nodes, so never for f or fewer nodes."""
+        e = self.side(side)
+        quorum = frozenset(quorum)
+        return len(quorum) > f and all(
+            e.evaluate(quorum.difference(removal))
+            for removal in itertools.combinations(sorted(quorum), f)
+        )
+
     def resilient_quorums(self, side: str, f: int) -> list[frozenset[str]]:
         """Inclusion-minimal quorums of ``side`` that survive the removal of
-        any f of their nodes, in canonical order.
-
-        For f = 0 this is exactly the minimal quorums. A set smaller than
-        f + 1 nodes can never qualify: removing min(f, |S|) nodes would leave
-        the empty set, which is not a quorum.
-        """
+        any f of their nodes, in canonical order; for f = 0, the minimal
+        quorums."""
         if f < 0:
             raise DomainError(f"f must be nonnegative, got {f}")
         if f == 0:
             return self.minimal_quorums(side)
-        e = self._side(side)
         # Minimal resilient quorums never contain nodes absent from the
         # expression: evaluation ignores them, so dropping one preserves
         # resilience.
-        names = sorted(e.names())
+        names = sorted(self.side(side).names())
         found: list[frozenset[str]] = []
         for size in range(f + 1, len(names) + 1):
             for combo in itertools.combinations(names, size):
                 s = frozenset(combo)
-                if any(m <= s for m in found):
-                    continue
-                if all(
-                    e.evaluate(s.difference(removal))
-                    for removal in itertools.combinations(combo, f)
-                ):
+                if not any(m <= s for m in found) and self.is_resilient(side, s, f):
                     found.append(s)
         if not found:
             raise NoResilientQuorum(
                 f"no {side} quorum survives every removal of {f} nodes"
             )
         return found
-
-
-def _min_hitting_set_size(sets: Iterable[frozenset[str]]) -> int:
-    """Size of the smallest node set intersecting every given set; exhaustive
-    by increasing size (exact at desk scale)."""
-    sets = list(sets)
-    names = sorted(frozenset().union(*sets))
-    for size in range(1, len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            chosen = frozenset(combo)
-            if all(s & chosen for s in sets):
-                return size
-    raise AssertionError("the union of all elements always hits every set")

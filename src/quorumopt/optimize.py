@@ -28,7 +28,6 @@ inside the solver.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,9 +77,9 @@ def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fracti
     shortest prefix (sorted ascending) that is itself a quorum; that prefix
     realizes the minimum over all sub-quorums.
     """
+    e = qs.side(side)
     members = sorted(quorum, key=lambda x: (qs.node(x).latency, x))
     alive: set[str] = set()
-    e = qs.reads if side == "read" else qs.writes
     for name in members:
         alive.add(name)
         if e.evaluate(alive):
@@ -105,16 +104,16 @@ class Strategy:
         self._write_dist = self._normalize(write_dist, "write")
 
     def _normalize(self, dist, side: str) -> tuple[tuple[frozenset[str], Fraction], ...]:
+        e = self._qs.side(side)
         entries = []
         for quorum, prob in dist:
             quorum = frozenset(quorum)
             prob = as_fraction(prob)
             if not 0 <= prob <= 1:
                 raise DomainError(f"probability {prob} is outside [0, 1]")
-            is_q = self._qs.is_read_quorum if side == "read" else self._qs.is_write_quorum
-            if not is_q(quorum):
+            if not e.evaluate(quorum):
                 raise DomainError(f"{set(quorum)} is not a {side} quorum")
-            if self._f > 0 and not self._is_resilient(quorum, side):
+            if self._f > 0 and not self._qs.is_resilient(side, quorum, self._f):
                 raise DomainError(
                     f"{set(quorum)} is not {self._f}-resilient on the {side} side"
                 )
@@ -124,15 +123,6 @@ class Strategy:
             raise DomainError(f"{side} distribution sums to {total}, not 1")
         entries.sort(key=lambda qp: (len(qp[0]), tuple(sorted(qp[0]))))
         return tuple(entries)
-
-    def _is_resilient(self, quorum: frozenset[str], side: str) -> bool:
-        e = self._qs.reads if side == "read" else self._qs.writes
-        if len(quorum) <= self._f:
-            return False
-        return all(
-            e.evaluate(quorum.difference(removal))
-            for removal in itertools.combinations(sorted(quorum), self._f)
-        )
 
     @property
     def qs(self) -> QuorumSystem:

@@ -1,11 +1,11 @@
 """Brute-force reference implementations used by tests.
 
-Everything here trades speed for directness: truth tables sweep all 2^n
-subsets, fault tolerance kills node sets in increasing size, resilience
-checks every subset with no pruning, and metrics are recomputed from first
-principles in exact rational arithmetic (latency by minimizing over all
-sub-quorums rather than a sorted prefix scan). None of this is used on any
-hot path; agreement with the fast implementations is the point.
+Everything here trades speed for directness: truth tables and minimal sets
+sweep all 2^n subsets, fault tolerance kills node sets in increasing size,
+resilience checks every subset with no pruning, and metrics are recomputed
+from first principles in exact rational arithmetic (latency by minimizing
+over all sub-quorums rather than a sorted prefix scan). None of this is used
+on any hot path; agreement with the fast implementations is the point.
 """
 
 from __future__ import annotations
@@ -35,6 +35,23 @@ def truth_table(e: Expression, universe: Sequence[str] | None = None) -> int:
         if e.evaluate(subset):
             table |= 1 << mask
     return table
+
+
+def exhaustive_minimal_sets(
+    e: Expression, universe: Sequence[str] | None = None
+) -> list[frozenset[str]]:
+    """All inclusion-minimal quorums of e, by checking every subset of the
+    universe directly and filtering non-minimal ones afterwards, in canonical
+    order (by size, then lexicographically by position in the universe)."""
+    names = sorted(e.names()) if universe is None else list(universe)
+    quorums = []
+    for size in range(1, len(names) + 1):
+        for combo in itertools.combinations(names, size):
+            if e.evaluate(frozenset(combo)):
+                quorums.append(frozenset(combo))
+    minimal = [s for s in quorums if not any(t < s for t in quorums)]
+    minimal.sort(key=lambda s: (len(s), sorted(names.index(x) for x in s)))
+    return minimal
 
 
 def exhaustive_fault_tolerance(qs: QuorumSystem, side: str) -> int:

@@ -2,7 +2,7 @@
 
 Candidate read expressions are built from or/and/choose with every node
 variable appearing exactly once, enumerated in nondecreasing syntax-tree
-depth and deduplicated by truth table. Write quorums are always the dual of
+depth and deduplicated by minimal quorums. Write quorums are always the dual of
 the candidate reads (searching both sides independently would be redundant:
 the dual is the optimal complement). Each candidate that meets the fault
 tolerance floor is scored by solving the strategy LP; the best metric value
@@ -109,7 +109,7 @@ class _Generator:
 
 def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
     """Stream of duplicate-free expressions over the given node names, in
-    nondecreasing depth, deduplicated by truth table. Within a depth,
+    nondecreasing depth, deduplicated by minimal quorums. Within a depth,
     expressions are canonical and emitted in sorted order.
 
     Depth never needs to exceed n-1: every nesting level must split its
@@ -126,22 +126,20 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
         yield _expr.Var(names[0])
         return
 
-    from .oracle import truth_table
-
     gen = _Generator(names)
-    seen: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
     for d in range(1, len(names)):
-        batch: dict[int, _expr.Expression] = {}
+        batch: dict[tuple[int, ...], _expr.Expression] = {}
         for e in gen.exact_depth(names, d):
             canon = _expr.canonical(e)
-            table = truth_table(canon, names)
-            if table in seen:
+            key = tuple(_expr.minimal_masks(canon, names))
+            if key in seen:
                 continue
-            prev = batch.get(table)
+            prev = batch.get(key)
             if prev is None or str(canon) < str(prev):
-                batch[table] = canon
-        for table, e in sorted(batch.items(), key=lambda kv: str(kv[1])):
-            seen.add(table)
+                batch[key] = canon
+        for key, e in sorted(batch.items(), key=lambda kv: str(kv[1])):
+            seen.add(key)
             yield e
 
 

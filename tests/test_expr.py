@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exprgen import expressions
+from exprgen import NAMES, expressions
 from quorumopt.errors import DomainError, ParseError, UniverseTooLarge
 from quorumopt.expr import (
     And,
@@ -20,7 +21,7 @@ from quorumopt.expr import (
     or_,
     parse,
 )
-from quorumopt.oracle import truth_table
+from quorumopt.oracle import exhaustive_minimal_sets, truth_table
 
 a, b, c, d, e = (Var(x) for x in "abcde")
 
@@ -254,6 +255,17 @@ class TestProperties:
         for mask in range(1 << len(names)):
             s = frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
             assert e.evaluate(s) == any(m <= s for m in mins)
+
+    @given(expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_minimal_sets_match_brute_force(self, e):
+        assert minimal_sets(e) == exhaustive_minimal_sets(e)
+        assert minimal_sets(e.dual()) == exhaustive_minimal_sets(e.dual())
+
+    @given(expressions(), st.permutations(NAMES))
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_sets_match_brute_force_in_universe_order(self, e, universe):
+        assert minimal_sets(e, universe) == exhaustive_minimal_sets(e, universe)
 
 
 def test_choose_helper_validates():

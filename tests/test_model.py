@@ -1,21 +1,24 @@
 """Nodes, workloads, quorum systems, fault tolerance, resilient quorums."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exprgen import duplicate_free_expressions
+from exprgen import duplicate_free_expressions, expressions
 from quorumopt.errors import (
     DomainError,
     IntersectionViolation,
     NoResilientQuorum,
     UnknownNode,
 )
-from quorumopt.expr import parse
+from quorumopt.expr import Var, and_, choose, majority, parse
 from quorumopt.model import Node, QuorumSystem, Workload, as_fraction
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
+    exhaustive_minimal_sets,
     exhaustive_resilient,
     truth_table,
 )
@@ -23,6 +26,19 @@ from quorumopt.oracle import (
 
 def nodes(names):
     return [Node(x) for x in names]
+
+
+def majority_text(names, form):
+    """k-of-n majority over names as a sum of products ("sop") of every
+    k-subset, or as the equivalent product of sums ("pos") of every
+    (n-k+1)-subset; either way every name repeats across terms."""
+    n = len(names)
+    k = n // 2 + 1
+    if form == "sop":
+        return " + ".join("*".join(c) for c in itertools.combinations(names, k))
+    return " * ".join(
+        "(" + " + ".join(c) + ")" for c in itertools.combinations(names, n - k + 1)
+    )
 
 
 class TestNode:
@@ -155,6 +171,65 @@ class TestFaultTolerance:
         qs = QuorumSystem([Node(x) for x in sorted(e.names())], reads=e)
         assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
         assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_explicit_threshold_writes_match_exhaustive_oracle(self, n):
+        # reads k of n, writes n-k+2 of n: they intersect, and the writes are
+        # not the reads' dual, so each side's tolerance needs its own dual
+        vs = [Var(x) for x in "abcdef"[:n]]
+        for k in range(2, n + 1):
+            qs = QuorumSystem(nodes("abcdef"[:n]), choose(k, vs), choose(n - k + 2, vs))
+            assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
+            assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+
+    @given(expressions(names=("a", "b", "c", "d", "e")), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_strengthened_dual_writes_match_exhaustive_oracle(self, e, data):
+        # every quorum of dual(e) * g meets every quorum of e
+        g = data.draw(expressions(names=sorted(e.names())))
+        qs = QuorumSystem(nodes(sorted(e.names())), reads=e, writes=and_(e.dual(), g))
+        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
+        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_majority_as_sum_of_products_matches_exhaustive_oracle(self, n):
+        # the derived writes are a product of sums whose children all share
+        # variables: at n = 6 it is 15 four-way sums, 4^15 unabsorbed unions
+        names = "abcdefgh"[:n]
+        qs = QuorumSystem(nodes(names), reads=majority_text(names, "sop"))
+        assert qs.reads.dual() == qs.writes
+        assert qs.read_minimal == exhaustive_minimal_sets(qs.reads)
+        assert qs.write_minimal == exhaustive_minimal_sets(qs.writes)
+        k = n // 2 + 1
+        assert qs.read_minimal == [frozenset(c) for c in itertools.combinations(names, k)]
+        assert qs.write_minimal == [
+            frozenset(c) for c in itertools.combinations(names, n - k + 1)
+        ]
+        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
+        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_product_of_sums_with_explicit_writes_matches_exhaustive_oracle(self, n):
+        # both sides given: each side's tolerance takes the minimal quorums
+        # of its own dual, and the dual of the writes is a product of sums
+        names = "abcdefg"[:n]
+        qs = QuorumSystem(
+            nodes(names),
+            reads=majority_text(names, "pos"),
+            writes=majority_text(names, "sop"),
+        )
+        assert qs.read_minimal == exhaustive_minimal_sets(qs.reads)
+        assert qs.write_minimal == exhaustive_minimal_sets(qs.writes)
+        assert qs.read_minimal == qs.write_minimal
+        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
+        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+        assert qs.fault_tolerance() == (n - 1) // 2
+
+    def test_majority_of_fifteen(self):
+        names = [f"n{i:02d}" for i in range(15)]
+        qs = QuorumSystem(nodes(names), reads=majority([Var(x) for x in names]))
+        assert len(qs.read_minimal) == len(qs.write_minimal) == 6435
+        assert qs.fault_tolerance() == 7
 
     @given(duplicate_free_expressions())
     @settings(max_examples=100, deadline=None)

@@ -69,6 +69,11 @@ class TestQuorumLatency:
         with pytest.raises(DomainError):
             quorum_latency(grid, "read", {"a", "c"})
 
+    def test_unknown_side_rejected(self, grid):
+        # {a, c} is a write quorum; an unknown side must not fall back to it
+        with pytest.raises(DomainError):
+            quorum_latency(grid, "sideways", {"a", "c"})
+
 
 class TestUniformStrategy:
     def test_three_node_majority(self, maj3):
@@ -201,6 +206,14 @@ class TestMetrics:
     def test_resilience_validation(self, grid):
         with pytest.raises(DomainError):
             Strategy(grid, [({"a", "b"}, 1)], [({"a", "b", "c", "d"}, 1)], f=1)
+        # the read side has no 1-resilient quorum at all
+        pair = QuorumSystem(plain("ab"), reads="a*b")
+        with pytest.raises(DomainError):
+            Strategy(pair, [({"a", "b"}, 1)], [({"a", "b"}, 1)], f=1)
+        # a set of fewer than f nodes has no f-subset to remove, yet is not resilient
+        single = QuorumSystem(plain("a"), reads="a")
+        with pytest.raises(DomainError):
+            Strategy(single, [({"a"}, 1)], [({"a"}, 1)], f=2)
 
     def test_degenerate_workload_equals_scalar(self, grid):
         sigma = find_strategy(grid, Workload({Fraction(3, 10): 1}))

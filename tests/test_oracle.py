@@ -12,6 +12,7 @@ from quorumopt.model import Node, QuorumSystem
 from quorumopt.optimize import uniform_strategy
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
+    exhaustive_minimal_sets,
     exhaustive_resilient,
     strategy_metric_recompute,
     truth_table,
@@ -37,6 +38,21 @@ class TestTruthTable:
         names = [f"n{i:02d}" for i in range(21)]
         with pytest.raises(UniverseTooLarge):
             truth_table(or_(*[Var(n) for n in names]), names)
+
+
+class TestExhaustiveMinimalSets:
+    def test_majority_in_universe_order(self):
+        e = parse("a*b + b*c + a*c")
+        assert exhaustive_minimal_sets(e) == [frozenset(p) for p in ("ab", "ac", "bc")]
+        assert exhaustive_minimal_sets(e, "cba") == [
+            frozenset(p) for p in ("bc", "ac", "ab")
+        ]
+
+    def test_absorbed_terms_are_dropped(self):
+        assert exhaustive_minimal_sets(parse("a + a*b + b*c")) == [
+            frozenset("a"),
+            frozenset("bc"),
+        ]
 
 
 class TestExhaustiveFaultTolerance:
