@@ -6,8 +6,9 @@ document to stdout: JSON for analyze/strategy/search (human-readable tables
 behind --table), CSV for curve/breakdown. All emitted numbers are quantized
 to 9 decimal places so outputs are byte-stable.
 
-Exit codes: 0 success, 2 config or parse error, 3 infeasible,
-4 search exhausted without a feasible candidate.
+Exit codes: 0 success, 2 config or parse error, 3 no strategy: unsatisfiable
+limits, no f-resilient quorum, or the LP solver failed, 4 search exhausted
+without a feasible candidate.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     NoFeasibleCandidate,
     NoResilientQuorum,
     ParseError,
+    SolverFailure,
     UniverseTooLarge,
     UnknownNode,
 )
@@ -245,6 +247,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.points <= 0:
+        raise DomainError("--points must be positive")
     config = load_config(args.config)
     qs = config.quorum_system()
     grid = [Fraction(i, args.points) for i in range(args.points + 1)]
@@ -340,6 +344,9 @@ def main(argv=None) -> int:
         return 2
     except (Infeasible, NoResilientQuorum) as e:
         print(f"infeasible: {e}", file=sys.stderr)
+        return 3
+    except SolverFailure as e:
+        print(f"solver failure: {e}", file=sys.stderr)
         return 3
     except NoFeasibleCandidate as e:
         print(f"search exhausted: {e}", file=sys.stderr)

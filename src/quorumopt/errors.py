@@ -19,8 +19,9 @@ class DomainError(QuorumError):
 
 
 class UniverseTooLarge(QuorumError):
-    """Exact subset enumeration was requested over more nodes than the
-    enumeration bound supports."""
+    """A universe has more nodes than ``expr.ENUMERATION_BOUND``: each
+    minimal quorum becomes an LP column, and their number grows
+    exponentially with the node count."""
 
 
 class UnknownNode(QuorumError):

@@ -1,23 +1,16 @@
-"""Small linear-program builder bound to scipy's HiGHS backend.
+"""The one HiGHS call and its status mapping.
 
-The rest of the package only ever emits a standard-form LP (bounded
-variables, linear equalities/inequalities, linear objective) through this
-interface, so a different exact-enough backend could be bound here without
-touching the callers. Required accuracy: feasibility violation <= 1e-9,
-objective gap <= 1e-6.
+:func:`quorumopt.optimize.find_strategy` builds its LP as dense arrays and
+solves it here. This is the only module that imports ``linprog``. Required
+accuracy: feasibility violation <= 1e-9, objective gap <= 1e-6.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import Infeasible, SolverFailure
-
-Term = tuple["Variable", float]
 
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
@@ -25,84 +18,25 @@ _HIGHS_OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Variable:
-    index: int
-    name: str
-    lower: float
-    upper: float | None
+def solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
+    """Optimal x of: minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq,
+    and the (lower, upper) ``bounds`` of each variable.
 
-    def __repr__(self) -> str:
-        return f"Variable({self.name})"
-
-
-@dataclass
-class LinearProgram:
-    """minimize c.x subject to A_ub.x <= b_ub, A_eq.x = b_eq, bounds."""
-
-    variables: list[Variable] = field(default_factory=list)
-    _le_rows: list[tuple[dict[int, float], float]] = field(default_factory=list)
-    _eq_rows: list[tuple[dict[int, float], float]] = field(default_factory=list)
-    _objective: dict[int, float] = field(default_factory=dict)
-
-    def variable(self, name: str, lower: float = 0.0, upper: float | None = None) -> Variable:
-        v = Variable(len(self.variables), name, lower, upper)
-        self.variables.append(v)
-        return v
-
-    @staticmethod
-    def _row(terms: Iterable[Term]) -> dict[int, float]:
-        row: dict[int, float] = {}
-        for v, coeff in terms:
-            row[v.index] = row.get(v.index, 0.0) + float(coeff)
-        return row
-
-    def add_le(self, terms: Iterable[Term], rhs: float) -> None:
-        self._le_rows.append((self._row(terms), float(rhs)))
-
-    def add_eq(self, terms: Iterable[Term], rhs: float) -> None:
-        self._eq_rows.append((self._row(terms), float(rhs)))
-
-    def minimize(self, terms: Iterable[Term]) -> None:
-        self._objective = self._row(terms)
-
-    def solve(self) -> Sequence[float]:
-        """Optimal variable values, indexed like ``variables``.
-
-        Raises Infeasible when the constraints are unsatisfiable and
-        SolverFailure for any other backend failure.
-        """
-        n = len(self.variables)
-        c = np.zeros(n)
-        for i, coeff in self._objective.items():
-            c[i] = coeff
-
-        def dense(rows):
-            if not rows:
-                return None, None
-            a = np.zeros((len(rows), n))
-            b = np.zeros(len(rows))
-            for j, (row, rhs) in enumerate(rows):
-                for i, coeff in row.items():
-                    a[j, i] = coeff
-                b[j] = rhs
-            return a, b
-
-        a_ub, b_ub = dense(self._le_rows)
-        a_eq, b_eq = dense(self._eq_rows)
-        bounds = [(v.lower, v.upper) for v in self.variables]
-        result = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-            options=dict(_HIGHS_OPTIONS),
-        )
-        if result.status == 2:
-            raise Infeasible("constraints are unsatisfiable")
-        if result.status != 0:
-            raise SolverFailure(f"LP solve failed: {result.message}")
-        return [float(x) for x in result.x]
+    Raises Infeasible when the constraints are unsatisfiable and
+    SolverFailure for any other solver failure.
+    """
+    result = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+        method="highs",
+        options=dict(_HIGHS_OPTIONS),
+    )
+    if result.status == 2:
+        raise Infeasible("constraints are unsatisfiable")
+    if result.status != 0:
+        raise SolverFailure(f"LP solve failed: {result.message}")
+    return result.x

@@ -30,11 +30,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Union
 
+import numpy as np
+
+from . import lp
 from .errors import DomainError
-from .lp import LinearProgram
 from .model import QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
@@ -231,11 +233,19 @@ def find_strategy(
 ) -> Strategy:
     """Optimal strategy for the given objective, subject to the constraints.
 
-    Decision variables are selection probabilities over the minimal
-    f-resilient quorums of each side plus one load variable per workload
-    point. The load objective minimizes expected load; latency and network
-    objectives minimize the expected value of the corresponding metric.
-    A capacity limit c constrains expected load to at most 1/c.
+    The LP's columns are the selection probabilities of the minimal
+    f-resilient read quorums, then of the write quorums, each in [0, 1],
+    then one load L_f >= 0 per read fraction f, in workload order. Its rows:
+
+    * two equalities: each side's probabilities sum to 1;
+    * per node that is in some quorum (universe order), then per read
+      fraction (workload order): ``f*rm(x)/read_cap(x) +
+      (1-f)*wm(x)/write_cap(x) - L_f <= 0``;
+    * one row per requested limit, in the order capacity, latency, network.
+
+    Each metric is one cost vector, used as the objective or as a limit row:
+    load is the expected L_f (a capacity limit c bounds it by 1/c), latency
+    and network are the expected quorum latency and quorum size.
 
     Raises Infeasible when no strategy satisfies the constraints and
     NoResilientQuorum when a side has no f-resilient quorum at all.
@@ -246,73 +256,59 @@ def find_strategy(
 
     read_pool = qs.resilient_quorums("read", f)
     write_pool = qs.resilient_quorums("write", f)
+    columns = [("read", q) for q in read_pool] + [("write", q) for q in write_pool]
+    is_write = np.repeat([0, 1], [len(read_pool), len(write_pool)])
+    points = w.items()
+    nq, nl = len(columns), len(points)
+    share = {"read": w.mean_read_fraction, "write": 1 - w.mean_read_fraction}
 
-    lp = LinearProgram()
-    p_read = [lp.variable(f"r{i}", 0.0, 1.0) for i in range(len(read_pool))]
-    p_write = [lp.variable(f"w{i}", 0.0, 1.0) for i in range(len(write_pool))]
-    load_vars = {fr: lp.variable(f"L{j}") for j, (fr, _) in enumerate(w.items())}
+    @cache
+    def cost(kind: Objective) -> np.ndarray:
+        if kind is Objective.LOAD:
+            return np.array([0.0] * nq + [float(p) for _, p in points])
 
-    lp.add_eq([(v, 1.0) for v in p_read], 1.0)
-    lp.add_eq([(v, 1.0) for v in p_write], 1.0)
+        def size(side, quorum):
+            return quorum_latency(qs, side, quorum) if kind is Objective.LATENCY else len(quorum)
 
-    # Per node and per read fraction: normalized selection load <= L_f.
-    for node in qs.universe:
-        read_terms = [v for q, v in zip(read_pool, p_read) if node.name in q]
-        write_terms = [v for q, v in zip(write_pool, p_write) if node.name in q]
-        if not read_terms and not write_terms:
-            continue
-        for fr, _ in w.items():
-            terms = [(v, float(fr / node.read_cap)) for v in read_terms]
-            terms += [(v, float((1 - fr) / node.write_cap)) for v in write_terms]
-            terms.append((load_vars[fr], -1.0))
-            lp.add_le(terms, 0.0)
+        return np.array([float(share[s] * size(s, q)) for s, q in columns] + [0.0] * nl)
 
-    def expected_load_terms():
-        return [(load_vars[fr], float(p)) for fr, p in w.items()]
+    capacity = constraints.capacity_limit
+    limit_of = {
+        Objective.LOAD: None if capacity is None else 1 / capacity,
+        Objective.LATENCY: constraints.latency_limit,
+        Objective.NETWORK: constraints.network_limit,
+    }
+    limits = [(kind, limit) for kind, limit in limit_of.items() if limit is not None]
 
-    ef = w.mean_read_fraction
+    index = {node.name: i for i, node in enumerate(qs.universe)}
+    member = np.zeros((len(index), nq))
+    for j, (_, quorum) in enumerate(columns):
+        member[[index[name] for name in quorum], j] = 1.0
+    used = np.flatnonzero(member.any(axis=1))
+    # coef[node, point, side]: the node's load per unit of selection probability
+    coef = np.array(
+        [[(float(fr / n.read_cap), float((1 - fr) / n.write_cap)) for fr, _ in points]
+         for n in (qs.universe[i] for i in used)]
+    )
+    nload = len(used) * nl
+    a_ub = np.zeros((nload + len(limits), nq + nl))
+    a_ub[:nload, :nq] = (coef[:, :, is_write] * member[used, None, :]).reshape(nload, nq)
+    a_ub[np.arange(nload), nq + np.arange(nload) % nl] = -1.0
+    b_ub = np.zeros(nload + len(limits))
+    for row, (kind, limit) in enumerate(limits, start=nload):
+        a_ub[row] = cost(kind)
+        b_ub[row] = float(limit)
+    a_eq = np.zeros((2, nq + nl))
+    a_eq[is_write, np.arange(nq)] = 1.0
+    bounds = [(0.0, 1.0)] * nq + [(0.0, None)] * nl
 
-    def latency_terms():
-        terms = [
-            (v, float(ef * quorum_latency(qs, "read", q)))
-            for q, v in zip(read_pool, p_read)
-        ]
-        terms += [
-            (v, float((1 - ef) * quorum_latency(qs, "write", q)))
-            for q, v in zip(write_pool, p_write)
-        ]
-        return terms
-
-    def network_terms():
-        terms = [(v, float(ef * len(q))) for q, v in zip(read_pool, p_read)]
-        terms += [(v, float((1 - ef) * len(q))) for q, v in zip(write_pool, p_write)]
-        return terms
-
-    if constraints.capacity_limit is not None:
-        lp.add_le(expected_load_terms(), float(1 / constraints.capacity_limit))
-    if constraints.latency_limit is not None:
-        lp.add_le(latency_terms(), float(constraints.latency_limit))
-    if constraints.network_limit is not None:
-        lp.add_le(network_terms(), float(constraints.network_limit))
-
-    if objective is Objective.LOAD:
-        lp.minimize(expected_load_terms())
-    elif objective is Objective.LATENCY:
-        lp.minimize(latency_terms())
-    else:
-        lp.minimize(network_terms())
-
-    values = lp.solve()
-
-    def extract(pool, variables):
-        dist = []
-        for quorum, v in zip(pool, variables):
-            p = min(values[v.index], 1.0)  # solver round-off can spill past 1
-            if p > 1e-9:
-                dist.append((quorum, Fraction(p)))
-        return dist
-
-    return Strategy(qs, extract(read_pool, p_read), extract(write_pool, p_write), f=f)
+    x = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds)
+    dist = {"read": [], "write": []}
+    for (s, quorum), p in zip(columns, x):
+        p = min(float(p), 1.0)  # solver round-off can spill past 1
+        if p > 1e-9:
+            dist[s].append((quorum, Fraction(p)))
+    return Strategy(qs, dist["read"], dist["write"], f=f)
 
 
 def capacity_curve(

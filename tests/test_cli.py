@@ -3,9 +3,11 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import quorumopt.lp
 from quorumopt.cli import load_config, main
 from quorumopt.expr import parse
 from quorumopt.model import QuorumSystem, Workload
@@ -109,6 +111,24 @@ class TestExitCodes:
     def test_resilience_beyond_reach_is_infeasible(self, capsys):
         code, _ = run(capsys, "strategy", DATA / "majority3.json", "--f", "3")
         assert code == 3
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_nonpositive_curve_points(self, capsys, points):
+        code = main(["curve", str(DATA / "hetero_grid.json"), "--points", points])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --points must be positive\n"
+
+    def test_solver_failure(self, capsys, monkeypatch):
+        failed = SimpleNamespace(status=4, message="numerical difficulties", x=None, nit=0)
+        monkeypatch.setattr(quorumopt.lp, "linprog", lambda *a, **k: failed)
+        code = main(["strategy", str(DATA / "majority3.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestOutputContracts:

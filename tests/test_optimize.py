@@ -1,13 +1,16 @@
 """Strategy optimization: the LP, metrics, and their invariants."""
 
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from exprgen import duplicate_free_expressions
-from quorumopt.errors import DomainError, Infeasible
+from quorumopt import lp
+from quorumopt.errors import DomainError, Infeasible, SolverFailure
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import (
     Constraints,
@@ -51,6 +54,11 @@ def skew_workload():
     return Workload(
         {"0.00": "10/18", "0.25": "4/18", "0.50": "2/18", "0.75": "1/18", "1.00": "1/18"}
     )
+
+
+# The metrics strategy_metric_recompute returns, in order; a load limit is
+# a capacity limit of its inverse.
+METRICS = ("load", "latency", "network")
 
 
 def within(value, target, rel):
@@ -151,11 +159,43 @@ class TestFindStrategy:
         assert sigma.network_load(1) == 1
         assert sigma.read_dist == [(frozenset("a"), Fraction(1))]
 
+    @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+    @pytest.mark.parametrize(
+        "limited",
+        [kinds for k in range(4) for kinds in itertools.combinations(METRICS, k)],
+        ids=lambda kinds: "+".join(kinds) or "none",
+    )
+    def test_every_objective_under_every_limit_subset(self, skew_workload, objective, limited):
+        qs = QuorumSystem(hetero_nodes(latencies=(4, 4, 1, 1)), reads="a*b + c*d")
+        uniform = dict(zip(METRICS, strategy_metric_recompute(uniform_strategy(qs), skew_workload)))
+        # each limit 1% looser than the uniform strategy's value, so it is feasible
+        bound = {metric: uniform[metric] * Fraction(101, 100) for metric in limited}
+        constraints = Constraints(
+            capacity_limit=1 / bound["load"] if "load" in bound else None,
+            latency_limit=bound.get("latency"),
+            network_limit=bound.get("network"),
+        )
+        sigma = find_strategy(qs, skew_workload, objective, constraints)
+        got = dict(zip(METRICS, strategy_metric_recompute(sigma, skew_workload)))
+        rel = 1 + Fraction(1, 10**9)
+        for metric in limited:
+            assert got[metric] <= bound[metric] * rel, metric
+        assert got[objective.value] <= uniform[objective.value] * rel
+
     def test_latency_limit_constraint(self):
         qs = QuorumSystem(hetero_nodes(latencies=(1, 1, 5, 5)), reads="a*b + c*d")
         sigma = find_strategy(qs, 1, "load", Constraints(latency_limit=1))
         assert sigma.latency(1) <= 1
         assert sigma.read_dist == [(frozenset("ab"), Fraction(1))]
+
+
+class TestSolverStatus:
+    @pytest.mark.parametrize("status,error", [(2, Infeasible), (4, SolverFailure)])
+    def test_status_maps_to_error(self, monkeypatch, status, error):
+        result = SimpleNamespace(status=status, message="stub", x=None, nit=0)
+        monkeypatch.setattr(lp, "linprog", lambda *a, **k: result)
+        with pytest.raises(error):
+            lp.solve([1.0], None, None, [[1.0]], [1.0], [(0.0, 1.0)])
 
 
 class TestNodeLoad:
