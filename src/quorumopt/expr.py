@@ -19,6 +19,9 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import DomainError, ParseError, UniverseTooLarge
 
+# Variable names: exactly the identifiers the parser reads back.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # Output size, not the enumeration, bounds the universe: a majority of 20
 # nodes already has 167,960 minimal quorums per side, and find_strategy makes
 # each of them an LP column.
@@ -75,8 +78,10 @@ class Var(Expression):
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise DomainError("variable name must be a nonempty string")
+        if not isinstance(self.name, str) or not _NAME.fullmatch(self.name):
+            raise DomainError(
+                f"variable name {self.name!r} is not an identifier {_NAME.pattern}"
+            )
 
     def evaluate(self, alive: AbstractSet[str]) -> bool:
         return self.name in alive
@@ -232,7 +237,7 @@ def majority(exprs: Sequence[Expression]) -> Expression:
 _TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>""" + _NAME.pattern + r""")
   | (?P<num>\d+)
   | (?P<sym>[+*(),\[\]])
     """,
@@ -391,18 +396,12 @@ def canonical(e: Expression) -> Expression:
 def minimal_sets(
     e: Expression, universe: Iterable[str] | None = None
 ) -> list[frozenset[str]]:
-    """All inclusion-minimal S with e.evaluate(S) true, in canonical order
-    (by size, then lexicographically by position in the universe, which
-    defaults to the sorted names of e); see :func:`minimal_masks`."""
-    names = sorted(e.names()) if universe is None else list(universe)
-    bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
-    return [frozenset(x for b, x in bits if m & b) for m in minimal_masks(e, names)]
+    """All inclusion-minimal S with e.evaluate(S) true, in canonical order:
+    by size, then lexicographically by position in the universe, which
+    defaults to the sorted names of e.
 
-
-def minimal_masks(e: Expression, universe: Iterable[str] | None = None) -> list[int]:
-    """:func:`minimal_sets` as bitmasks, the universe's first name in the top
+    Sets are built as bitmasks with the universe's first name in the top
     bit, so canonical order is by bit count, then by descending value.
-
     Or, And and choose(k) each take k of their children (k = 1, n, k), so a
     node's minimal sets are the unions of one minimal set from each of k
     children, built bottom-up without sweeping subsets. A union can be
@@ -416,9 +415,12 @@ def minimal_masks(e: Expression, universe: Iterable[str] | None = None) -> list[
         raise UniverseTooLarge(
             f"{len(names)} nodes exceeds the enumeration bound of {ENUMERATION_BOUND}"
         )
-    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
-    masks = _masks(e, bit, e.uses_each_variable_once())
-    return sorted(masks, key=lambda m: (m.bit_count(), -m))
+    bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
+    masks = _masks(e, {x: b for b, x in bits}, e.uses_each_variable_once())
+    return [
+        frozenset(x for b, x in bits if m & b)
+        for m in sorted(masks, key=lambda mask: (mask.bit_count(), -mask))
+    ]
 
 
 def _masks(e: Expression, bit: dict[str, int], read_once: bool) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Sequence, Union
 
@@ -28,24 +28,23 @@ _PROB_SUM_TOL = Fraction(1, 10**9)
 
 
 def as_fraction(value: Rational) -> Fraction:
-    """Exact rational from a number or string, reading floats decimally."""
+    """Exact rational from a finite number or string, reading floats
+    decimally; booleans, NaN and infinities raise DomainError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        # repr of a builtin float is its shortest round-tripping decimal;
-        # float subclasses (numpy) may repr differently, so normalize first
-        return Fraction(Decimal(repr(float(value))))
-    if isinstance(value, str):
-        try:
-            if "/" in value:
-                return Fraction(value)
-            return Fraction(Decimal(value))
-        except (ValueError, InvalidOperation, ZeroDivisionError) as e:
-            raise DomainError(f"cannot interpret {value!r} as a rational") from e
+    try:
+        if isinstance(value, float):
+            # repr of a builtin float is its shortest round-tripping decimal;
+            # float subclasses (numpy) may repr differently, so normalize first
+            return Fraction(Decimal(repr(float(value))))
+        if isinstance(value, Decimal):
+            return Fraction(value)
+        if isinstance(value, str):
+            return Fraction(value) if "/" in value else Fraction(Decimal(value))
+    except (ValueError, ArithmeticError) as e:  # NaN, infinity, x/0, junk text
+        raise DomainError(f"cannot interpret {value!r} as a rational") from e
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 
@@ -286,16 +285,17 @@ class QuorumSystem:
             return self.minimal_quorums(side)
         # Minimal resilient quorums never contain nodes absent from the
         # expression: evaluation ignores them, so dropping one preserves
-        # resilience.
+        # resilience. Any f-resilient quorum makes the set of all the side's
+        # names f-resilient too, so that one check decides whether any exists.
         names = sorted(self.side(side).names())
+        if not self.is_resilient(side, names, f):
+            raise NoResilientQuorum(
+                f"no {side} quorum survives every removal of {f} nodes"
+            )
         found: list[frozenset[str]] = []
         for size in range(f + 1, len(names) + 1):
             for combo in itertools.combinations(names, size):
                 s = frozenset(combo)
                 if not any(m <= s for m in found) and self.is_resilient(side, s, f):
                     found.append(s)
-        if not found:
-            raise NoResilientQuorum(
-                f"no {side} quorum survives every removal of {f} nodes"
-            )
         return found

@@ -2,15 +2,19 @@
 
 Candidate read expressions are built from or/and/choose with every node
 variable appearing exactly once, enumerated in nondecreasing syntax-tree
-depth and deduplicated by minimal quorums. Write quorums are always the dual of
-the candidate reads (searching both sides independently would be redundant:
-the dual is the optimal complement). Each candidate that meets the fault
-tolerance floor is scored by solving the strategy LP; the best metric value
-wins, ties broken by emission order so runs are reproducible.
+depth. They are flat (no Or child under an Or, no And child under an And)
+with sorted children, which makes each the unique modular decomposition of
+its boolean function, so each function appears once. Write quorums are
+always the dual of the candidate reads (searching both sides independently
+would be redundant: the dual is the optimal complement). Each candidate that
+meets the fault tolerance floor is scored by solving the strategy LP; the
+best metric value wins, ties broken by emission order so runs are
+reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -72,45 +76,17 @@ def _set_partitions(items: tuple[str, ...]) -> Iterator[list[tuple[str, ...]]]:
         yield [(first,)] + smaller
 
 
-class _Generator:
-    """Duplicate-free expressions over a fixed name set, grouped by depth."""
-
-    def __init__(self, names: Sequence[str]):
-        self.names = tuple(sorted(names))
-        self._cache: dict[tuple[tuple[str, ...], int], list[_expr.Expression]] = {}
-
-    def exact_depth(self, block: tuple[str, ...], d: int) -> list[_expr.Expression]:
-        key = (block, d)
-        if key in self._cache:
-            return self._cache[key]
-        results: list[_expr.Expression] = []
-        if len(block) == 1:
-            if d == 0:
-                results = [_expr.Var(block[0])]
-        elif d >= 1:
-            for blocks in _set_partitions(block):
-                if len(blocks) < 2:
-                    continue
-                options = [self.up_to_depth(tuple(sorted(b)), d - 1) for b in blocks]
-                for children in itertools.product(*options):
-                    if max(c.depth() for c in children) != d - 1:
-                        continue
-                    for k in range(1, len(children) + 1):
-                        results.append(_expr.choose(k, list(children)))
-        self._cache[key] = results
-        return results
-
-    def up_to_depth(self, block: tuple[str, ...], dmax: int) -> list[_expr.Expression]:
-        out: list[_expr.Expression] = []
-        for d in range(dmax + 1):
-            out.extend(self.exact_depth(block, d))
-        return out
-
-
 def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
-    """Stream of duplicate-free expressions over the given node names, in
-    nondecreasing depth, deduplicated by minimal quorums. Within a depth,
-    expressions are canonical and emitted in sorted order.
+    """Stream of duplicate-free expressions over the given node names, one
+    per boolean function, in nondecreasing depth, sorted by printed form
+    within a depth.
+
+    Each is flat (no Or child under an Or, no And child under an And) with
+    children sorted by printed form, so it is already canonical. A flat
+    read-once formula is the modular decomposition tree of its function,
+    which is unique (Moehring 1985; And and Or are its degenerate nodes,
+    choose(k) with 1 < k < m its prime ones), so no function appears twice;
+    this was checked exhaustively for up to 7 nodes.
 
     Depth never needs to exceed n-1: every nesting level must split its
     block into at least two sub-blocks.
@@ -122,25 +98,28 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
         )
     if len(set(names)) != len(names):
         raise DomainError("node names must be unique")
-    if len(names) == 1:
-        yield _expr.Var(names[0])
-        return
 
-    gen = _Generator(names)
-    seen: set[tuple[int, ...]] = set()
-    for d in range(1, len(names)):
-        batch: dict[tuple[int, ...], _expr.Expression] = {}
-        for e in gen.exact_depth(names, d):
-            canon = _expr.canonical(e)
-            key = tuple(_expr.minimal_masks(canon, names))
-            if key in seen:
+    @functools.cache
+    def exact_depth(block: tuple[str, ...], d: int) -> list[_expr.Expression]:
+        if d == 0:
+            return [_expr.Var(block[0])] if len(block) == 1 else []
+        results: list[_expr.Expression] = []
+        for blocks in _set_partitions(block):
+            if len(blocks) < 2:
                 continue
-            prev = batch.get(key)
-            if prev is None or str(canon) < str(prev):
-                batch[key] = canon
-        for key, e in sorted(batch.items(), key=lambda kv: str(kv[1])):
-            seen.add(key)
-            yield e
+            options = [[e for i in range(d) for e in exact_depth(b, i)] for b in blocks]
+            for children in itertools.product(*options):
+                if max(c.depth() for c in children) != d - 1:
+                    continue
+                children = sorted(children, key=str)
+                # flat: k = 1 (Or) takes no Or child, k = m (And) no And child
+                lo = 1 + any(isinstance(c, _expr.Or) for c in children)
+                hi = len(children) - any(isinstance(c, _expr.And) for c in children)
+                results.extend(_expr.choose(k, children) for k in range(lo, hi + 1))
+        return results
+
+    for d in range(len(names)):
+        yield from sorted(exact_depth(names, d), key=str)
 
 
 def _metric(strategy: Strategy, workload: Workload, objective: Objective) -> Fraction:

@@ -131,6 +131,47 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
 
+def _config(node='{"name": "a"}', reads='"a*b"', read_fraction="1"):
+    """Config text with a free-form first node, read expression and
+    read_fraction, so that JSON literals such as NaN can be spliced in."""
+    return (
+        f'{{"version": "1", "nodes": [{node}, {{"name": "b"}}], '
+        f'"reads": {reads}, "read_fraction": {read_fraction}}}'
+    )
+
+
+UNREADABLE_INPUTS = [
+    pytest.param(["strategy", "--capacity-limit", "nan"], None, id="capacity-limit-nan"),
+    pytest.param(["strategy", "--capacity-limit", "inf"], None, id="capacity-limit-inf"),
+    pytest.param(["strategy", "--latency-limit", "1e400"], None, id="latency-limit-1e400"),
+    pytest.param(["analyze"], _config(read_fraction="true"), id="read_fraction-true"),
+    pytest.param(["analyze"], _config(read_fraction="NaN"), id="read_fraction-NaN"),
+    pytest.param(
+        ["search"], _config('{"name": "x-y"}', reads="null"), id="search-node-x-y"
+    ),
+] + [
+    pytest.param(
+        ["analyze"], _config(f'{{"name": "a", "{field}": {value}}}'), id=f"{field}-{value}"
+    )
+    for field in ("read_cap", "latency_s")
+    for value in ("NaN", "Infinity", "-Infinity", "1e400", '"Infinity"', "true")
+]
+
+
+@pytest.mark.parametrize("argv,config", UNREADABLE_INPUTS)
+def test_unreadable_numbers_and_names_exit_2(tmp_path, capsys, argv, config):
+    path = DATA / "majority3.json"
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestOutputContracts:
     def test_emitted_expressions_reparse_to_the_same_function(self, capsys):
         for config in ("majority3.json", "hetero_grid.json", "case_study.json"):

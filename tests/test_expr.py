@@ -172,8 +172,10 @@ class TestStructure:
             And(())
 
     def test_var_name_nonempty(self):
-        with pytest.raises(DomainError):
-            Var("")
+        # and an identifier, so that printed expressions parse back
+        for name in ("", "x-y", "1a", "a b", "é"):
+            with pytest.raises(DomainError):
+                Var(name)
 
 
 class TestPrinting:

@@ -1,6 +1,7 @@
 """Nodes, workloads, quorum systems, fault tolerance, resilient quorums."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -275,7 +276,9 @@ class TestResilientQuorums:
         assert qs.resilient_quorums("read", 1) == exhaustive_resilient(qs, "read", 1)
         assert all("z" not in q for q in qs.resilient_quorums("read", 1))
 
-    @given(duplicate_free_expressions(names=("a", "b", "c", "d", "e")))
+    @given(
+        st.one_of(duplicate_free_expressions(names=("a", "b", "c", "d", "e")), expressions())
+    )
     @settings(max_examples=100, deadline=None)
     def test_matches_unpruned_oracle(self, e):
         qs = QuorumSystem([Node(x) for x in sorted(e.names())], reads=e)
@@ -304,7 +307,10 @@ class TestResilientQuorums:
 
 
 def test_as_fraction_rejects_junk():
-    with pytest.raises(DomainError):
-        as_fraction("not a number")
-    with pytest.raises(DomainError):
-        as_fraction(object())
+    junk = ["not a number", object(), "1/0", True, False]
+    junk += [float(x) for x in ("nan", "inf", "-inf")]
+    junk += [Decimal(x) for x in ("NaN", "Infinity", "-Infinity")]
+    junk += ["NaN", "Infinity", "-inf"]
+    for value in junk:
+        with pytest.raises(DomainError):
+            as_fraction(value)

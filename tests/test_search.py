@@ -1,9 +1,13 @@
 """Candidate enumeration and constrained search."""
 
+import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from exprgen import duplicate_free_expressions
 from quorumopt.errors import DomainError, NoFeasibleCandidate
 from quorumopt.expr import parse
 from quorumopt.model import Node, QuorumSystem
@@ -14,6 +18,25 @@ from quorumopt.search import SearchOptions, enumerate_candidates, search
 
 def table(e, names):
     return truth_table(e, names)
+
+
+FIVE = ("a", "b", "c", "d", "e")
+
+
+# Count and sha256 of the printed candidates, one per line, for nodes "a".."f"[:n]
+PINNED_ORDER = {
+    1: (1, "87428fc522803d31065e7bce3cf03fe475096631e5e07bbd7a0fde60c4cf25c7"),
+    2: (2, "c0d1681a4376a8ed86260d1ab4e69137bce455abd570e02439e90b92a4ea30a1"),
+    3: (9, "80782c0934b5e591915d8b29ab0fb5cbf2d0ffda9a8d1e0a038d82f3e48217c0"),
+    4: (74, "e206585b04bbcd0222ffa0fa9f5baa9d464546631a4964a7c8bdc251f25d889a"),
+    5: (885, "39e233366c4a742f5e7a8f3c60c4caac6f31f64924caba6a2c10c4e5f41e6583"),
+    6: (13684, "d617cb3359a9dacf1e2d3974d7875c1f78c61e42c498974ea72fa4a8a2ea888a"),
+}
+
+
+@functools.cache
+def five_node_tables():
+    return frozenset(table(e, FIVE) for e in enumerate_candidates(FIVE))
 
 
 def hetero_nodes():
@@ -41,9 +64,23 @@ class TestEnumerateCandidates:
             assert e.names() == {"a", "b", "c", "d", "e"}
 
     def test_no_two_candidates_share_a_truth_table(self):
-        names = ["a", "b", "c", "d"]
-        tables = [table(e, names) for e in enumerate_candidates(names)]
-        assert len(tables) == len(set(tables))
+        for names in ("abcd", FIVE):
+            tables = [table(e, names) for e in enumerate_candidates(names)]
+            assert len(tables) == len(set(tables))
+
+    @given(duplicate_free_expressions(names=FIVE, min_vars=5))
+    @settings(max_examples=200, deadline=None)
+    def test_every_duplicate_free_function_is_a_candidate(self, e):
+        assert table(e, FIVE) in five_node_tables()
+
+    @pytest.mark.parametrize("n", sorted(PINNED_ORDER))
+    def test_emission_order_is_pinned(self, n):
+        count, digest = PINNED_ORDER[n]
+        # --budget runs and candidates_examined depend on this exact order
+        printed = [str(e) for e in enumerate_candidates("abcdef"[:n])]
+        assert len(printed) == count
+        text = "".join(p + "\n" for p in printed)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_single_node(self):
         assert [str(e) for e in enumerate_candidates(["a"])] == ["a"]
