@@ -182,6 +182,7 @@ class QuorumSystem:
         self._nodes = {n.name: n for n in universe}
         self._exprs = {"read": reads, "write": writes}
         self._minimal = {side: _expr.minimal_sets(e) for side, e in self._exprs.items()}
+        self._resilient: dict[tuple[str, int], list[frozenset[str]]] = {}
         # Minimal quorums of each side's dual. A derived side is the other's
         # dual (dual(dual(e)) is e), and a side and its dual always intersect.
         if derived:
@@ -278,11 +279,13 @@ class QuorumSystem:
     def resilient_quorums(self, side: str, f: int) -> list[frozenset[str]]:
         """Inclusion-minimal quorums of ``side`` that survive the removal of
         any f of their nodes, in canonical order; for f = 0, the minimal
-        quorums."""
+        quorums. The sweep runs once per (side, f); each call gets a copy."""
         if f < 0:
             raise DomainError(f"f must be nonnegative, got {f}")
         if f == 0:
             return self.minimal_quorums(side)
+        if (side, f) in self._resilient:
+            return list(self._resilient[side, f])
         # Minimal resilient quorums never contain nodes absent from the
         # expression: evaluation ignores them, so dropping one preserves
         # resilience. Any f-resilient quorum makes the set of all the side's
@@ -298,4 +301,5 @@ class QuorumSystem:
                 s = frozenset(combo)
                 if not any(m <= s for m in found) and self.is_resilient(side, s, f):
                     found.append(s)
-        return found
+        self._resilient[side, f] = found
+        return list(found)

@@ -40,6 +40,10 @@ from .errors import DomainError
 from .model import QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
+# can_beat's margin, the distribution-sum tolerance doubled to cover float
+# rounding in the load bound, and its ascent steps on the node weights.
+_BOUND_MARGIN = 2 * _DIST_SUM_TOL
+_ASCENT_STEPS = 40
 
 
 class Objective(str, enum.Enum):
@@ -212,6 +216,20 @@ class Strategy:
         return ef * read + (1 - ef) * write
 
 
+def _quorum_cost(qs: QuorumSystem, kind: Objective, side: str, quorum) -> Fraction | int:
+    """What one use of ``quorum`` costs under the latency or network metric."""
+    return quorum_latency(qs, side, quorum) if kind is Objective.LATENCY else len(quorum)
+
+
+def _membership(qs: QuorumSystem, quorums: list[frozenset[str]]) -> np.ndarray:
+    """Node-by-quorum 0/1 matrix, nodes in universe order."""
+    index = {node.name: i for i, node in enumerate(qs.universe)}
+    member = np.zeros((len(index), len(quorums)))
+    for j, quorum in enumerate(quorums):
+        member[[index[name] for name in quorum], j] = 1.0
+    return member
+
+
 def uniform_strategy(qs: QuorumSystem, f: int = 0) -> Strategy:
     """Every minimal (f-resilient) quorum of each side equally likely."""
     reads = qs.resilient_quorums("read", f)
@@ -266,11 +284,8 @@ def find_strategy(
     def cost(kind: Objective) -> np.ndarray:
         if kind is Objective.LOAD:
             return np.array([0.0] * nq + [float(p) for _, p in points])
-
-        def size(side, quorum):
-            return quorum_latency(qs, side, quorum) if kind is Objective.LATENCY else len(quorum)
-
-        return np.array([float(share[s] * size(s, q)) for s, q in columns] + [0.0] * nl)
+        sizes = [float(share[s] * _quorum_cost(qs, kind, s, q)) for s, q in columns]
+        return np.array(sizes + [0.0] * nl)
 
     capacity = constraints.capacity_limit
     limit_of = {
@@ -280,10 +295,7 @@ def find_strategy(
     }
     limits = [(kind, limit) for kind, limit in limit_of.items() if limit is not None]
 
-    index = {node.name: i for i, node in enumerate(qs.universe)}
-    member = np.zeros((len(index), nq))
-    for j, (_, quorum) in enumerate(columns):
-        member[[index[name] for name in quorum], j] = 1.0
+    member = _membership(qs, [quorum for _, quorum in columns])
     used = np.flatnonzero(member.any(axis=1))
     # coef[node, point, side]: the node's load per unit of selection probability
     coef = np.array(
@@ -309,6 +321,70 @@ def find_strategy(
         if p > 1e-9:
             dist[s].append((quorum, Fraction(p)))
     return Strategy(qs, dist["read"], dist["write"], f=f)
+
+
+def can_beat(
+    qs: QuorumSystem,
+    workload: WorkloadLike,
+    objective: Union[Objective, str],
+    value: Rational,
+    f: int = 0,
+) -> bool:
+    """False only when no strategy over the minimal f-resilient quorums of
+    ``qs`` can strictly beat ``value``: a capacity above it for the load
+    objective, a latency or network load below it otherwise. Limits only
+    remove strategies, so they are ignored.
+
+    Latency and network load are at least ``E[f]*min_R size(R) +
+    (1-E[f])*min_W size(W)``, size being the quorum latency or node count.
+    For load, at read fraction fr and for any node weights mu >= 0 summing
+    to 1, the busiest node carries at least the mu-average node load, which
+    is at least ``lb_fr(mu) = fr*min_R sum_{x in R} mu_x/read_cap(x) +
+    (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP duality; Naor & Wool
+    1998), so capacity is at most ``sum_fr p_fr / lb_fr``. mu starts
+    proportional to each node's capacity at fr and takes up to
+    ``_ASCENT_STEPS`` multiplicative-weights steps toward the nodes of the
+    cheapest quorums (Arora, Hazan & Kale 2012), stopping once ``value`` is
+    out of reach.
+
+    An LP strategy's distributions may each sum to 1 within
+    ``_DIST_SUM_TOL``, which moves its metric past the bound by at most that
+    factor, so ``value`` is out of reach only when it misses the bound by
+    ``_BOUND_MARGIN``. Raises NoResilientQuorum as find_strategy does.
+    """
+    w = Workload.coerce(workload)
+    objective = Objective(objective)
+    value = as_fraction(value)
+    reads = qs.resilient_quorums("read", f)
+    writes = qs.resilient_quorums("write", f)
+    if objective is not Objective.LOAD:
+        ef = w.mean_read_fraction
+        bound = (ef * min(_quorum_cost(qs, objective, "read", q) for q in reads)
+                 + (1 - ef) * min(_quorum_cost(qs, objective, "write", q) for q in writes))
+        return bound * (1 - _BOUND_MARGIN) < value
+
+    target = float(value * (1 - _BOUND_MARGIN))
+    points = w.items()
+    fr = np.array([float(x) for x, _ in points])[:, None]
+    prob = np.array([float(p) for _, p in points])
+    # unit[fraction, node]: the node's load per unit of read or write selection
+    read_unit = fr * np.array([float(1 / n.read_cap) for n in qs.universe])
+    write_unit = (1 - fr) * np.array([float(1 / n.write_cap) for n in qs.universe])
+    read_in, write_in = _membership(qs, reads), _membership(qs, writes)
+    rows = np.arange(len(points))
+    mu = 1 / (read_unit + write_unit)
+    best = np.zeros(len(points))
+    for step in range(_ASCENT_STEPS + 1):
+        mu /= mu.sum(axis=1, keepdims=True)
+        read_cost = (mu * read_unit) @ read_in
+        write_cost = (mu * write_unit) @ write_in
+        r, wr = read_cost.argmin(axis=1), write_cost.argmin(axis=1)
+        best = np.maximum(best, read_cost[rows, r] + write_cost[rows, wr])
+        if prob @ (1 / best) <= target:
+            return False
+        gain = read_unit * read_in[:, r].T + write_unit * write_in[:, wr].T
+        mu *= np.exp(gain / gain.max(axis=1, keepdims=True) / np.sqrt(step + 1))
+    return True
 
 
 def capacity_curve(

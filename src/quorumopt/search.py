@@ -10,12 +10,21 @@ would be redundant: the dual is the optimal complement). Each candidate that
 meets the fault tolerance floor is scored by solving the strategy LP; the
 best metric value wins, ties broken by emission order so runs are
 reproducible.
+
+Once a candidate has been scored, each later one first gets a cheap bound,
+:func:`~quorumopt.optimize.can_beat`, on the best metric any of its
+strategies can reach, and its LP is skipped when the bound shows that it
+cannot strictly beat the best so far. The bound holds for every strategy
+the LP could return, allowing for the tolerance on distribution sums, and a
+tie never replaces the incumbent, so the winner, its strategy and its metric
+are the ones the search without the bound finds.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +38,7 @@ from .errors import (
     NoResilientQuorum,
 )
 from .model import Node, QuorumSystem, Workload, WorkloadLike
-from .optimize import Constraints, Objective, Strategy, find_strategy
+from .optimize import Constraints, Objective, Strategy, can_beat, find_strategy
 
 # Set partitions grow super-exponentially (Bell numbers); past 8 nodes full
 # enumeration stops being a desk-scale computation.
@@ -49,8 +58,10 @@ class SearchOptions:
         object.__setattr__(self, "objective", Objective(self.objective))
         if self.min_fault_tolerance < 0:
             raise DomainError("min_fault_tolerance must be nonnegative")
-        if self.timeout is not None and self.timeout <= 0:
-            raise DomainError("timeout must be positive")
+        if self.f < 0:
+            raise DomainError(f"f must be nonnegative, got {self.f}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise DomainError(f"timeout must be positive and finite, got {self.timeout}")
         if self.budget is not None and self.budget <= 0:
             raise DomainError("budget must be positive")
 
@@ -100,26 +111,32 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
         raise DomainError("node names must be unique")
 
     @functools.cache
-    def exact_depth(block: tuple[str, ...], d: int) -> list[_expr.Expression]:
+    def exact_depth(block: tuple[str, ...], d: int) -> list[tuple[str, _expr.Expression]]:
+        """The formulas of depth exactly d over ``block``, each with its
+        printed form."""
         if d == 0:
-            return [_expr.Var(block[0])] if len(block) == 1 else []
-        results: list[_expr.Expression] = []
+            return [(block[0], _expr.Var(block[0]))] if len(block) == 1 else []
+        results = []
         for blocks in _set_partitions(block):
             if len(blocks) < 2:
                 continue
-            options = [[e for i in range(d) for e in exact_depth(b, i)] for b in blocks]
-            for children in itertools.product(*options):
-                if max(c.depth() for c in children) != d - 1:
+            options = [[(i, *pair) for i in range(d) for pair in exact_depth(b, i)]
+                       for b in blocks]
+            for entries in itertools.product(*options):
+                if max(i for i, _, _ in entries) != d - 1:
                     continue
-                children = sorted(children, key=str)
+                children = [e for _, _, e in sorted(entries, key=lambda t: t[1])]
                 # flat: k = 1 (Or) takes no Or child, k = m (And) no And child
                 lo = 1 + any(isinstance(c, _expr.Or) for c in children)
                 hi = len(children) - any(isinstance(c, _expr.And) for c in children)
-                results.extend(_expr.choose(k, children) for k in range(lo, hi + 1))
+                for k in range(lo, hi + 1):
+                    e = _expr.choose(k, children)
+                    results.append((str(e), e))
         return results
 
     for d in range(len(names)):
-        yield from sorted(exact_depth(names, d), key=str)
+        for _, e in sorted(exact_depth(names, d), key=lambda pair: pair[0]):
+            yield e
 
 
 def _metric(strategy: Strategy, workload: Workload, objective: Objective) -> Fraction:
@@ -145,8 +162,15 @@ def search(
 
     Each candidate's writes are the dual of its reads. Candidates below the
     fault tolerance floor are skipped without solving; infeasible candidates
-    are skipped. On timeout or budget exhaustion the best result so far is
-    returned; if nothing feasible was found, NoFeasibleCandidate is raised.
+    are skipped. So is every candidate whose bound (:func:`can_beat`) shows
+    that none of its strategies strictly beats the incumbent: such a
+    candidate could not have replaced it, so the result is the same as with
+    every LP solved. The bound allows a returned strategy's distributions to
+    miss a sum of 1 by the tolerance that Strategy accepts, plus float
+    rounding. ``candidates_examined`` and the budget count every candidate,
+    skipped ones included. On timeout or budget exhaustion the best result
+    so far is returned; if nothing feasible was found, NoFeasibleCandidate
+    is raised.
 
     The load objective maximizes capacity; latency and network objectives
     minimize their metric. Ties keep the earliest candidate, so results are
@@ -169,6 +193,10 @@ def search(
         if qs.fault_tolerance() < options.min_fault_tolerance:
             continue
         try:
+            if best is not None and not can_beat(
+                qs, w, options.objective, best.metric_value, f=options.f
+            ):
+                continue
             sigma = find_strategy(
                 qs, w, options.objective, options.constraints, f=options.f
             )

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import quorumopt.cli
 import quorumopt.lp
 from quorumopt.cli import load_config, main
 from quorumopt.expr import parse
@@ -165,6 +166,29 @@ def test_unreadable_numbers_and_names_exit_2(tmp_path, capsys, argv, config):
         path = tmp_path / "config.json"
         path.write_text(config)
     code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--timeout", "nan"],
+        ["--timeout", "inf"],
+        ["--timeout", "1e400"],
+        ["--f", "-1", "--fault-tolerance", "9"],
+    ],
+    ids=["timeout-nan", "timeout-inf", "timeout-1e400", "f-minus-1"],
+)
+def test_bad_search_options_exit_2_before_any_work(capsys, monkeypatch, flags):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(quorumopt.cli, "search", no_search)
+    code = main(["search", str(DATA / "case_study_search.json"), *flags])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -266,6 +266,16 @@ class TestResilientQuorums:
         with pytest.raises(NoResilientQuorum):
             qs.resilient_quorums("read", 1)
 
+    def test_sweep_runs_once_and_callers_get_copies(self, monkeypatch):
+        qs = QuorumSystem(nodes("abcd"), reads="choose(2, [a, b, c, d])")
+        quorums = qs.resilient_quorums("read", 1)
+        expected = list(quorums)
+        monkeypatch.setattr(qs, "is_resilient", None)  # a second sweep would fail
+        for _ in range(2):
+            quorums.append(frozenset("a"))
+            quorums = qs.resilient_quorums("read", 1)
+            assert quorums == expected
+
     def test_negative_f_rejected(self):
         qs = QuorumSystem(nodes("ab"), reads="a + b")
         with pytest.raises(DomainError):

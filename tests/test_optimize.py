@@ -10,12 +10,13 @@ from hypothesis import given, settings
 
 from exprgen import duplicate_free_expressions
 from quorumopt import lp
-from quorumopt.errors import DomainError, Infeasible, SolverFailure
+from quorumopt.errors import DomainError, Infeasible, NoResilientQuorum, SolverFailure
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import (
     Constraints,
     Objective,
     Strategy,
+    can_beat,
     capacity_curve,
     find_strategy,
     quorum_latency,
@@ -23,6 +24,7 @@ from quorumopt.optimize import (
     uniform_strategy,
 )
 from quorumopt.oracle import strategy_metric_recompute
+from quorumopt.search import enumerate_candidates
 
 
 def plain(names):
@@ -330,6 +332,40 @@ class TestOptimalityInvariants:
         fr = Fraction(2, 3)
         lp = find_strategy(qs, fr).load(fr)
         assert lp <= uniform_strategy(qs).load(fr) + Fraction(1, 10**6)
+
+
+class TestCanBeat:
+    @pytest.mark.parametrize("workload", ["skew", Fraction(3, 4)])
+    @pytest.mark.parametrize("f", [0, 1])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_never_rules_out_a_value_the_lp_beats(self, skew_workload, workload, f, objective):
+        w = skew_workload if workload == "skew" else Workload.coerce(workload)
+        nodes = hetero_nodes(latencies=(4, 3, 1, 2))
+        for reads in enumerate_candidates("abcd"):
+            qs = QuorumSystem(nodes, reads=reads)
+            try:
+                sigma = find_strategy(qs, w, objective, f=f)
+            except NoResilientQuorum:
+                with pytest.raises(NoResilientQuorum):
+                    can_beat(qs, w, objective, 1, f=f)
+                continue
+            if objective is Objective.LOAD:
+                worse = sigma.capacity(w) * Fraction(999, 1000)
+            elif objective is Objective.LATENCY:
+                worse = sigma.latency(w) * Fraction(1001, 1000)
+            else:
+                worse = sigma.network_load(w) * Fraction(1001, 1000)
+            assert can_beat(qs, w, objective, worse, f=f), reads
+
+    def test_margin_admits_values_at_the_exact_bound(self, grid, maj3):
+        # Every read and write quorum of a*b + c*d has two nodes, so network
+        # load is at least 2, and 3/2 is the capacity of majority of 3 at
+        # any read fraction. An LP strategy may sum to 1 - 1e-6 on each side
+        # and score just past either bound, so neither rules the system out.
+        assert can_beat(grid, Fraction(1, 2), "network", 2)
+        assert not can_beat(grid, Fraction(1, 2), "network", Fraction(199, 100))
+        assert can_beat(maj3, 1, "load", Fraction(3, 2))
+        assert not can_beat(maj3, 1, "load", Fraction(151, 100))
 
 
 class TestCapacityCurve:

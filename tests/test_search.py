@@ -2,18 +2,26 @@
 
 import functools
 import hashlib
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exprgen import duplicate_free_expressions
+from quorumopt.cli import load_config
 from quorumopt.errors import DomainError, NoFeasibleCandidate
 from quorumopt.expr import parse
-from quorumopt.model import Node, QuorumSystem
+from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import Constraints, find_strategy
 from quorumopt.oracle import strategy_metric_recompute, truth_table
 from quorumopt.search import SearchOptions, enumerate_candidates, search
+
+# the module, which the package's `search` function shadows as an attribute
+search_module = importlib.import_module("quorumopt.search")
+DATA = Path(__file__).parent / "data"
 
 
 def table(e, names):
@@ -160,3 +168,88 @@ class TestSearch:
             SearchOptions(budget=0)
         with pytest.raises(DomainError):
             SearchOptions(timeout=0)
+        for timeout in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                SearchOptions(timeout=timeout)
+        with pytest.raises(DomainError):
+            SearchOptions(f=-1)
+
+
+@st.composite
+def hetero_universes(draw):
+    names = "abcde"[: draw(st.integers(4, 5))]
+    return [
+        Node(
+            x,
+            read_cap=(cap := draw(st.sampled_from([25, 50, 100, 150, 200]))),
+            write_cap=cap * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1])),
+            latency=draw(st.sampled_from([1, 2, 3, 5, 8])),
+        )
+        for x in names
+    ]
+
+
+@st.composite
+def multi_point_workloads(draw):
+    fractions = draw(st.sets(st.integers(1, 9), min_size=2, max_size=4))
+    return Workload.from_weights(
+        {Fraction(fr, 10): draw(st.integers(1, 5)) for fr in sorted(fractions)}
+    )
+
+
+def outcome(nodes, w, options):
+    try:
+        r = search(nodes, w, options)
+    except NoFeasibleCandidate:
+        return None
+    s = r.strategy
+    return (str(r.qs.reads), str(r.qs.writes), s.read_dist, s.write_dist,
+            r.metric_value, r.candidates_examined)
+
+
+class TestBoundPruning:
+    # Five-node searches run under a budget: an unpruned one solves up to
+    # 885 LPs.
+    CASES = {
+        "load-floor": dict(min_fault_tolerance=1),
+        "latency-capacity": dict(objective="latency"),
+        "network-f1": dict(objective="network", f=1),
+        "load-budget": dict(),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @given(nodes=hetero_universes(), w=multi_point_workloads(), data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_same_result_as_solving_every_lp(self, case, nodes, w, data):
+        options = dict(self.CASES[case])
+        if case == "load-budget":
+            options["budget"] = data.draw(st.integers(1, 300))
+        elif len(nodes) == 5:
+            options["budget"] = 150
+        if case == "latency-capacity":
+            names = ", ".join(n.name for n in nodes)
+            reference = QuorumSystem(nodes, reads=f"choose(2, [{names}])")
+            best = find_strategy(reference, w).capacity(w)
+            factor = data.draw(st.sampled_from([Fraction(1, 2), Fraction(9, 10)]))
+            options["constraints"] = Constraints(capacity_limit=best * factor)
+        options = SearchOptions(**options)
+        pruned = outcome(nodes, w, options)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search_module, "can_beat", lambda *args, **kwargs: True)
+            unpruned = outcome(nodes, w, options)
+        assert pruned == unpruned
+
+    def test_case_study_lp_count_is_pinned(self, monkeypatch):
+        # A lost or weakened bound changes no output, only this count;
+        # without the bound, all 293 candidates that meet the floor are solved.
+        config = load_config(str(DATA / "case_study_search.json"))
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args[0])
+            return find_strategy(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "find_strategy", counting)
+        result = search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
+        assert result.candidates_examined == 885
+        assert len(solves) == 21
