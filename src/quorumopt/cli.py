@@ -277,8 +277,16 @@ def cmd_breakdown(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, on every subcommand, are one
+    ``error: ...`` line on stderr and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quorumopt",
         description="Analyze and optimize read-write quorum systems.",
     )

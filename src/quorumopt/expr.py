@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from fractions import Fraction
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError, UniverseTooLarge
 
@@ -428,7 +429,7 @@ def _masks(e: Expression, bit: dict[str, int], read_once: bool) -> list[int]:
         return [bit[e.name]]
     families = [_masks(c, bit, read_once) for c in e.children]
     n = len(families)
-    k = e.k if isinstance(e, Choose) else 1 if isinstance(e, Or) else n
+    k = _threshold(e)
     # picked[j]: unions of one set from each of j children so far, if k is reachable
     picked = [[0]] + [[] for _ in range(k)]
     # read_once: no name repeats anywhere, so no two children can share one
@@ -448,3 +449,59 @@ def _minimal(masks: list[int]) -> list[int]:
         if all(k & m != k for k in kept):
             kept.append(m)
     return kept
+
+
+def _threshold(e: Expression) -> int:
+    """How many children of a composite node must be true: k for choose(k),
+    1 for Or, all of them for And."""
+    if isinstance(e, Choose):
+        return e.k
+    return 1 if isinstance(e, Or) else len(e.children)
+
+
+# ---------------------------------------------------------------------------
+# Cheapest and fastest quorums
+# ---------------------------------------------------------------------------
+
+
+def min_quorum_weight(
+    e: Expression, weight: Mapping[str, Fraction] | None = None
+) -> int | Fraction:
+    """The least total weight of a quorum of e, each node weighing
+    ``weight[name]``, or 1 when ``weight`` is None (the smallest quorum size).
+
+    When no name repeats, one pass over the tree: a variable's own weight,
+    and for a node that takes k children, the sum of the k smallest child
+    values, since children of a read-once tree share no node. Otherwise the
+    minimum over :func:`minimal_sets`."""
+    leaves: list[str] = []
+    value = _cheapest(e, weight, leaves)
+    if len(leaves) == len(set(leaves)):
+        return value
+    return min(sum(1 if weight is None else weight[x] for x in s) for s in minimal_sets(e))
+
+
+def _cheapest(
+    e: Expression, weight: Mapping[str, Fraction] | None, leaves: list[str]
+) -> int | Fraction:
+    """The tree pass of min_quorum_weight; appends each leaf's name to ``leaves``."""
+    if isinstance(e, Var):
+        leaves.append(e.name)
+        return 1 if weight is None else weight[e.name]
+    return sum(sorted(_cheapest(c, weight, leaves) for c in e.children)[: _threshold(e)])
+
+
+def min_quorum_latency(
+    e: Expression, latency: Mapping[str, Fraction | float]
+) -> Fraction | float:
+    """The least t such that the nodes of latency at most t form a quorum of
+    e: the latency of its fastest quorum, each quorum taking as long as its
+    slowest node.
+
+    One pass over the tree, exact for every expression: a variable's own
+    latency, and for a node that takes k children, the k-th smallest child
+    value, because whether a child holds on the nodes of latency at most t
+    depends on t alone."""
+    if isinstance(e, Var):
+        return latency[e.name]
+    return sorted(min_quorum_latency(c, latency) for c in e.children)[_threshold(e) - 1]

@@ -20,7 +20,9 @@ _HIGHS_OPTIONS = {
 
 def solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
     """Optimal x of: minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq,
-    and the (lower, upper) ``bounds`` of each variable.
+    and ``bounds``, an (n, 2) float array of each variable's lower and upper
+    bound, ``np.inf`` for none. One array costs linprog less to check than
+    a list of n pairs.
 
     Raises Infeasible when the constraints are unsatisfiable and
     SolverFailure for any other solver failure.

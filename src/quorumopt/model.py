@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import AbstractSet, Mapping, Sequence, Union
 
 from . import expr as _expr
@@ -118,7 +119,7 @@ class Workload:
     def items(self) -> list[tuple[Fraction, Fraction]]:
         return list(self._points.items())
 
-    @property
+    @cached_property
     def mean_read_fraction(self) -> Fraction:
         return sum(fr * p for fr, p in self._points.items())
 
@@ -149,8 +150,10 @@ class QuorumSystem:
     read quorum intersects every write quorum.
 
     If only one side is given, the other is its dual: the optimal complement,
-    which always intersects it. Minimal quorums of both sides are enumerated
-    and cached at construction in canonical order.
+    which always intersects it. A side's minimal quorums are enumerated on
+    first use and cached in canonical order; when both sides are given, the
+    intersection check enumerates both at construction. Fault tolerance
+    needs no enumeration when a side's dual repeats no name.
     """
 
     def __init__(
@@ -172,8 +175,9 @@ class QuorumSystem:
             reads = writes.dual()
         elif writes is None:
             writes = reads.dual()
-        known = set(names)
-        unknown = (reads.names() | writes.names()) - known
+        # a derived side has the other's names
+        used = reads.names() if derived else reads.names() | writes.names()
+        unknown = used - set(names)
         if unknown:
             raise UnknownNode(
                 f"expression names {sorted(unknown)} are not in the universe"
@@ -181,15 +185,14 @@ class QuorumSystem:
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
         self._exprs = {"read": reads, "write": writes}
-        self._minimal = {side: _expr.minimal_sets(e) for side, e in self._exprs.items()}
+        # A derived side is the other's dual, and dual(dual(e)) is e, so
+        # each side is the other's dual; a side and its dual always intersect.
+        self._dual_side = {"read": "write", "write": "read"} if derived else {}
+        self._minimal: dict[str, list[frozenset[str]]] = {}
+        self._tolerance: dict[str, int] = {}
         self._resilient: dict[tuple[str, int], list[frozenset[str]]] = {}
-        # Minimal quorums of each side's dual. A derived side is the other's
-        # dual (dual(dual(e)) is e), and a side and its dual always intersect.
-        if derived:
-            self._dual_minimal = {"read": self.write_minimal, "write": self.read_minimal}
-        else:
-            self._dual_minimal = {}
-            for r, w in itertools.product(self._minimal["read"], self._minimal["write"]):
+        if not derived:
+            for r, w in itertools.product(self.read_minimal, self.write_minimal):
                 if not r & w:
                     raise IntersectionViolation(r, w)
 
@@ -207,11 +210,11 @@ class QuorumSystem:
 
     @property
     def read_minimal(self) -> list[frozenset[str]]:
-        return list(self._minimal["read"])
+        return self.minimal_quorums("read")
 
     @property
     def write_minimal(self) -> list[frozenset[str]]:
-        return list(self._minimal["write"])
+        return self.minimal_quorums("write")
 
     def node(self, name: str) -> Node:
         try:
@@ -240,7 +243,8 @@ class QuorumSystem:
         return self._exprs[side]
 
     def minimal_quorums(self, side: str) -> list[frozenset[str]]:
-        self.side(side)
+        if side not in self._minimal:
+            self._minimal[side] = _expr.minimal_sets(self.side(side))
         return list(self._minimal[side])
 
     # -- fault tolerance -----------------------------------------------------
@@ -259,10 +263,17 @@ class QuorumSystem:
 
     def _fault_tolerance(self, side: str) -> int:
         # Killing a node set removes every quorum iff the set meets every
-        # quorum. The minimal such sets are the minimal quorums of the dual.
-        if side not in self._dual_minimal:
-            self._dual_minimal[side] = _expr.minimal_sets(self.side(side).dual())
-        return len(self._dual_minimal[side][0]) - 1
+        # quorum. The minimal such sets are the minimal quorums of the dual,
+        # so the dual's smallest quorum, less one, is the fault tolerance.
+        if side not in self._tolerance:
+            other = self._dual_side.get(side)
+            if other in self._minimal:
+                size = len(self._minimal[other][0])
+            else:
+                dual = self.side(side).dual() if other is None else self._exprs[other]
+                size = _expr.min_quorum_weight(dual)
+            self._tolerance[side] = size - 1
+        return self._tolerance[side]
 
     # -- resilient quorums ---------------------------------------------------
 
@@ -286,15 +297,17 @@ class QuorumSystem:
             return self.minimal_quorums(side)
         if (side, f) in self._resilient:
             return list(self._resilient[side, f])
-        # Minimal resilient quorums never contain nodes absent from the
-        # expression: evaluation ignores them, so dropping one preserves
-        # resilience. Any f-resilient quorum makes the set of all the side's
-        # names f-resilient too, so that one check decides whether any exists.
-        names = sorted(self.side(side).names())
-        if not self.is_resilient(side, names, f):
+        # Any f-resilient quorum makes the set of all the side's names
+        # f-resilient too, which holds iff no f nodes meet every quorum, that
+        # is, iff the side's fault tolerance is at least f.
+        if self._fault_tolerance(side) < f:
             raise NoResilientQuorum(
                 f"no {side} quorum survives every removal of {f} nodes"
             )
+        # Minimal resilient quorums never contain nodes absent from the
+        # expression: evaluation ignores them, so dropping one preserves
+        # resilience.
+        names = sorted(self.side(side).names())
         found: list[frozenset[str]] = []
         for size in range(f + 1, len(names) + 1):
             for combo in itertools.combinations(names, size):

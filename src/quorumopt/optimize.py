@@ -28,6 +28,7 @@ inside the solver.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -35,13 +36,14 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from . import expr as _expr
 from . import lp
-from .errors import DomainError
+from .errors import DomainError, NoResilientQuorum
 from .model import QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
 # can_beat's margin, the distribution-sum tolerance doubled to cover float
-# rounding in the load bound, and its ascent steps on the node weights.
+# rounding in its bounds, and its ascent steps on the node weights.
 _BOUND_MARGIN = 2 * _DIST_SUM_TOL
 _ASCENT_STEPS = 40
 
@@ -312,7 +314,8 @@ def find_strategy(
         b_ub[row] = float(limit)
     a_eq = np.zeros((2, nq + nl))
     a_eq[is_write, np.arange(nq)] = 1.0
-    bounds = [(0.0, 1.0)] * nq + [(0.0, None)] * nl
+    bounds = np.zeros((nq + nl, 2))
+    bounds[:, 1] = np.repeat([1.0, np.inf], [nq, nl])
 
     x = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds)
     dist = {"read": [], "write": []}
@@ -323,47 +326,93 @@ def find_strategy(
     return Strategy(qs, dist["read"], dist["write"], f=f)
 
 
+def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
+    """The least latency or node count of a minimal f-resilient quorum of
+    ``side``; for f = 0, computed on the expression tree."""
+    if f > 0:
+        pool = qs.resilient_quorums(side, f)
+        return float(min(_quorum_cost(qs, kind, side, q) for q in pool))
+    if kind is Objective.LATENCY:
+        latency = {n.name: float(n.latency) for n in qs.universe}
+        return _expr.min_quorum_latency(qs.side(side), latency)
+    return float(_expr.min_quorum_weight(qs.side(side)))
+
+
 def can_beat(
     qs: QuorumSystem,
     workload: WorkloadLike,
     objective: Union[Objective, str],
-    value: Rational,
+    value: Rational | None,
     f: int = 0,
+    constraints: Constraints | None = None,
 ) -> bool:
     """False only when no strategy over the minimal f-resilient quorums of
-    ``qs`` can strictly beat ``value``: a capacity above it for the load
-    objective, a latency or network load below it otherwise. Limits only
-    remove strategies, so they are ignored.
+    ``qs`` both meets ``constraints`` and strictly beats ``value``: a
+    capacity above it for the load objective, a latency or network load
+    below it otherwise. A ``value`` of None is beaten by any strategy that
+    meets the constraints.
 
     Latency and network load are at least ``E[f]*min_R size(R) +
-    (1-E[f])*min_W size(W)``, size being the quorum latency or node count.
-    For load, at read fraction fr and for any node weights mu >= 0 summing
-    to 1, the busiest node carries at least the mu-average node load, which
-    is at least ``lb_fr(mu) = fr*min_R sum_{x in R} mu_x/read_cap(x) +
-    (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP duality; Naor & Wool
-    1998), so capacity is at most ``sum_fr p_fr / lb_fr``. mu starts
-    proportional to each node's capacity at fr and takes up to
-    ``_ASCENT_STEPS`` multiplicative-weights steps toward the nodes of the
-    cheapest quorums (Arora, Hazan & Kale 2012), stopping once ``value`` is
-    out of reach.
+    (1-E[f])*min_W size(W)``, size being the quorum latency or node count;
+    for f = 0 each minimum is one pass over the side's expression tree, so
+    no quorum is enumerated. For load, at read fraction fr and for any node
+    weights mu >= 0 summing to 1, the busiest node carries at least the
+    mu-average node load, which is at least ``lb_fr(mu) = fr*min_R sum_{x in
+    R} mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
+    duality; Naor & Wool 1998). So capacity is at most ``sum_fr p_fr /
+    lb_fr`` and expected load at least ``sum_fr p_fr * lb_fr``, which a
+    capacity limit c bounds by 1/c. mu starts proportional to each node's
+    capacity at fr and takes up to ``_ASCENT_STEPS`` multiplicative-weights
+    steps toward the nodes of the cheapest quorums (Arora, Hazan & Kale
+    2012), stopping once the candidate is ruled out.
+
+    The checks run cheapest first: whether each side has an f-resilient
+    quorum (its fault tolerance), the latency or network objective, the
+    latency and network limits, and last the load ascent, which enumerates
+    the quorums and runs only for the load objective or a capacity limit,
+    on the candidates that survived the checks before it.
 
     An LP strategy's distributions may each sum to 1 within
-    ``_DIST_SUM_TOL``, which moves its metric past the bound by at most that
-    factor, so ``value`` is out of reach only when it misses the bound by
-    ``_BOUND_MARGIN``. Raises NoResilientQuorum as find_strategy does.
+    ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
+    factor, so ``value`` is out of reach only when the bound misses it by
+    the factor ``_BOUND_MARGIN``, and so is a limit: a latency or network
+    bound above ``limit*(1 + _BOUND_MARGIN)``, or an expected-load bound
+    above ``(1 + _BOUND_MARGIN)/c``. Raises NoResilientQuorum as
+    find_strategy does.
     """
+    if qs.fault_tolerance() < f:
+        raise NoResilientQuorum(f"a side has no quorum that survives every removal of {f} nodes")
     w = Workload.coerce(workload)
     objective = Objective(objective)
-    value = as_fraction(value)
+    constraints = constraints or Constraints()
+    value = None if value is None else float(as_fraction(value))
+    below, above = float(1 - _BOUND_MARGIN), float(1 + _BOUND_MARGIN)
+
+    @cache
+    def bound(kind: Objective) -> float:
+        ef = float(w.mean_read_fraction)
+        return (ef * _least_cost(qs, kind, "read", f)
+                + (1 - ef) * _least_cost(qs, kind, "write", f))
+
+    if value is not None and objective is not Objective.LOAD:
+        if bound(objective) * below >= value:
+            return False
+    for kind, limit in ((Objective.LATENCY, constraints.latency_limit),
+                        (Objective.NETWORK, constraints.network_limit)):
+        if limit is not None and bound(kind) > float(limit) * above:
+            return False
+
+    # Out of reach: capacity at most min_capacity, or expected load above max_load.
+    min_capacity = max_load = None
+    if value is not None and objective is Objective.LOAD:
+        min_capacity = value * below
+    if constraints.capacity_limit is not None:
+        max_load = above / float(constraints.capacity_limit)
+    if min_capacity is None and max_load is None:
+        return True
+
     reads = qs.resilient_quorums("read", f)
     writes = qs.resilient_quorums("write", f)
-    if objective is not Objective.LOAD:
-        ef = w.mean_read_fraction
-        bound = (ef * min(_quorum_cost(qs, objective, "read", q) for q in reads)
-                 + (1 - ef) * min(_quorum_cost(qs, objective, "write", q) for q in writes))
-        return bound * (1 - _BOUND_MARGIN) < value
-
-    target = float(value * (1 - _BOUND_MARGIN))
     points = w.items()
     fr = np.array([float(x) for x, _ in points])[:, None]
     prob = np.array([float(p) for _, p in points])
@@ -371,19 +420,21 @@ def can_beat(
     read_unit = fr * np.array([float(1 / n.read_cap) for n in qs.universe])
     write_unit = (1 - fr) * np.array([float(1 / n.write_cap) for n in qs.universe])
     read_in, write_in = _membership(qs, reads), _membership(qs, writes)
-    rows = np.arange(len(points))
+    read_of, write_of = read_in.T.copy(), write_in.T.copy()  # quorum -> node row
     mu = 1 / (read_unit + write_unit)
     best = np.zeros(len(points))
     for step in range(_ASCENT_STEPS + 1):
         mu /= mu.sum(axis=1, keepdims=True)
         read_cost = (mu * read_unit) @ read_in
         write_cost = (mu * write_unit) @ write_in
-        r, wr = read_cost.argmin(axis=1), write_cost.argmin(axis=1)
-        best = np.maximum(best, read_cost[rows, r] + write_cost[rows, wr])
-        if prob @ (1 / best) <= target:
+        np.maximum(best, read_cost.min(axis=1) + write_cost.min(axis=1), out=best)
+        if min_capacity is not None and prob @ (1 / best) <= min_capacity:
             return False
-        gain = read_unit * read_in[:, r].T + write_unit * write_in[:, wr].T
-        mu *= np.exp(gain / gain.max(axis=1, keepdims=True) / np.sqrt(step + 1))
+        if max_load is not None and prob @ best > max_load:
+            return False
+        gain = read_unit * read_of[read_cost.argmin(axis=1)]
+        gain += write_unit * write_of[write_cost.argmin(axis=1)]
+        mu *= np.exp(gain / gain.max(axis=1, keepdims=True) / math.sqrt(step + 1))
     return True
 
 

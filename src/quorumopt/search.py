@@ -11,13 +11,18 @@ meets the fault tolerance floor is scored by solving the strategy LP; the
 best metric value wins, ties broken by emission order so runs are
 reproducible.
 
-Once a candidate has been scored, each later one first gets a cheap bound,
-:func:`~quorumopt.optimize.can_beat`, on the best metric any of its
-strategies can reach, and its LP is skipped when the bound shows that it
-cannot strictly beat the best so far. The bound holds for every strategy
-the LP could return, allowing for the tolerance on distribution sums, and a
-tie never replaces the incumbent, so the winner, its strategy and its metric
-are the ones the search without the bound finds.
+A candidate's quorum system enumerates no quorum when it is built: the
+floor is decided on the expression tree (fault tolerance is the dual's
+cheapest quorum, less one). Each candidate above it then gets cheap bounds,
+:func:`~quorumopt.optimize.can_beat`, on what any of its strategies can
+reach, cheapest first: the latency or network objective and the latency and
+network limits from tree passes, then, if still needed, the load bound that
+enumerates the minimal quorums. Its LP is skipped when a bound shows that
+it cannot strictly beat the best so far or cannot meet a requested limit.
+Each bound holds for every strategy the LP could return, allowing by
+``_BOUND_MARGIN`` for the tolerance on distribution sums and for float
+rounding, and a tie never replaces the incumbent, so the winner, its
+strategy and its metric are the ones the search without the bounds finds.
 """
 
 from __future__ import annotations
@@ -163,8 +168,9 @@ def search(
     Each candidate's writes are the dual of its reads. Candidates below the
     fault tolerance floor are skipped without solving; infeasible candidates
     are skipped. So is every candidate whose bound (:func:`can_beat`) shows
-    that none of its strategies strictly beats the incumbent: such a
-    candidate could not have replaced it, so the result is the same as with
+    that none of its strategies meets the limits and strictly beats the
+    incumbent: such a candidate could not have replaced it, and its LP
+    would have been infeasible or lost, so the result is the same as with
     every LP solved. The bound allows a returned strategy's distributions to
     miss a sum of 1 by the tolerance that Strategy accepts, plus float
     rounding. ``candidates_examined`` and the budget count every candidate,
@@ -193,8 +199,9 @@ def search(
         if qs.fault_tolerance() < options.min_fault_tolerance:
             continue
         try:
-            if best is not None and not can_beat(
-                qs, w, options.objective, best.metric_value, f=options.f
+            incumbent = None if best is None else best.metric_value
+            if not can_beat(
+                qs, w, options.objective, incumbent, options.f, options.constraints
             ):
                 continue
             sigma = find_strategy(

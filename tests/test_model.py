@@ -143,6 +143,33 @@ class TestQuorumSystem:
         assert grid.is_write_quorum({"a", "d"})
         assert not maj.is_read_quorum(set())
 
+    @given(st.one_of(duplicate_free_expressions(), expressions()))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_build_matches_eager_build(self, e):
+        universe = nodes(sorted(e.names()))
+        # both sides given: the intersection check enumerates both at once
+        eager = QuorumSystem(universe, reads=e, writes=e.dual())
+        expected = (eager.read_fault_tolerance(), eager.write_fault_tolerance())
+        tolerance_first = QuorumSystem(universe, reads=e)
+        assert repr(tolerance_first) == repr(eager)
+        assert (tolerance_first.read_fault_tolerance(),
+                tolerance_first.write_fault_tolerance()) == expected
+        quorums_first = QuorumSystem(universe, reads=e)
+        for lazy in (tolerance_first, quorums_first):
+            assert lazy.read_minimal == eager.read_minimal
+            assert lazy.write_minimal == eager.write_minimal
+        # now read from the other side's enumerated quorums
+        assert (quorums_first.read_fault_tolerance(),
+                quorums_first.write_fault_tolerance()) == expected
+        assert repr(quorums_first) == repr(eager)
+
+    def test_read_once_systems_enumerate_no_quorum_for_fault_tolerance(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("quorumopt.expr.minimal_sets", lambda *a: calls.append(a))
+        qs = QuorumSystem(nodes("abcde"), reads="choose(2, [a, b*c, d + e])")
+        assert qs.fault_tolerance() == 1
+        assert calls == []
+
     def test_minimal_quorums_cached_in_canonical_order(self):
         qs = QuorumSystem(nodes("abc"), reads="b*c + a*b + a*c")
         assert qs.read_minimal == [frozenset("ab"), frozenset("ac"), frozenset("bc")]
@@ -166,8 +193,8 @@ class TestFaultTolerance:
         qs = QuorumSystem([Node("a")], reads="a")
         assert qs.fault_tolerance() == 0
 
-    @given(duplicate_free_expressions())
-    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(duplicate_free_expressions(), expressions()))
+    @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_oracle(self, e):
         qs = QuorumSystem([Node(x) for x in sorted(e.names())], reads=e)
         assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exprgen import duplicate_free_expressions
+from exprgen import duplicate_free_expressions, expressions
 from quorumopt import lp
 from quorumopt.errors import DomainError, Infeasible, NoResilientQuorum, SolverFailure
+from quorumopt.expr import min_quorum_latency
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import (
     Constraints,
@@ -23,7 +25,7 @@ from quorumopt.optimize import (
     throughput_breakdown,
     uniform_strategy,
 )
-from quorumopt.oracle import strategy_metric_recompute
+from quorumopt.oracle import exhaustive_minimal_sets, strategy_metric_recompute
 from quorumopt.search import enumerate_candidates
 
 
@@ -68,6 +70,19 @@ def within(value, target, rel):
 
 
 class TestQuorumLatency:
+    @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fastest_quorum_matches_every_minimal_quorum(self, e, data):
+        names = sorted(e.names())
+        latencies = st.sampled_from([Fraction(1, 2), 1, 2, 3, 5, 8])
+        universe = [Node(x, latency=data.draw(latencies)) for x in names]
+        qs = QuorumSystem(universe, reads=e)
+        latency = {n.name: n.latency for n in universe}
+        for side in ("read", "write"):
+            e = qs.side(side)
+            fastest = min(quorum_latency(qs, side, q) for q in exhaustive_minimal_sets(e))
+            assert min_quorum_latency(e, latency) == fastest
+
     def test_max_over_equal_latencies(self, grid):
         assert quorum_latency(grid, "read", {"c", "d"}) == 1
 
@@ -357,6 +372,34 @@ class TestCanBeat:
                 worse = sigma.network_load(w) * Fraction(1001, 1000)
             assert can_beat(qs, w, objective, worse, f=f), reads
 
+    @pytest.mark.parametrize("f", [0, 1])
+    @pytest.mark.parametrize("limited", METRICS)
+    def test_never_rules_out_a_limit_the_lp_meets(self, skew_workload, f, limited):
+        # The limit is 0.1% looser than the candidate's own optimum of the
+        # limited metric, whose strategy meets it and scores on every objective.
+        w = skew_workload
+        nodes = hetero_nodes(latencies=(4, 3, 1, 2))
+        for reads in enumerate_candidates("abcd"):
+            qs = QuorumSystem(nodes, reads=reads)
+            if qs.fault_tolerance() < f:
+                continue
+            sigma = find_strategy(qs, w, limited, f=f)
+            load, latency, network = strategy_metric_recompute(sigma, w)
+            if limited == "load":
+                limit = Constraints(capacity_limit=1 / (load * Fraction(1001, 1000)))
+            elif limited == "latency":
+                limit = Constraints(latency_limit=latency * Fraction(1001, 1000))
+            else:
+                limit = Constraints(network_limit=network * Fraction(1001, 1000))
+            worse = {
+                Objective.LOAD: sigma.capacity(w) * Fraction(999, 1000),
+                Objective.LATENCY: latency * Fraction(1001, 1000),
+                Objective.NETWORK: network * Fraction(1001, 1000),
+            }
+            for objective, value in worse.items():
+                assert can_beat(qs, w, objective, None, f, limit), reads
+                assert can_beat(qs, w, objective, value, f, limit), reads
+
     def test_margin_admits_values_at_the_exact_bound(self, grid, maj3):
         # Every read and write quorum of a*b + c*d has two nodes, so network
         # load is at least 2, and 3/2 is the capacity of majority of 3 at
@@ -366,6 +409,15 @@ class TestCanBeat:
         assert not can_beat(grid, Fraction(1, 2), "network", Fraction(199, 100))
         assert can_beat(maj3, 1, "load", Fraction(3, 2))
         assert not can_beat(maj3, 1, "load", Fraction(151, 100))
+        # The same bounds, as limits that any strategy may meet with equality.
+        for objective in Objective:
+            at = Constraints(network_limit=2, capacity_limit=Fraction(3, 2))
+            assert can_beat(grid, 1, objective, None, constraints=at)
+            assert can_beat(maj3, 1, objective, None, constraints=at)
+            over = Constraints(network_limit=Fraction(199, 100))
+            assert not can_beat(grid, 1, objective, None, constraints=over)
+            over = Constraints(capacity_limit=Fraction(151, 100))
+            assert not can_beat(maj3, 1, objective, None, constraints=over)
 
 
 class TestCapacityCurve:

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from exprgen import duplicate_free_expressions
 from quorumopt.cli import load_config
 from quorumopt.errors import DomainError, NoFeasibleCandidate
-from quorumopt.expr import parse
+from quorumopt.expr import minimal_sets, parse
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import Constraints, find_strategy
-from quorumopt.oracle import strategy_metric_recompute, truth_table
+from quorumopt.oracle import exhaustive_fault_tolerance, strategy_metric_recompute, truth_table
 from quorumopt.search import SearchOptions, enumerate_candidates, search
 
 # the module, which the package's `search` function shadows as an attribute
@@ -207,14 +207,40 @@ def outcome(nodes, w, options):
             r.metric_value, r.candidates_examined)
 
 
+def counted_solves(monkeypatch):
+    """Replace the search's find_strategy by one that records each call's
+    outcome: "solved", or the name of the error it raised."""
+    outcomes = []
+
+    def counting(*args, **kwargs):
+        try:
+            sigma = find_strategy(*args, **kwargs)
+        except Exception as e:
+            outcomes.append(type(e).__name__)
+            raise
+        outcomes.append("solved")
+        return sigma
+
+    monkeypatch.setattr(search_module, "find_strategy", counting)
+    return outcomes
+
+
 class TestBoundPruning:
     # Five-node searches run under a budget: an unpruned one solves up to
-    # 885 LPs.
+    # 885 LPs. A limit is a factor of the reference system's optimum: a
+    # capacity limit below 1 is looser, a latency or network limit above 1.
     CASES = {
         "load-floor": dict(min_fault_tolerance=1),
         "latency-capacity": dict(objective="latency"),
+        "load-latency-limit": dict(),
+        "latency-network-limit": dict(objective="latency"),
         "network-f1": dict(objective="network", f=1),
         "load-budget": dict(),
+    }
+    LIMITS = {
+        "latency-capacity": ("capacity_limit", "load", [Fraction(1, 2), Fraction(9, 10), 1]),
+        "load-latency-limit": ("latency_limit", "latency", [1, Fraction(11, 10), 2]),
+        "latency-network-limit": ("network_limit", "network", [1, Fraction(11, 10), 2]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -226,12 +252,15 @@ class TestBoundPruning:
             options["budget"] = data.draw(st.integers(1, 300))
         elif len(nodes) == 5:
             options["budget"] = 150
-        if case == "latency-capacity":
+        if case in self.LIMITS:
+            limit, metric, factors = self.LIMITS[case]
             names = ", ".join(n.name for n in nodes)
             reference = QuorumSystem(nodes, reads=f"choose(2, [{names}])")
-            best = find_strategy(reference, w).capacity(w)
-            factor = data.draw(st.sampled_from([Fraction(1, 2), Fraction(9, 10)]))
-            options["constraints"] = Constraints(capacity_limit=best * factor)
+            sigma = find_strategy(reference, w, metric)
+            best = {"load": 1 / sigma.load(w), "latency": sigma.latency(w),
+                    "network": sigma.network_load(w)}[metric]
+            factor = data.draw(st.sampled_from(factors))
+            options["constraints"] = Constraints(**{limit: best * factor})
         options = SearchOptions(**options)
         pruned = outcome(nodes, w, options)
         with pytest.MonkeyPatch.context() as m:
@@ -239,17 +268,64 @@ class TestBoundPruning:
             unpruned = outcome(nodes, w, options)
         assert pruned == unpruned
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_can_beat_is_the_only_prune(self, case, monkeypatch):
+        # With can_beat always True, every candidate that meets the floor
+        # reaches find_strategy: no tree or limit bound prunes outside it.
+        nodes = hetero_nodes()
+        options = dict(self.CASES[case])
+        options["constraints"] = Constraints(
+            capacity_limit=100, latency_limit=3, network_limit=Fraction(5, 2)
+        )
+        monkeypatch.setattr(search_module, "can_beat", lambda *args, **kwargs: True)
+        solves = counted_solves(monkeypatch)
+        examined = outcome(nodes, Fraction(1, 2), SearchOptions(**options))
+        floor = options.get("min_fault_tolerance", 0)
+        expected = [
+            e for e in enumerate_candidates("abcd")
+            if min(exhaustive_fault_tolerance(QuorumSystem(nodes, reads=e), side)
+                   for side in ("read", "write")) >= floor
+        ]
+        assert examined is None or examined[-1] == 74
+        assert len(solves) == len(expected)
+
     def test_case_study_lp_count_is_pinned(self, monkeypatch):
         # A lost or weakened bound changes no output, only this count;
         # without the bound, all 293 candidates that meet the floor are solved.
         config = load_config(str(DATA / "case_study_search.json"))
-        solves = []
-
-        def counting(*args, **kwargs):
-            solves.append(args[0])
-            return find_strategy(*args, **kwargs)
-
-        monkeypatch.setattr(search_module, "find_strategy", counting)
+        solves = counted_solves(monkeypatch)
         result = search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
         assert result.candidates_examined == 885
         assert len(solves) == 21
+
+    def test_case_study_enumerates_quorums_only_above_the_floor(self, monkeypatch):
+        # The floor is decided on the expression tree: only the 293 of 885
+        # candidates that meet it have their minimal quorums enumerated,
+        # reads and writes once each.
+        config = load_config(str(DATA / "case_study_search.json"))
+        names = [n.name for n in config.nodes]
+        enumerated = []
+
+        def counting(e, *args):
+            enumerated.append(str(e))
+            return minimal_sets(e, *args)
+
+        monkeypatch.setattr("quorumopt.expr.minimal_sets", counting)
+        search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
+        above = [
+            e for e in enumerate_candidates(names)
+            if min(exhaustive_fault_tolerance(QuorumSystem(config.nodes, reads=e), side)
+                   for side in ("read", "write")) >= 1
+        ]
+        assert len(above) == 293
+        assert sorted(enumerated) == sorted(str(s) for e in above for s in (e, e.dual()))
+
+    def test_capacity_limited_latency_search_infeasible_lp_count_is_pinned(self, monkeypatch):
+        # The expected-load bound proves the limit out of reach for all but
+        # one of the 14 candidates whose LP is infeasible without it.
+        config = load_config(str(DATA / "case_study_search.json"))
+        solves = counted_solves(monkeypatch)
+        options = SearchOptions(objective="latency", constraints=Constraints(capacity_limit=3000))
+        search(config.nodes, config.workload, options)
+        assert solves.count("Infeasible") == 1
+        assert len(solves) == 57
