@@ -394,6 +394,15 @@ def canonical(e: Expression) -> Expression:
 # ---------------------------------------------------------------------------
 
 
+def check_enumeration_bound(n: int) -> None:
+    """Raise UniverseTooLarge if n names are more than ``ENUMERATION_BOUND``,
+    the most whose subsets this package will enumerate."""
+    if n > ENUMERATION_BOUND:
+        raise UniverseTooLarge(
+            f"{n} nodes exceeds the enumeration bound of {ENUMERATION_BOUND}"
+        )
+
+
 def minimal_sets(
     e: Expression, universe: Iterable[str] | None = None
 ) -> list[frozenset[str]]:
@@ -412,10 +421,7 @@ def minimal_sets(
     missing = e.names() - set(names)
     if missing:
         raise DomainError(f"expression names {sorted(missing)} are not in the universe")
-    if len(names) > ENUMERATION_BOUND:
-        raise UniverseTooLarge(
-            f"{len(names)} nodes exceeds the enumeration bound of {ENUMERATION_BOUND}"
-        )
+    check_enumeration_bound(len(names))
     bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
     masks = _masks(e, {x: b for b, x in bits}, e.uses_each_variable_once())
     return [
@@ -464,31 +470,26 @@ def _threshold(e: Expression) -> int:
 # ---------------------------------------------------------------------------
 
 
-def min_quorum_weight(
-    e: Expression, weight: Mapping[str, Fraction] | None = None
-) -> int | Fraction:
-    """The least total weight of a quorum of e, each node weighing
-    ``weight[name]``, or 1 when ``weight`` is None (the smallest quorum size).
+def min_quorum_size(e: Expression) -> int:
+    """The number of nodes in the smallest quorum of e.
 
-    When no name repeats, one pass over the tree: a variable's own weight,
-    and for a node that takes k children, the sum of the k smallest child
-    values, since children of a read-once tree share no node. Otherwise the
-    minimum over :func:`minimal_sets`."""
+    When no name repeats, one pass over the tree: 1 for a variable, and for
+    a node that takes k children, the sum of the k smallest child values,
+    since children of a read-once tree share no node. Otherwise the size of
+    the first of :func:`minimal_sets`."""
     leaves: list[str] = []
-    value = _cheapest(e, weight, leaves)
+    size = _smallest(e, leaves)
     if len(leaves) == len(set(leaves)):
-        return value
-    return min(sum(1 if weight is None else weight[x] for x in s) for s in minimal_sets(e))
+        return size
+    return len(minimal_sets(e)[0])
 
 
-def _cheapest(
-    e: Expression, weight: Mapping[str, Fraction] | None, leaves: list[str]
-) -> int | Fraction:
-    """The tree pass of min_quorum_weight; appends each leaf's name to ``leaves``."""
+def _smallest(e: Expression, leaves: list[str]) -> int:
+    """The tree pass of min_quorum_size; appends each leaf's name to ``leaves``."""
     if isinstance(e, Var):
         leaves.append(e.name)
-        return 1 if weight is None else weight[e.name]
-    return sum(sorted(_cheapest(c, weight, leaves) for c in e.children)[: _threshold(e)])
+        return 1
+    return sum(sorted(_smallest(c, leaves) for c in e.children)[: _threshold(e)])
 
 
 def min_quorum_latency(

@@ -12,8 +12,10 @@ from scipy.optimize import linprog
 
 from .errors import Infeasible, SolverFailure
 
+# Each row and bound of a returned x holds within this, absolutely.
+FEASIBILITY_TOL = 1e-9
 _HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-9,
+    "primal_feasibility_tolerance": FEASIBILITY_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
 

@@ -153,7 +153,9 @@ class QuorumSystem:
     which always intersects it. A side's minimal quorums are enumerated on
     first use and cached in canonical order; when both sides are given, the
     intersection check enumerates both at construction. Fault tolerance
-    needs no enumeration when a side's dual repeats no name.
+    needs no enumeration when a side's dual repeats no name. A side over
+    more than ``expr.ENUMERATION_BOUND`` names raises UniverseTooLarge at
+    construction.
     """
 
     def __init__(
@@ -182,6 +184,10 @@ class QuorumSystem:
             raise UnknownNode(
                 f"expression names {sorted(unknown)} are not in the universe"
             )
+        if derived:
+            # Refuse now what minimal_sets would refuse on first use, as the
+            # intersection check below does when both sides are given.
+            _expr.check_enumeration_bound(len(used))
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
         self._exprs = {"read": reads, "write": writes}
@@ -267,12 +273,8 @@ class QuorumSystem:
         # so the dual's smallest quorum, less one, is the fault tolerance.
         if side not in self._tolerance:
             other = self._dual_side.get(side)
-            if other in self._minimal:
-                size = len(self._minimal[other][0])
-            else:
-                dual = self.side(side).dual() if other is None else self._exprs[other]
-                size = _expr.min_quorum_weight(dual)
-            self._tolerance[side] = size - 1
+            dual = self._exprs[other] if other else self.side(side).dual()
+            self._tolerance[side] = _expr.min_quorum_size(dual) - 1
         return self._tolerance[side]
 
     # -- resilient quorums ---------------------------------------------------

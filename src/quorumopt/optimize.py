@@ -335,7 +335,7 @@ def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     if kind is Objective.LATENCY:
         latency = {n.name: float(n.latency) for n in qs.universe}
         return _expr.min_quorum_latency(qs.side(side), latency)
-    return float(_expr.min_quorum_weight(qs.side(side)))
+    return float(_expr.min_quorum_size(qs.side(side)))
 
 
 def can_beat(
@@ -375,10 +375,14 @@ def can_beat(
     An LP strategy's distributions may each sum to 1 within
     ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
     factor, so ``value`` is out of reach only when the bound misses it by
-    the factor ``_BOUND_MARGIN``, and so is a limit: a latency or network
-    bound above ``limit*(1 + _BOUND_MARGIN)``, or an expected-load bound
-    above ``(1 + _BOUND_MARGIN)/c``. Raises NoResilientQuorum as
-    find_strategy does.
+    the factor ``_BOUND_MARGIN``. A limit is a row of the LP, which HiGHS
+    meets only within ``lp.FEASIBILITY_TOL`` (tol): a returned strategy's
+    latency or network load may pass its limit by tol, and its expected
+    load may pass 1/c by 2*tol, tol on the limit row and tol on the
+    node-load rows that define each L_f. So a limit is out of reach only
+    when a latency or network bound is above ``(limit + tol)*(1 +
+    _BOUND_MARGIN)``, or the expected-load bound above ``(1/c + 2*tol)*(1
+    + _BOUND_MARGIN)``. Raises NoResilientQuorum as find_strategy does.
     """
     if qs.fault_tolerance() < f:
         raise NoResilientQuorum(f"a side has no quorum that survives every removal of {f} nodes")
@@ -397,9 +401,10 @@ def can_beat(
     if value is not None and objective is not Objective.LOAD:
         if bound(objective) * below >= value:
             return False
+    tol = lp.FEASIBILITY_TOL
     for kind, limit in ((Objective.LATENCY, constraints.latency_limit),
                         (Objective.NETWORK, constraints.network_limit)):
-        if limit is not None and bound(kind) > float(limit) * above:
+        if limit is not None and bound(kind) > (float(limit) + tol) * above:
             return False
 
     # Out of reach: capacity at most min_capacity, or expected load above max_load.
@@ -407,7 +412,7 @@ def can_beat(
     if value is not None and objective is Objective.LOAD:
         min_capacity = value * below
     if constraints.capacity_limit is not None:
-        max_load = above / float(constraints.capacity_limit)
+        max_load = (1 / float(constraints.capacity_limit) + 2 * tol) * above
     if min_capacity is None and max_load is None:
         return True
 

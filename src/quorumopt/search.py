@@ -21,8 +21,9 @@ enumerates the minimal quorums. Its LP is skipped when a bound shows that
 it cannot strictly beat the best so far or cannot meet a requested limit.
 Each bound holds for every strategy the LP could return, allowing by
 ``_BOUND_MARGIN`` for the tolerance on distribution sums and for float
-rounding, and a tie never replaces the incumbent, so the winner, its
-strategy and its metric are the ones the search without the bounds finds.
+rounding, and for a limit also for the solver's tolerance on its row. A tie
+never replaces the incumbent, so the winner, its strategy and its metric
+are the ones the search without the bounds finds.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def search(
     would have been infeasible or lost, so the result is the same as with
     every LP solved. The bound allows a returned strategy's distributions to
     miss a sum of 1 by the tolerance that Strategy accepts, plus float
-    rounding. ``candidates_examined`` and the budget count every candidate,
-    skipped ones included. On timeout or budget exhaustion the best result
-    so far is returned; if nothing feasible was found, NoFeasibleCandidate
-    is raised.
+    rounding, and a limit's row to be met only within the solver's
+    feasibility tolerance. ``candidates_examined`` and the budget count
+    every candidate, skipped ones included. On timeout or budget
+    exhaustion the best result so far is returned; if nothing feasible was
+    found, NoFeasibleCandidate is raised.
 
     The load objective maximizes capacity; latency and network objectives
     minimize their metric. Ties keep the earliest candidate, so results are

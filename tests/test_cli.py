@@ -189,14 +189,40 @@ def test_bad_search_options_exit_2_before_any_work(capsys, monkeypatch, flags):
         raise AssertionError("search ran")
 
     monkeypatch.setattr(quorumopt.cli, "search", no_search)
-    try:
-        code = main(["search", str(DATA / "case_study_search.json"), *flags])
-    except SystemExit as exc:  # argparse reads -1e400 as an option, not a value
-        code = exc.code
+    argv = ["search", str(DATA / "case_study_search.json"), *flags]
+    if flags[-1] == "-1e400":
+        # argparse reads -1e400 as an option, not a value: a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["strategy", "--f", "1"], ["curve", "--f", "1"]]
+)
+def test_too_many_nodes_exit_2(tmp_path, capsys, argv):
+    # Every read quorum is one of 21 nodes, so the write side tolerates no
+    # failure: the size check must come before any question of resilience.
+    names = [f"n{i}" for i in range(21)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "nodes": [{"name": x} for x in names],
+        "reads": " + ".join(names),
+        "read_fraction": 0.5,
+    }))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 21 nodes exceeds the enumeration bound")
     assert captured.err.count("\n") == 1
 
 

@@ -13,6 +13,7 @@ from quorumopt.errors import (
     DomainError,
     IntersectionViolation,
     NoResilientQuorum,
+    UniverseTooLarge,
     UnknownNode,
 )
 from quorumopt.expr import Var, and_, choose, majority, parse
@@ -123,6 +124,22 @@ class TestQuorumSystem:
         with pytest.raises(UnknownNode):
             QuorumSystem(nodes("ab"), reads="a*z")
 
+    @pytest.mark.parametrize("sides", ["reads", "writes", "both"])
+    def test_too_many_names_rejected_at_construction(self, sides):
+        # Quorums are enumerated on first use, yet a side over 21 names is
+        # refused before any query, as when both sides are enumerated at once.
+        names = [f"n{i}" for i in range(21)]
+        any_one, all_of = " + ".join(names), " * ".join(names)
+        given = {"reads": dict(reads=any_one), "writes": dict(writes=any_one),
+                 "both": dict(reads=any_one, writes=all_of)}[sides]
+        with pytest.raises(UniverseTooLarge):
+            QuorumSystem(nodes(names), **given)
+
+    def test_spare_nodes_do_not_count_toward_the_enumeration_bound(self):
+        names = [f"n{i}" for i in range(25)]
+        qs = QuorumSystem(nodes(names), reads=" + ".join(names[:20]))
+        assert (qs.read_fault_tolerance(), qs.write_fault_tolerance()) == (19, 0)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(DomainError):
             QuorumSystem([Node("a"), Node("a")], reads="a")
@@ -149,19 +166,12 @@ class TestQuorumSystem:
         universe = nodes(sorted(e.names()))
         # both sides given: the intersection check enumerates both at once
         eager = QuorumSystem(universe, reads=e, writes=e.dual())
-        expected = (eager.read_fault_tolerance(), eager.write_fault_tolerance())
-        tolerance_first = QuorumSystem(universe, reads=e)
-        assert repr(tolerance_first) == repr(eager)
-        assert (tolerance_first.read_fault_tolerance(),
-                tolerance_first.write_fault_tolerance()) == expected
-        quorums_first = QuorumSystem(universe, reads=e)
-        for lazy in (tolerance_first, quorums_first):
-            assert lazy.read_minimal == eager.read_minimal
-            assert lazy.write_minimal == eager.write_minimal
-        # now read from the other side's enumerated quorums
-        assert (quorums_first.read_fault_tolerance(),
-                quorums_first.write_fault_tolerance()) == expected
-        assert repr(quorums_first) == repr(eager)
+        lazy = QuorumSystem(universe, reads=e)
+        assert (lazy.read_fault_tolerance(), lazy.write_fault_tolerance()) == (
+            eager.read_fault_tolerance(), eager.write_fault_tolerance())
+        assert lazy.read_minimal == eager.read_minimal
+        assert lazy.write_minimal == eager.write_minimal
+        assert repr(lazy) == repr(eager)
 
     def test_read_once_systems_enumerate_no_quorum_for_fault_tolerance(self, monkeypatch):
         calls = []

@@ -419,6 +419,32 @@ class TestCanBeat:
             over = Constraints(capacity_limit=Fraction(151, 100))
             assert not can_beat(maj3, 1, objective, None, constraints=over)
 
+    def test_limits_allow_for_the_solver_tolerance(self):
+        # HiGHS meets a limit's row only within lp.FEASIBILITY_TOL, absolutely:
+        # it returns a strategy of latency 1/10**4 under a limit tol/2 below.
+        tol = Fraction(lp.FEASIBILITY_TOL)
+        fast = QuorumSystem(
+            [Node(x, latency=Fraction(1, 10**4)) for x in "abc"], reads="choose(2, [a, b, c])"
+        )
+        near = Constraints(latency_limit=Fraction(1, 10**4) - tol / 2)
+        find_strategy(fast, Fraction(1, 2), "load", near)
+        assert can_beat(fast, Fraction(1, 2), "load", None, constraints=near)
+        far = Constraints(latency_limit=Fraction(1, 10**4) - 2 * tol)
+        assert not can_beat(fast, Fraction(1, 2), "load", None, constraints=far)
+        # Expected load may pass 1/c by 2*tol. Majority of three over nodes of
+        # capacity 10**6 has load 2/(3*10**6), which the load bound reaches at
+        # once; the relative margin alone does not cover 3*tol/2 here.
+        big = QuorumSystem(
+            [Node(x, read_cap=10**6, write_cap=10**6) for x in "abc"],
+            reads="choose(2, [a, b, c])",
+        )
+        load = Fraction(2, 3 * 10**6)
+        near = Constraints(capacity_limit=1 / (load - 3 * tol / 2))
+        far = Constraints(capacity_limit=1 / (load - 3 * tol))
+        for objective in Objective:
+            assert can_beat(big, Fraction(1, 2), objective, None, constraints=near)
+            assert not can_beat(big, Fraction(1, 2), objective, None, constraints=far)
+
 
 class TestCapacityCurve:
     def test_reoptimized_point_matches_single_point_solve(self, grid):
