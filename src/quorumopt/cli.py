@@ -14,6 +14,7 @@ without a feasible candidate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -285,7 +286,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args leaves
+    it unchanged and returns a fresh namespace on every call."""
     parser = _Parser(
         prog="quorumopt",
         description="Analyze and optimize read-write quorum systems.",

@@ -417,13 +417,15 @@ def minimal_sets(
     children, built bottom-up without sweeping subsets. A union can be
     non-minimal only where children share a variable; there, non-minimal
     unions are dropped after every child, so partial families stay antichains."""
-    names = sorted(e.names()) if universe is None else list(universe)
-    missing = e.names() - set(names)
+    leaves = e.leaves()
+    present = set(leaves)
+    names = sorted(present) if universe is None else list(universe)
+    missing = present.difference(names)
     if missing:
         raise DomainError(f"expression names {sorted(missing)} are not in the universe")
     check_enumeration_bound(len(names))
     bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
-    masks = _masks(e, {x: b for b, x in bits}, e.uses_each_variable_once())
+    masks = _masks(e, {x: b for b, x in bits}, len(leaves) == len(present))
     return [
         frozenset(x for b, x in bits if m & b)
         for m in sorted(masks, key=lambda mask: (mask.bit_count(), -mask))

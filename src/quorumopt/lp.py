@@ -1,43 +1,130 @@
 """The one HiGHS call and its status mapping.
 
 :func:`quorumopt.optimize.find_strategy` builds its LP as dense arrays and
-solves it here. This is the only module that imports ``linprog``. Required
-accuracy: feasibility violation <= 1e-9, objective gap <= 1e-6.
+solves it here. This is the only module that touches HiGHS. It drives the
+binding that scipy ships (``scipy.optimize._highspy._core``), which is
+private to scipy, with the options ``scipy.optimize.linprog(method="highs")``
+sets, but without that wrapper's per-call option checks, input cleaning and
+result packaging. :func:`linprog` stays the seam between :func:`solve` and
+HiGHS, with scipy's status codes, so that tests and tracers can replace or
+wrap it. Required accuracy: feasibility violation <= 1e-9, objective gap
+<= 1e-6.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    kHighsDebugLevelNone,
+    simplex_constants,
+)
 
 from .errors import Infeasible, SolverFailure
 
 # Each row and bound of a returned x holds within this, absolutely.
 FEASIBILITY_TOL = 1e-9
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": FEASIBILITY_TOL,
-    "dual_feasibility_tolerance": 1e-9,
-}
+# An "optimal" x that misses a bound or a row by more than this is a failure;
+# scipy's linprog checks its HiGHS results with the same margin.
+_CHECK_TOL = np.sqrt(FEASIBILITY_TOL) * 10
+
+
+def _highs_options() -> HighsOptions:
+    """The options linprog(method="highs") passes HiGHS, with both
+    feasibility tolerances at FEASIBILITY_TOL."""
+    options = HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = FEASIBILITY_TOL
+    options.dual_feasibility_tolerance = FEASIBILITY_TOL
+    return options
+
+
+_HIGHS_OPTIONS = _highs_options()
+
+
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, options):
+    """Minimize c.x subject to A_ub.x <= b_ub, A_eq.x = b_eq and ``bounds``
+    with HiGHS, configured by ``options``. Every argument but ``options`` is
+    a float array; ``bounds`` is (n, 2), with ``np.inf`` for no bound.
+
+    Returns an object with ``status`` (scipy's codes: 0 optimal, 2
+    infeasible, 4 any other failure), ``x`` (None unless HiGHS found an
+    optimum), ``nit`` (simplex iterations) and ``message``. An optimal x
+    that misses a bound or a row by more than ``_CHECK_TOL`` is reported as
+    status 4, as scipy's linprog reports it.
+    """
+    a = np.vstack((A_ub, A_eq))
+    # column-major with ascending rows in each column, as csc_array(a) stores it
+    cols, rows = np.nonzero(a.T)
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(a)
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    # the binding copies a list into its vectors faster than a numpy array
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=len(c)))))
+    lp.a_matrix_.start_ = starts.tolist()
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = a[rows, cols].tolist()
+    lp.col_cost_ = c
+    # clipping maps +-np.inf onto HiGHS's infinity, +-kHighsInf
+    lp.col_lower_, lp.col_upper_ = np.clip(bounds, -kHighsInf, kHighsInf).T
+    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+
+    highs = _Highs()
+    highs.passOptions(options)
+    if highs.passModel(lp) == HighsStatus.kError:
+        return SimpleNamespace(status=2, x=None, nit=0, message="HiGHS rejected the model")
+    highs.run()  # a failed run leaves a model status other than kOptimal
+    model = highs.getModelStatus()
+    info = highs.getInfo()
+    nit = info.simplex_iteration_count
+    message = (
+        f"model_status is {highs.modelStatusToString(model)}; "
+        f"primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
+    )
+    if model != HighsModelStatus.kOptimal:
+        status = 2 if model in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError) else 4
+        return SimpleNamespace(status=status, x=None, nit=nit, message=message)
+
+    x = np.array(highs.getSolution().col_value)
+    row = a @ x
+    m = len(b_ub)
+    misses = (
+        np.isnan(x).any()
+        or (x < bounds[:, 0] - _CHECK_TOL).any()
+        or (x > bounds[:, 1] + _CHECK_TOL).any()
+        or (row[:m] > b_ub + _CHECK_TOL).any()
+        or (np.abs(row[m:] - b_eq) > _CHECK_TOL).any()
+    )
+    if misses:
+        message += f", but x misses a bound or row by more than {_CHECK_TOL:.1e}"
+    return SimpleNamespace(status=4 if misses else 0, x=x, nit=nit, message=message)
 
 
 def solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
     """Optimal x of: minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq,
     and ``bounds``, an (n, 2) float array of each variable's lower and upper
-    bound, ``np.inf`` for none. One array costs linprog less to check than
-    a list of n pairs.
+    bound, ``np.inf`` for none.
 
     Raises Infeasible when the constraints are unsatisfiable and
     SolverFailure for any other solver failure.
     """
     result = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-        options=dict(_HIGHS_OPTIONS),
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+        options=_HIGHS_OPTIONS,
     )
     if result.status == 2:
         raise Infeasible("constraints are unsatisfiable")

@@ -9,7 +9,7 @@ import pytest
 
 import quorumopt.cli
 import quorumopt.lp
-from quorumopt.cli import load_config, main
+from quorumopt.cli import build_parser, load_config, main
 from quorumopt.expr import parse
 from quorumopt.model import QuorumSystem, Workload
 from quorumopt.optimize import Strategy
@@ -129,6 +129,39 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("solver failure: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestSuccessiveCalls:
+    """main() builds its parser once per process, so no call may see the
+    options or defaults of an earlier one."""
+
+    ARGVS = [
+        ["strategy", str(DATA / "majority3.json"), "--f", "1", "--table"],
+        ["strategy", str(DATA / "majority3.json")],
+        ["search", str(DATA / "case_study_search.json"), "--budget", "5"],
+    ]
+
+    def test_each_call_parses_as_a_fresh_parser_would(self):
+        for argv in self.ARGVS:
+            fresh = build_parser.__wrapped__().parse_args(argv)
+            assert vars(build_parser().parse_args(argv)) == vars(fresh)
+
+    def test_options_do_not_leak_into_later_calls(self, capsys):
+        table, plain, searched = [run(capsys, *argv) for argv in self.ARGVS]
+        assert table[0] == plain[0] == searched[0] == 0
+        assert not table[1].startswith("{")
+        assert plain[1] == (GOLDEN / "strategy_majority3.json").read_text()
+        assert json.loads(searched[1])["candidates_examined"] == 5
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert run(capsys, *self.ARGVS[0])[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["strategy", str(DATA / "majority3.json"), "--bogus"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
 

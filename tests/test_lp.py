@@ -1,0 +1,186 @@
+"""The HiGHS seam in lp.py, checked against scipy.optimize.linprog."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog as scipy_linprog
+
+from exprgen import expressions
+from quorumopt import lp
+from quorumopt.cli import main
+from quorumopt.errors import Infeasible, NoResilientQuorum, SolverFailure
+from quorumopt.model import Node, QuorumSystem
+from quorumopt.optimize import Constraints, Objective, find_strategy, uniform_strategy
+
+DATA = Path(__file__).parent / "data"
+# What lp.solve asks of HiGHS, in the form scipy's linprog takes.
+SCIPY_OPTIONS = {
+    "primal_feasibility_tolerance": lp.FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": lp.FEASIBILITY_TOL,
+}
+
+
+def record(monkeypatch) -> list:
+    """Make lp.linprog record every (c, keyword arguments, result) it sees."""
+    seen = []
+    direct = lp.linprog
+
+    def spy(c, **kwargs):
+        result = direct(c, **kwargs)
+        seen.append((c, kwargs, result))
+        return result
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    return seen
+
+
+def assert_agrees_with_scipy(seen, atol=0.0):
+    """Each recorded result has scipy's status and iteration count and, when
+    optimal, an x within ``atol`` of scipy's (bit-identical at 0)."""
+    for c, kwargs, got in seen:
+        args = {k: v for k, v in kwargs.items() if k != "options"}
+        want = scipy_linprog(c, **args, method="highs", options=SCIPY_OPTIONS)
+        assert (got.status, got.nit) == (want.status, want.nit)
+        assert (got.x is None) == (want.x is None)
+        if want.x is not None:
+            np.testing.assert_allclose(got.x, want.x, rtol=0, atol=atol)
+
+
+def fixture_commands(path):
+    """CLI commands that solve the LPs of one fixture: every objective,
+    a tight capacity limit and the curve for a system; a search otherwise."""
+    config = json.loads(path.read_text())
+    if "reads" not in config and "writes" not in config:
+        return [["search", path, "--fault-tolerance", "1"]]
+    return [
+        ["analyze", path],
+        ["strategy", path, "--optimize", "latency"],
+        ["strategy", path, "--optimize", "network", "--f", "1"],
+        ["strategy", path, "--capacity-limit", "10000"],
+        ["curve", path, "--points", "4"],
+        ["breakdown", path],
+    ]
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+    def test_fixture_lps_are_bit_identical(self, monkeypatch, capsys, path):
+        seen = record(monkeypatch)
+        for argv in fixture_commands(path):
+            main([str(a) for a in argv])
+        capsys.readouterr()
+        assert_agrees_with_scipy(seen)
+
+    @given(expressions(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_find_strategy_lps_agree(self, e, data):
+        names = sorted(e.names())
+        assume(len(names) >= 3)
+        caps = st.sampled_from([50, 100, 200, 1000])
+        universe = [
+            Node(
+                x,
+                read_cap=data.draw(caps),
+                write_cap=data.draw(caps),
+                latency=data.draw(st.sampled_from([1, 2, 5])),
+            )
+            for x in names
+        ]
+        qs = QuorumSystem(universe, reads=e)
+        workload = data.draw(st.sampled_from([1, Fraction(1, 2), {"0.25": "1/2", "0.9": "1/2"}]))
+        uniform = uniform_strategy(qs)
+        within_reach = Constraints(
+            capacity_limit=uniform.capacity(workload),
+            latency_limit=uniform.latency(workload),
+            network_limit=uniform.network_load(workload),
+        )
+        out_of_reach = Constraints(capacity_limit=1e9, latency_limit=0.5, network_limit=0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record(mp)
+            for objective in Objective:
+                for f in (0, 1):
+                    for limits in (None, within_reach, out_of_reach):
+                        try:
+                            find_strategy(qs, workload, objective, limits, f=f)
+                        except (Infeasible, NoResilientQuorum):
+                            pass
+        assert seen
+        assert_agrees_with_scipy(seen, atol=1e-12)
+
+
+class _Perturbed:
+    """A HiGHS instance whose optimal solution has 1e-3 added to x[0]."""
+
+    def __init__(self, highs):
+        self._highs = highs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        solution.col_value = [solution.col_value[0] + 1e-3] + list(solution.col_value[1:])
+        return solution
+
+
+class TestPostSolveCheck:
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        binding = lp._Highs
+        monkeypatch.setattr(lp, "_Highs", lambda: _Perturbed(binding()))
+
+    def test_row_missed_by_1e_3_is_a_solver_failure(self, perturbed):
+        # x[0] and x[1] must sum to 1; the perturbed optimum sums to 1.001
+        with pytest.raises(SolverFailure, match="misses a bound or row"):
+            lp.solve(
+                np.array([1.0, 1.0]),
+                np.array([[1.0, -1.0]]),
+                np.array([0.0]),
+                np.array([[1.0, 1.0]]),
+                np.array([1.0]),
+                np.array([[0.0, 1.0], [0.0, 1.0]]),
+            )
+
+    def test_cli_exits_3_with_one_line(self, perturbed, capsys):
+        code = main(["strategy", str(DATA / "majority3.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestInfiniteBound:
+    def test_inf_upper_bound_reaches_highs_as_unbounded(self, monkeypatch):
+        models = []
+        binding = lp._Highs
+
+        class Recording:
+            def __init__(self):
+                self._highs = binding()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def passModel(self, model):
+                models.append(model)
+                return self._highs.passModel(model)
+
+        monkeypatch.setattr(lp, "_Highs", Recording)
+        # minimize L subject to L >= 1e15: L is free above 0
+        x = lp.solve(
+            np.array([1.0]),
+            np.array([[-1.0]]),
+            np.array([-1e15]),
+            np.zeros((0, 1)),
+            np.zeros(0),
+            np.array([[0.0, np.inf]]),
+        )
+        assert x.tolist() == [1e15]
+        assert models[0].col_upper_ == [lp.kHighsInf]
+        assert models[0].col_lower_ == [0.0]
