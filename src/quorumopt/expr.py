@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ParseError, UniverseTooLarge
 
 # Variable names: exactly the identifiers the parser reads back.
@@ -417,37 +419,79 @@ def minimal_sets(
     children, built bottom-up without sweeping subsets. A union can be
     non-minimal only where children share a variable; there, non-minimal
     unions are dropped after every child, so partial families stay antichains."""
-    leaves = e.leaves()
-    present = set(leaves)
-    names = sorted(present) if universe is None else list(universe)
-    missing = present.difference(names)
-    if missing:
-        raise DomainError(f"expression names {sorted(missing)} are not in the universe")
+    names = sorted(e.names()) if universe is None else list(universe)
     check_enumeration_bound(len(names))
+    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
+    try:
+        masks, _ = _masks(e, bit)
+    except KeyError:
+        missing = sorted(e.names().difference(names))
+        raise DomainError(f"expression names {missing} are not in the universe") from None
+    return unmask(sorted(masks, key=lambda mask: (mask.bit_count(), -mask)), names)
+
+
+def unmask(masks: Iterable[int], names: Sequence[str]) -> list[frozenset[str]]:
+    """The name set of each mask, ``names[0]`` being the top of len(names) bits."""
     bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
-    masks = _masks(e, {x: b for b, x in bits}, len(leaves) == len(present))
-    return [
-        frozenset(x for b, x in bits if m & b)
-        for m in sorted(masks, key=lambda mask: (mask.bit_count(), -mask))
-    ]
+    return [frozenset(x for b, x in bits if m & b) for m in masks]
 
 
-def _masks(e: Expression, bit: dict[str, int], read_once: bool) -> list[int]:
+def to_masks(sets: Iterable[Iterable[str]], names: Sequence[str]) -> tuple[int, ...]:
+    """The mask of each set, as :func:`unmask` reads it; other names are dropped."""
+    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
+    return tuple(sum(bit.get(x, 0) for x in s) for s in sets)
+
+
+def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """``bits[i, j]`` is 1 iff ``masks[j]`` holds the i-th of n names, as
+    :func:`unmask` reads it."""
+    return masks >> np.arange(n - 1, -1, -1)[:, None] & 1
+
+
+def _masks(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
+    """The minimal sets of e as masks, and the mask of the names e uses."""
     if isinstance(e, Var):
-        return [bit[e.name]]
-    families = [_masks(c, bit, read_once) for c in e.children]
+        return [bit[e.name]], bit[e.name]
+    families = []
+    used = 0
+    shared = False  # whether two children use a common name
+    for c in e.children:
+        family, names = _masks(c, bit)
+        families.append(family)
+        shared = shared or bool(used & names)
+        used |= names
     n = len(families)
-    k = _threshold(e)
+    k = threshold(e)
     # picked[j]: unions of one set from each of j children so far, if k is reachable
     picked = [[0]] + [[] for _ in range(k)]
-    # read_once: no name repeats anywhere, so no two children can share one
-    shared = not read_once and sum(len(c.names()) for c in e.children) > len(e.names())
     for i, family in enumerate(families):
         for j in range(min(k, i + 1), max(0, k - n + i), -1):
             picked[j].extend(a | b for a in picked[j - 1] for b in family)
             if shared and j < k:  # absorb, or products of sums grow multiplicatively
                 picked[j] = _minimal(picked[j])
-    return _minimal(picked[k]) if shared else picked[k]
+    return (_minimal(picked[k]) if shared else picked[k]), used
+
+
+def minimal_transversals(family: Sequence[int], n: int, f: int = 0) -> tuple[int, ...]:
+    """The inclusion-minimal masks over n bits that share more than f bits
+    with every mask of ``family``, in canonical order (by bit count, then by
+    descending value), from one vectorised sweep over all 2^n masks. For
+    f = 0 these are the minimal transversals of the family; given the
+    minimal quorums of an expression's dual, the expression's minimal
+    f-resilient quorums."""
+    subsets = np.arange(1 << n, dtype=np.int32)  # n is at most ENUMERATION_BOUND
+    family = np.array(family, dtype=np.int32)
+    ok = np.ones(1 << n, dtype=bool)
+    block = max(1, (1 << 16) >> n)  # at most about 2^16 popcounts at a time
+    for i in range(0, len(family), block):
+        ok &= (np.bitwise_count(subsets[:, None] & family[i:i + block]) > f).all(axis=1)
+    # The property is upward closed, so a mask that has it is minimal iff
+    # dropping any one bit loses it.
+    keep = ok.copy()
+    for b in range(n):
+        keep.reshape(-1, 2, 1 << b)[:, 1] &= ~ok.reshape(-1, 2, 1 << b)[:, 0]
+    found = subsets[keep]
+    return tuple(found[np.lexsort((-found, np.bitwise_count(found)))].tolist())
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -459,7 +503,7 @@ def _minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _threshold(e: Expression) -> int:
+def threshold(e: Expression) -> int:
     """How many children of a composite node must be true: k for choose(k),
     1 for Or, all of them for And."""
     if isinstance(e, Choose):
@@ -479,11 +523,17 @@ def min_quorum_size(e: Expression) -> int:
     a node that takes k children, the sum of the k smallest child values,
     since children of a read-once tree share no node. Otherwise the size of
     the first of :func:`minimal_sets`."""
+    size = survey(e)[1]
+    return len(minimal_sets(e)[0]) if size is None else size
+
+
+def survey(e: Expression) -> tuple[tuple[str, ...], int | None]:
+    """From one walk of the tree: the sorted names of e, and the tree pass of
+    :func:`min_quorum_size` if no name repeats, else None."""
     leaves: list[str] = []
     size = _smallest(e, leaves)
-    if len(leaves) == len(set(leaves)):
-        return size
-    return len(minimal_sets(e)[0])
+    names = tuple(sorted(set(leaves)))
+    return names, size if len(names) == len(leaves) else None
 
 
 def _smallest(e: Expression, leaves: list[str]) -> int:
@@ -491,7 +541,7 @@ def _smallest(e: Expression, leaves: list[str]) -> int:
     if isinstance(e, Var):
         leaves.append(e.name)
         return 1
-    return sum(sorted(_smallest(c, leaves) for c in e.children)[: _threshold(e)])
+    return sum(sorted(_smallest(c, leaves) for c in e.children)[: threshold(e)])
 
 
 def min_quorum_latency(
@@ -507,4 +557,4 @@ def min_quorum_latency(
     depends on t alone."""
     if isinstance(e, Var):
         return latency[e.name]
-    return sorted(min_quorum_latency(c, latency) for c in e.children)[_threshold(e) - 1]
+    return sorted(min_quorum_latency(c, latency) for c in e.children)[threshold(e) - 1]

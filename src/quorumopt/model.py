@@ -8,7 +8,6 @@ decimal meaning (0.1 becomes 1/10).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -16,12 +15,7 @@ from functools import cached_property
 from typing import AbstractSet, Mapping, Sequence, Union
 
 from . import expr as _expr
-from .errors import (
-    DomainError,
-    IntersectionViolation,
-    NoResilientQuorum,
-    UnknownNode,
-)
+from .errors import DomainError, IntersectionViolation, NoResilientQuorum, UnknownNode
 
 Rational = Union[int, float, str, Fraction, Decimal]
 
@@ -135,9 +129,10 @@ class Workload:
 
 
 WorkloadLike = Union[Workload, Rational, Mapping[Rational, Rational]]
+ExprLike = Union[_expr.Expression, str, None]
 
 
-def _coerce_expr(e: Union[_expr.Expression, str, None]) -> _expr.Expression | None:
+def _coerce_expr(e: ExprLike) -> _expr.Expression | None:
     if e is None or isinstance(e, _expr.Expression):
         return e
     if isinstance(e, str):
@@ -150,57 +145,54 @@ class QuorumSystem:
     read quorum intersects every write quorum.
 
     If only one side is given, the other is its dual: the optimal complement,
-    which always intersects it. A side's minimal quorums are enumerated on
-    first use and cached in canonical order; when both sides are given, the
-    intersection check enumerates both at construction. Fault tolerance
-    needs no enumeration when a side's dual repeats no name. A side over
-    more than ``expr.ENUMERATION_BOUND`` names raises UniverseTooLarge at
-    construction.
+    which always intersects it. If both are given, construction checks that
+    the nodes outside each minimal write quorum hold no read quorum, one
+    tree evaluation per write quorum.
+
+    A side's minimal quorums are enumerated on first use and cached in
+    canonical order, and kept as int bitmasks over :meth:`side_names` for
+    latency, membership and resilience. Fault tolerance needs no
+    enumeration when a side's dual repeats no name. A side over more than
+    ``expr.ENUMERATION_BOUND`` names raises UniverseTooLarge at construction.
     """
 
-    def __init__(
-        self,
-        universe: Sequence[Node],
-        reads: Union[_expr.Expression, str, None] = None,
-        writes: Union[_expr.Expression, str, None] = None,
-    ):
+    def __init__(self, universe: Sequence[Node], reads: ExprLike = None, writes: ExprLike = None):
         universe = list(universe)
         names = [n.name for n in universe]
         if len(set(names)) != len(names):
             raise DomainError("node names must be unique within a universe")
-        reads = _coerce_expr(reads)
-        writes = _coerce_expr(writes)
+        reads, writes = _coerce_expr(reads), _coerce_expr(writes)
         if reads is None and writes is None:
             raise DomainError("supply read quorums, write quorums, or both")
         derived = reads is None or writes is None
-        if reads is None:
-            reads = writes.dual()
-        elif writes is None:
-            writes = reads.dual()
-        # a derived side has the other's names
-        used = reads.names() if derived else reads.names() | writes.names()
-        unknown = used - set(names)
+        self._tolerance: dict[str, int] = {}
+        # One walk of a given side finds its names, which its dual shares, and, if no
+        # name repeats, its smallest quorum size: its dual's fault tolerance + 1.
+        read_names, smallest = _expr.survey(writes if reads is None else reads)
+        write_names = read_names if derived else _expr.survey(writes)[0]
+        if derived and smallest is not None:
+            self._tolerance["read" if reads is None else "write"] = smallest - 1
+        reads = writes.dual() if reads is None else reads
+        writes = reads.dual() if writes is None else writes
+        unknown = sorted(set(read_names + write_names).difference(names))
         if unknown:
-            raise UnknownNode(
-                f"expression names {sorted(unknown)} are not in the universe"
-            )
-        if derived:
-            # Refuse now what minimal_sets would refuse on first use, as the
-            # intersection check below does when both sides are given.
-            _expr.check_enumeration_bound(len(used))
+            raise UnknownNode(f"expression names {unknown} are not in the universe")
+        # Refuse now what minimal_sets would refuse on first use.
+        _expr.check_enumeration_bound(max(len(read_names), len(write_names)))
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
         self._exprs = {"read": reads, "write": writes}
-        # A derived side is the other's dual, and dual(dual(e)) is e, so
-        # each side is the other's dual; a side and its dual always intersect.
+        self._names = {"read": read_names, "write": write_names}
+        # Derived, each side is the other's dual, as dual(dual(e)) is e.
         self._dual_side = {"read": "write", "write": "read"} if derived else {}
-        self._minimal: dict[str, list[frozenset[str]]] = {}
-        self._tolerance: dict[str, int] = {}
-        self._resilient: dict[tuple[str, int], list[frozenset[str]]] = {}
-        if not derived:
-            for r, w in itertools.product(self.read_minimal, self.write_minimal):
-                if not r & w:
-                    raise IntersectionViolation(r, w)
+        self._sets: dict[tuple[str, int], list[frozenset[str]]] = {}
+        self._masks: dict[tuple[str, int], tuple[int, ...]] = {}
+        self._dual_masks: dict[str, tuple[int, ...]] = {}
+        missed = [] if derived else [
+            w for w in self.write_minimal if reads.evaluate(self._nodes.keys() - w)]
+        if missed:  # report the first disjoint pair in read-major order
+            raise IntersectionViolation(*next(
+                (r, w) for r in self.read_minimal for w in missed if not r & w))
 
     @property
     def universe(self) -> tuple[Node, ...]:
@@ -248,10 +240,37 @@ class QuorumSystem:
             raise DomainError(f"side must be 'read' or 'write', got {side!r}")
         return self._exprs[side]
 
+    def side_names(self, side: str) -> tuple[str, ...]:
+        """The sorted names of ``side``, the first in the top bit of its masks."""
+        self.side(side)  # rejects an unknown side
+        return self._names[side]
+
     def minimal_quorums(self, side: str) -> list[frozenset[str]]:
-        if side not in self._minimal:
-            self._minimal[side] = _expr.minimal_sets(self.side(side))
-        return list(self._minimal[side])
+        if (side, 0) not in self._sets:
+            self._sets[side, 0] = _expr.minimal_sets(self.side(side), self._names[side])
+        return list(self._sets[side, 0])
+
+    def quorum_masks(self, side: str, f: int = 0) -> tuple[int, ...]:
+        """``resilient_quorums(side, f)`` as masks over :meth:`side_names`;
+        there are some iff f is at most the side's fault tolerance."""
+        if (side, f) not in self._masks:
+            if f < 0:
+                raise DomainError(f"f must be nonnegative, got {f}")
+            if f > 0 and self._fault_tolerance(side) < f:
+                raise NoResilientQuorum(f"no {side} quorum survives every removal of {f} nodes")
+            self._masks[side, f] = (
+                _expr.to_masks(self.minimal_quorums(side), self._names[side]) if f == 0
+                else _expr.minimal_transversals(self._dual(side), len(self._names[side]), f))
+        return self._masks[side, f]
+
+    def _dual(self, side: str) -> tuple[int, ...]:
+        """The minimal quorums of the side's dual, as masks over its names."""
+        if side in self._dual_side:
+            return self.quorum_masks(self._dual_side[side])
+        if side not in self._dual_masks:
+            dual = _expr.minimal_sets(self.side(side).dual(), self._names[side])
+            self._dual_masks[side] = _expr.to_masks(dual, self._names[side])
+        return self._dual_masks[side]
 
     # -- fault tolerance -----------------------------------------------------
 
@@ -281,40 +300,21 @@ class QuorumSystem:
 
     def is_resilient(self, side: str, quorum: AbstractSet[str], f: int) -> bool:
         """True iff ``quorum`` stays a quorum of ``side`` after the removal of
-        any f of its nodes, so never for f or fewer nodes."""
-        e = self.side(side)
-        quorum = frozenset(quorum)
-        return len(quorum) > f and all(
-            e.evaluate(quorum.difference(removal))
-            for removal in itertools.combinations(sorted(quorum), f)
-        )
+        any f of its nodes, so never for f or fewer nodes: iff it shares more
+        than f nodes with each minimal quorum of the side's dual, the minimal
+        sets that meet every quorum (Ibaraki & Kameda 1993). Exact for every
+        expression."""
+        (s,) = _expr.to_masks([frozenset(quorum)], self.side_names(side))
+        return all((s & d).bit_count() > f for d in self._dual(side))
 
     def resilient_quorums(self, side: str, f: int) -> list[frozenset[str]]:
         """Inclusion-minimal quorums of ``side`` that survive the removal of
         any f of their nodes, in canonical order; for f = 0, the minimal
-        quorums. The sweep runs once per (side, f); each call gets a copy."""
-        if f < 0:
-            raise DomainError(f"f must be nonnegative, got {f}")
+        quorums. For f > 0, :func:`expr.minimal_transversals` tests every set
+        of the side's names as :meth:`is_resilient` does, in one vectorised
+        sweep, once per (side, f); each call gets a copy."""
         if f == 0:
             return self.minimal_quorums(side)
-        if (side, f) in self._resilient:
-            return list(self._resilient[side, f])
-        # Any f-resilient quorum makes the set of all the side's names
-        # f-resilient too, which holds iff no f nodes meet every quorum, that
-        # is, iff the side's fault tolerance is at least f.
-        if self._fault_tolerance(side) < f:
-            raise NoResilientQuorum(
-                f"no {side} quorum survives every removal of {f} nodes"
-            )
-        # Minimal resilient quorums never contain nodes absent from the
-        # expression: evaluation ignores them, so dropping one preserves
-        # resilience.
-        names = sorted(self.side(side).names())
-        found: list[frozenset[str]] = []
-        for size in range(f + 1, len(names) + 1):
-            for combo in itertools.combinations(names, size):
-                s = frozenset(combo)
-                if not any(m <= s for m in found) and self.is_resilient(side, s, f):
-                    found.append(s)
-        self._resilient[side, f] = found
-        return list(found)
+        if (side, f) not in self._sets:
+            self._sets[side, f] = _expr.unmask(self.quorum_masks(side, f), self._names[side])
+        return list(self._sets[side, f])

@@ -82,17 +82,16 @@ def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fracti
     """Time to assemble a quorum of responses after contacting ``quorum``.
 
     Nodes respond in latency order, so the answer is the latency of the
-    shortest prefix (sorted ascending) that is itself a quorum; that prefix
-    realizes the minimum over all sub-quorums.
+    fastest sub-quorum: :func:`expr.min_quorum_latency` with every node
+    outside ``quorum`` at infinity, exact for every expression.
     """
-    e = qs.side(side)
-    members = sorted(quorum, key=lambda x: (qs.node(x).latency, x))
-    alive: set[str] = set()
-    for name in members:
-        alive.add(name)
-        if e.evaluate(alive):
-            return qs.node(name).latency
-    raise DomainError(f"{set(quorum)} is not a {side} quorum")
+    quorum = frozenset(quorum)
+    latency = dict.fromkeys(qs.side_names(side), math.inf)
+    latency.update((x, qs.node(x).latency) for x in quorum)
+    fastest = _expr.min_quorum_latency(qs.side(side), latency)
+    if fastest == math.inf:
+        raise DomainError(f"{set(quorum)} is not a {side} quorum")
+    return fastest
 
 
 class Strategy:
@@ -218,17 +217,50 @@ class Strategy:
         return ef * read + (1 - ef) * write
 
 
-def _quorum_cost(qs: QuorumSystem, kind: Objective, side: str, quorum) -> Fraction | int:
-    """What one use of ``quorum`` costs under the latency or network metric."""
-    return quorum_latency(qs, side, quorum) if kind is Objective.LATENCY else len(quorum)
+def _held(qs: QuorumSystem, side: str, f: int) -> np.ndarray:
+    """``held[i, j]`` is 1 iff the j-th minimal f-resilient quorum of ``side``
+    holds the i-th of ``qs.side_names(side)``."""
+    masks = np.array(qs.quorum_masks(side, f), dtype=np.int64)
+    return _expr.mask_bits(masks, len(qs.side_names(side)))
 
 
-def _membership(qs: QuorumSystem, quorums: list[frozenset[str]]) -> np.ndarray:
-    """Node-by-quorum 0/1 matrix, nodes in universe order."""
-    index = {node.name: i for i, node in enumerate(qs.universe)}
-    member = np.zeros((len(index), len(quorums)))
-    for j, quorum in enumerate(quorums):
-        member[[index[name] for name in quorum], j] = 1.0
+def _quorum_metric(
+    qs: QuorumSystem, kind: Objective, side: str, f: int
+) -> tuple[np.ndarray, list[Fraction] | range]:
+    """The latency or node count of each minimal f-resilient quorum of
+    ``side``, as indices into a list of exact values.
+
+    Latency is :func:`quorum_latency` on every quorum in one tree pass: a
+    variable gives its latency's rank among the side's distinct latencies
+    where the quorum holds it, else a rank past them all, and a node that
+    takes k children the k-th smallest child rank."""
+    names = qs.side_names(side)
+    held = _held(qs, side, f)
+    if kind is Objective.NETWORK:
+        return held.sum(axis=0), range(len(names) + 1)
+    values = sorted({qs.node(x).latency for x in names})
+    rank = {v: i for i, v in enumerate(values)}
+    ranks = {
+        x: np.where(held[i], rank[qs.node(x).latency], len(values)) for i, x in enumerate(names)
+    }
+
+    def fastest(e: _expr.Expression) -> np.ndarray:
+        if isinstance(e, _expr.Var):
+            return ranks[e.name]
+        k = _expr.threshold(e)
+        return np.partition([fastest(c) for c in e.children], k - 1, axis=0)[k - 1]
+
+    return fastest(qs.side(side)), values
+
+
+def _membership(qs: QuorumSystem, side: str, f: int) -> np.ndarray:
+    """Node-by-quorum 0/1 matrix of the minimal f-resilient quorums of
+    ``side``, nodes in universe order."""
+    position = {x: i for i, x in enumerate(qs.side_names(side))}
+    rows = [i for i, node in enumerate(qs.universe) if node.name in position]
+    held = _held(qs, side, f)
+    member = np.zeros((len(qs.universe), held.shape[1]))
+    member[rows] = held[[position[qs.universe[i].name] for i in rows]]
     return member
 
 
@@ -286,8 +318,11 @@ def find_strategy(
     def cost(kind: Objective) -> np.ndarray:
         if kind is Objective.LOAD:
             return np.array([0.0] * nq + [float(p) for _, p in points])
-        sizes = [float(share[s] * _quorum_cost(qs, kind, s, q)) for s, q in columns]
-        return np.array(sizes + [0.0] * nl)
+        parts = []
+        for s in ("read", "write"):
+            index, values = _quorum_metric(qs, kind, s, f)
+            parts.append(np.array([float(share[s] * v) for v in values])[index])
+        return np.concatenate(parts + [np.zeros(nl)])
 
     capacity = constraints.capacity_limit
     limit_of = {
@@ -297,7 +332,7 @@ def find_strategy(
     }
     limits = [(kind, limit) for kind, limit in limit_of.items() if limit is not None]
 
-    member = _membership(qs, [quorum for _, quorum in columns])
+    member = np.hstack([_membership(qs, "read", f), _membership(qs, "write", f)])
     used = np.flatnonzero(member.any(axis=1))
     # coef[node, point, side]: the node's load per unit of selection probability
     coef = np.array(
@@ -330,8 +365,8 @@ def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     """The least latency or node count of a minimal f-resilient quorum of
     ``side``; for f = 0, computed on the expression tree."""
     if f > 0:
-        pool = qs.resilient_quorums(side, f)
-        return float(min(_quorum_cost(qs, kind, side, q) for q in pool))
+        index, values = _quorum_metric(qs, kind, side, f)
+        return float(values[index.min()])
     if kind is Objective.LATENCY:
         latency = {n.name: float(n.latency) for n in qs.universe}
         return _expr.min_quorum_latency(qs.side(side), latency)
@@ -416,15 +451,13 @@ def can_beat(
     if min_capacity is None and max_load is None:
         return True
 
-    reads = qs.resilient_quorums("read", f)
-    writes = qs.resilient_quorums("write", f)
     points = w.items()
     fr = np.array([float(x) for x, _ in points])[:, None]
     prob = np.array([float(p) for _, p in points])
     # unit[fraction, node]: the node's load per unit of read or write selection
     read_unit = fr * np.array([float(1 / n.read_cap) for n in qs.universe])
     write_unit = (1 - fr) * np.array([float(1 / n.write_cap) for n in qs.universe])
-    read_in, write_in = _membership(qs, reads), _membership(qs, writes)
+    read_in, write_in = _membership(qs, "read", f), _membership(qs, "write", f)
     read_of, write_of = read_in.T.copy(), write_in.T.copy()  # quorum -> node row
     mu = 1 / (read_unit + write_unit)
     best = np.zeros(len(points))

@@ -19,8 +19,12 @@ from quorumopt.expr import (
     majority,
     min_quorum_size,
     minimal_sets,
+    minimal_transversals,
     or_,
     parse,
+    survey,
+    to_masks,
+    unmask,
 )
 from quorumopt.oracle import exhaustive_minimal_sets, truth_table
 
@@ -282,6 +286,39 @@ class TestCheapestQuorum:
     def test_repeated_names_are_not_summed_twice(self):
         # the pass alone would give 2 + 2 for a*b * a*c; the smallest quorum is {a, b, c}
         assert min_quorum_size(parse("(a*b + d*e*f) * (a*c + d*e*f)")) == 3
+
+
+class TestMasks:
+    @given(st.one_of(expressions(), duplicate_free_expressions()))
+    @settings(max_examples=200, deadline=None)
+    def test_survey_finds_the_names_and_the_tree_pass(self, e):
+        names, size = survey(e)
+        assert names == tuple(sorted(e.names()))
+        assert (size is None) == (not e.uses_each_variable_once())
+        assert size is None or size == min(len(s) for s in exhaustive_minimal_sets(e))
+
+    @given(st.one_of(expressions(), duplicate_free_expressions()))
+    @settings(max_examples=200, deadline=None)
+    def test_masks_round_trip(self, e):
+        names = sorted(e.names())
+        quorums = minimal_sets(e)
+        assert unmask(to_masks(quorums, names), names) == quorums
+        assert to_masks([{"z"} | quorums[0]], names) == to_masks(quorums[:1], names)
+
+    @given(st.one_of(expressions(), duplicate_free_expressions()), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_transversals_match_brute_force(self, e, f):
+        names = sorted(e.names())
+        family = to_masks(minimal_sets(e), names)
+        got = unmask(minimal_transversals(family, len(names), f), names)
+        hits = [
+            frozenset(s) for k in range(len(names) + 1)
+            for s in itertools.combinations(names, k)
+            if all(len(q.intersection(s)) > f for q in minimal_sets(e))
+        ]
+        assert got == [s for s in hits if not any(t < s for t in hits)]
+        if f == 0:  # the minimal transversals are the dual's minimal quorums
+            assert got == minimal_sets(e.dual())
 
 
 def test_choose_helper_validates():

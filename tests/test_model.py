@@ -16,11 +16,12 @@ from quorumopt.errors import (
     UniverseTooLarge,
     UnknownNode,
 )
-from quorumopt.expr import Var, and_, choose, majority, parse
+from quorumopt.expr import Var, and_, choose, majority, minimal_transversals, parse
 from quorumopt.model import Node, QuorumSystem, Workload, as_fraction
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
     exhaustive_minimal_sets,
+    _is_f_resilient,
     exhaustive_resilient,
     truth_table,
 )
@@ -188,6 +189,30 @@ class TestQuorumSystem:
             qs.minimal_quorums("sideways")
 
 
+class TestIntersectionCheck:
+    @given(expressions(), expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_product(self, reads, writes):
+        # expressions() draw from six names, with repeats
+        pairs = itertools.product(
+            exhaustive_minimal_sets(reads), exhaustive_minimal_sets(writes))
+        disjoint = next(((r, w) for r, w in pairs if not r & w), None)
+        universe = nodes(sorted(reads.names() | writes.names()))
+        if disjoint is None:
+            QuorumSystem(universe, reads=reads, writes=writes)
+        else:
+            with pytest.raises(IntersectionViolation) as err:
+                QuorumSystem(universe, reads=reads, writes=writes)
+            assert (err.value.read_quorum, err.value.write_quorum) == disjoint
+
+    def test_reports_the_first_disjoint_pair_in_read_major_order(self):
+        with pytest.raises(IntersectionViolation) as err:
+            QuorumSystem(nodes("abcd"), reads="a*b + c + d", writes="a*c + b*d + c*d")
+        # (c, b*d) comes first: the read quorum c meets a*c and c*d but not b*d
+        assert err.value.read_quorum == frozenset("c")
+        assert err.value.write_quorum == frozenset("bd")
+
+
 class TestFaultTolerance:
     def test_majority(self):
         qs = QuorumSystem(nodes("abc"), reads="a*b + b*c + a*c")
@@ -304,6 +329,13 @@ class TestResilientQuorums:
             qs.resilient_quorums("read", 1)
 
     def test_sweep_runs_once_and_callers_get_copies(self, monkeypatch):
+        sweeps = []
+
+        def counting(*args):
+            sweeps.append(args)
+            return minimal_transversals(*args)
+
+        monkeypatch.setattr("quorumopt.expr.minimal_transversals", counting)
         qs = QuorumSystem(nodes("abcd"), reads="choose(2, [a, b, c, d])")
         quorums = qs.resilient_quorums("read", 1)
         expected = list(quorums)
@@ -312,6 +344,8 @@ class TestResilientQuorums:
             quorums.append(frozenset("a"))
             quorums = qs.resilient_quorums("read", 1)
             assert quorums == expected
+        assert qs.quorum_masks("read", 1) == (0b1110, 0b1101, 0b1011, 0b0111)
+        assert len(sweeps) == 1
 
     def test_negative_f_rejected(self):
         qs = QuorumSystem(nodes("ab"), reads="a + b")
@@ -337,6 +371,36 @@ class TestResilientQuorums:
                     assert exhaustive_resilient(qs, side, f) == []
                 else:
                     assert fast == exhaustive_resilient(qs, side, f)
+
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_two_of_four_majorities_of_three_match_unpruned_oracle(self, f):
+        names = [f"n{i:02d}" for i in range(12)]
+        groups = [majority([Var(x) for x in names[i:i + 3]]) for i in range(0, 12, 3)]
+        qs = QuorumSystem(nodes(names), reads=choose(2, groups))
+        for side in ("read", "write"):
+            try:
+                fast = qs.resilient_quorums(side, f)
+            except NoResilientQuorum:
+                assert exhaustive_resilient(qs, side, f) == []
+            else:
+                assert fast == exhaustive_resilient(qs, side, f)
+                assert fast
+
+    @given(st.one_of(duplicate_free_expressions(), expressions()), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_is_resilient_matches_oracle_on_every_subset(self, e, both_given):
+        names = sorted(e.names())
+        # with both sides given, the dual is enumerated rather than read off
+        # the other side
+        sides = dict(reads=e, writes=e.dual()) if both_given else dict(reads=e)
+        qs = QuorumSystem(nodes(names + ["z"]), **sides)
+        for side in ("read", "write"):
+            expr = qs.side(side)
+            for size in range(len(names) + 2):
+                for subset in itertools.combinations(names + ["z"], size):
+                    s = frozenset(subset)
+                    for f in range(4):
+                        assert qs.is_resilient(side, s, f) == _is_f_resilient(expr, s, f)
 
     @given(duplicate_free_expressions(names=("a", "b", "c", "d", "e"), min_vars=2))
     @settings(max_examples=100, deadline=None)

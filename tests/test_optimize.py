@@ -25,7 +25,11 @@ from quorumopt.optimize import (
     throughput_breakdown,
     uniform_strategy,
 )
-from quorumopt.oracle import exhaustive_minimal_sets, strategy_metric_recompute
+from quorumopt.oracle import (
+    _subquorum_latency,
+    exhaustive_minimal_sets,
+    strategy_metric_recompute,
+)
 from quorumopt.search import enumerate_candidates
 
 
@@ -83,6 +87,43 @@ class TestQuorumLatency:
             fastest = min(quorum_latency(qs, side, q) for q in exhaustive_minimal_sets(e))
             assert min_quorum_latency(e, latency) == fastest
 
+    @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_on_minimal_quorums_and_supersets(self, e, data):
+        names = sorted(e.names())
+        latencies = st.sampled_from([Fraction(1, 2), 1, 2, 3, 5, 8])
+        universe = [Node(x, latency=data.draw(latencies)) for x in names + ["z"]]
+        qs = QuorumSystem(universe, reads=e)
+        for side in ("read", "write"):
+            for q in qs.minimal_quorums(side):
+                assert quorum_latency(qs, side, q) == _subquorum_latency(qs, side, q)
+                extra = data.draw(st.sets(st.sampled_from(names + ["z"])))
+                superset = q | extra
+                assert quorum_latency(qs, side, superset) == _subquorum_latency(
+                    qs, side, superset)
+
+    @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cost_vectors_match_oracle_bit_for_bit(self, e, data):
+        names = sorted(e.names())
+        latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, Fraction(7, 3)])
+        universe = [Node(x, latency=data.draw(latencies)) for x in names]
+        qs = QuorumSystem(universe, reads=e)
+        fr = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(9, 10), 1]))
+        share = {"read": fr, "write": 1 - fr}
+        for f in range(min(qs.fault_tolerance(), 2) + 1):
+            columns = [(s, q) for s in share for q in qs.resilient_quorums(s, f)]
+            expected = {
+                Objective.LATENCY: [float(share[s] * _subquorum_latency(qs, s, q))
+                                    for s, q in columns],
+                Objective.NETWORK: [float(share[s] * len(q)) for s, q in columns],
+            }
+            for objective, costs in expected.items():
+                c = captured_costs(qs, fr, objective, f)
+                got = np.asarray(c[:len(columns)])
+                assert got.tobytes() == np.array(costs).tobytes()
+                assert not np.any(c[len(columns):])
+
     def test_max_over_equal_latencies(self, grid):
         assert quorum_latency(grid, "read", {"c", "d"}) == 1
 
@@ -98,6 +139,22 @@ class TestQuorumLatency:
         # {a, c} is a write quorum; an unknown side must not fall back to it
         with pytest.raises(DomainError):
             quorum_latency(grid, "sideways", {"a", "c"})
+
+
+def captured_costs(qs, workload, objective, f):
+    """The cost vector find_strategy hands the solver."""
+    captured = []
+    real = lp.linprog
+
+    def capture(c, **kwargs):
+        captured.append(np.array(c))
+        return real(c, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "linprog", capture)
+        find_strategy(qs, workload, objective, f=f)
+    (c,) = captured
+    return c
 
 
 class TestUniformStrategy:
