@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -39,12 +39,13 @@ import numpy as np
 from . import expr as _expr
 from . import lp
 from .errors import DomainError, NoResilientQuorum
-from .model import QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
+from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
 # can_beat's margin, the distribution-sum tolerance doubled to cover float
 # rounding in its bounds, and its ascent steps on the node weights.
 _BOUND_MARGIN = 2 * _DIST_SUM_TOL
+_BELOW, _ABOVE = float(1 - _BOUND_MARGIN), float(1 + _BOUND_MARGIN)
 _ASCENT_STEPS = 40
 
 
@@ -253,15 +254,34 @@ def _quorum_metric(
     return fastest(qs.side(side)), values
 
 
-def _membership(qs: QuorumSystem, side: str, f: int) -> np.ndarray:
-    """Node-by-quorum 0/1 matrix of the minimal f-resilient quorums of
-    ``side``, nodes in universe order."""
-    position = {x: i for i, x in enumerate(qs.side_names(side))}
-    rows = [i for i, node in enumerate(qs.universe) if node.name in position]
-    held = _held(qs, side, f)
-    member = np.zeros((len(qs.universe), held.shape[1]))
-    member[rows] = held[[position[qs.universe[i].name] for i in rows]]
+def _stacked(systems: list[QuorumSystem], side: str, f: int) -> np.ndarray:
+    """``member[row, node, j]`` is 1 iff the j-th minimal f-resilient quorum
+    of ``side`` of the row's system holds the node, nodes in the universe
+    order of the first system, which every system shares. Rows with fewer
+    quorums are padded with all-ones quorums: one holds every node, so it
+    costs at least as much as any quorum and, coming last, changes neither
+    the least cost nor the first quorum that has it."""
+    masks = [qs.quorum_masks(side, f) for qs in systems]
+    position = {n.name: i for i, n in enumerate(systems[0].universe)}
+    member = np.ones((len(systems), len(position), max(map(len, masks))))
+    for row, (qs, m) in enumerate(zip(systems, masks)):
+        names = qs.side_names(side)
+        held = member[row, :, : len(m)]
+        held[:] = 0.0
+        held[[position[x] for x in names]] = _expr.mask_bits(np.array(m, dtype=np.int64), len(names))
     return member
+
+
+@lru_cache(maxsize=64)
+def _unit_loads(universe: tuple[Node, ...], w: Workload) -> np.ndarray:
+    """``unit[node, point, side]``: a node's load per unit of read (side 0)
+    or write (side 1) selection probability at each read fraction, nodes in
+    universe order, points in workload order. Read-only: every caller
+    shares it."""
+    unit = np.array([[(float(fr / n.read_cap), float((1 - fr) / n.write_cap))
+                      for fr, _ in w.items()] for n in universe])
+    unit.flags.writeable = False
+    return unit
 
 
 def uniform_strategy(qs: QuorumSystem, f: int = 0) -> Strategy:
@@ -332,13 +352,10 @@ def find_strategy(
     }
     limits = [(kind, limit) for kind, limit in limit_of.items() if limit is not None]
 
-    member = np.hstack([_membership(qs, "read", f), _membership(qs, "write", f)])
+    # member[node, column]: whether the column's quorum holds the node
+    member = np.hstack([_stacked([qs], side, f)[0] for side in ("read", "write")])
     used = np.flatnonzero(member.any(axis=1))
-    # coef[node, point, side]: the node's load per unit of selection probability
-    coef = np.array(
-        [[(float(fr / n.read_cap), float((1 - fr) / n.write_cap)) for fr, _ in points]
-         for n in (qs.universe[i] for i in used)]
-    )
+    coef = _unit_loads(qs.universe, w)[used]
     nload = len(used) * nl
     a_ub = np.zeros((nload + len(limits), nq + nl))
     a_ub[:nload, :nq] = (coef[:, :, is_write] * member[used, None, :]).reshape(nload, nq)
@@ -373,6 +390,131 @@ def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     return float(_expr.min_quorum_size(qs.side(side)))
 
 
+class Bound:
+    """What :func:`can_beat` knows of one quorum system: lower bounds on the
+    latency and network load of its strategies over the minimal f-resilient
+    quorums, each worked out once on first use, and ``load``, the per-point
+    load bound that :func:`ascend` leaves, or None before it runs."""
+
+    def __init__(self, qs: QuorumSystem, workload: WorkloadLike, f: int = 0):
+        self.qs = qs
+        self.f = f
+        self.load: np.ndarray | None = None
+        self._ef = float(Workload.coerce(workload).mean_read_fraction)
+        self._cost: dict[Objective, float] = {}
+
+    def cost(self, kind: Objective) -> float:
+        """Least expected latency or network load: ``E[f]*min_R size(R) +
+        (1-E[f])*min_W size(W)``, size being the quorum latency or node
+        count."""
+        if kind not in self._cost:
+            self._cost[kind] = (self._ef * _least_cost(self.qs, kind, "read", self.f)
+                                + (1 - self._ef) * _least_cost(self.qs, kind, "write", self.f))
+        return self._cost[kind]
+
+    def may_beat(self, objective: Objective, value: float | None,
+                 constraints: Constraints) -> bool:
+        """False when a side has no f-resilient quorum, or the latency and
+        network bounds alone show that no strategy meets the latency and
+        network limits and beats ``value``, a float or None as in
+        :func:`can_beat`."""
+        if self.f > 0 and self.qs.fault_tolerance() < self.f:
+            return False
+        if value is not None and objective is not Objective.LOAD:
+            if self.cost(objective) * _BELOW >= value:
+                return False
+        for kind, limit in ((Objective.LATENCY, constraints.latency_limit),
+                            (Objective.NETWORK, constraints.network_limit)):
+            if limit is not None and self.cost(kind) > (float(limit) + lp.FEASIBILITY_TOL) * _ABOVE:
+                return False
+        return True
+
+
+def _out_of_reach(load: np.ndarray, prob: np.ndarray, min_capacity: float | None,
+                  max_load: float | None) -> np.ndarray:
+    """Per row of per-point load bounds: whether capacity is at most
+    ``min_capacity`` or expected load above ``max_load``."""
+    out = np.zeros(load.shape[:-1], dtype=bool)
+    if min_capacity is not None:
+        out |= (prob * (1 / load)).sum(axis=-1) <= min_capacity
+    if max_load is not None:
+        out |= (prob * load).sum(axis=-1) > max_load
+    return out
+
+
+def _load_limits(objective: Objective, value: float | None,
+                 constraints: Constraints) -> tuple[float | None, float | None]:
+    """The capacity at or below which, and the expected load above which, a
+    quorum system is out of reach; None where no such limit applies."""
+    min_capacity = max_load = None
+    if value is not None and objective is Objective.LOAD:
+        min_capacity = value * _BELOW
+    if constraints.capacity_limit is not None:
+        max_load = (1 / float(constraints.capacity_limit) + 2 * lp.FEASIBILITY_TOL) * _ABOVE
+    return min_capacity, max_load
+
+
+def ascend(
+    bounds: list[Bound],
+    workload: WorkloadLike,
+    objective: Union[Objective, str],
+    value: Rational | None,
+    constraints: Constraints | None = None,
+) -> None:
+    """Set each bound's ``load`` by one multiplicative-weights ascent over
+    all of them at once (quorum systems over one universe, bounds of one f,
+    no system below it in fault tolerance); see :func:`can_beat` for the
+    bound. Does nothing unless the load objective or a capacity limit asks
+    for it.
+
+    The rows' node weights, quorum costs and membership are stacked along a
+    first axis, and every operation acts on each row alone, so a row gets
+    the bound of a batch of one, up to the rounding of the matrix product.
+    Membership is padded with all-ones quorums (:func:`_stacked`), which
+    changes no row's least cost or cheapest quorum. A row leaves the batch
+    as soon as it is out of reach against ``value`` or the capacity limit,
+    keeping the running maximum that showed it; the others take all
+    ``_ASCENT_STEPS`` steps. As the running maximum only grows, a row that
+    left is also out of reach against any value that beats ``value``.
+    """
+    objective = Objective(objective)
+    constraints = constraints or Constraints()
+    if not bounds or objective is not Objective.LOAD and constraints.capacity_limit is None:
+        return
+    w = Workload.coerce(workload)
+    value = None if value is None else float(as_fraction(value))
+    min_capacity, max_load = _load_limits(objective, value, constraints)
+    prob = np.array([float(p) for _, p in w.items()])
+    unit = _unit_loads(bounds[0].qs.universe, w)
+    read_unit, write_unit = unit[:, :, 0].T, unit[:, :, 1].T  # [point, node]
+    systems, f = [b.qs for b in bounds], bounds[0].f
+    read_in, write_in = _stacked(systems, "read", f), _stacked(systems, "write", f)
+    rows = np.arange(len(bounds))
+    mu = np.tile(1 / (read_unit + write_unit), (len(bounds), 1, 1))
+    best = np.zeros((len(bounds), len(prob)))
+    for step in range(_ASCENT_STEPS + 1):
+        mu /= mu.sum(axis=2, keepdims=True)
+        # cost[row, point, quorum]: the mu-weighted load of the quorum's nodes
+        read_cost = (mu * read_unit) @ read_in
+        write_cost = (mu * write_unit) @ write_in
+        np.maximum(best, read_cost.min(axis=2) + write_cost.min(axis=2), out=best)
+        done = _out_of_reach(best, prob, min_capacity, max_load) | (step == _ASCENT_STEPS)
+        for i in np.flatnonzero(done):
+            bounds[rows[i]].load = best[i].copy()
+        if done.all():
+            return
+        if done.any():
+            keep = ~done
+            rows, mu, best = rows[keep], mu[keep], best[keep]
+            read_in, write_in = read_in[keep], write_in[keep]
+            read_cost, write_cost = read_cost[keep], write_cost[keep]
+        pick = np.arange(len(rows))[:, None]
+        # [row, point, node]: membership of each point's cheapest quorum
+        gain = read_unit * read_in[pick, :, read_cost.argmin(axis=2)]
+        gain += write_unit * write_in[pick, :, write_cost.argmin(axis=2)]
+        mu *= np.exp(gain / gain.max(axis=2, keepdims=True) / math.sqrt(step + 1))
+
+
 def can_beat(
     qs: QuorumSystem,
     workload: WorkloadLike,
@@ -380,32 +522,38 @@ def can_beat(
     value: Rational | None,
     f: int = 0,
     constraints: Constraints | None = None,
+    *,
+    bound: Bound | None = None,
 ) -> bool:
     """False only when no strategy over the minimal f-resilient quorums of
     ``qs`` both meets ``constraints`` and strictly beats ``value``: a
     capacity above it for the load objective, a latency or network load
     below it otherwise. A ``value`` of None is beaten by any strategy that
-    meets the constraints.
+    meets the constraints. ``bound``, if given, is the :class:`Bound` of
+    ``qs`` for this workload and f, with ``load`` set by :func:`ascend`
+    against ``value`` or a value that ``value`` beats, or not at all;
+    otherwise ``qs`` gets its own, as a batch of one.
 
-    Latency and network load are at least ``E[f]*min_R size(R) +
-    (1-E[f])*min_W size(W)``, size being the quorum latency or node count;
-    for f = 0 each minimum is one pass over the side's expression tree, so
-    no quorum is enumerated. For load, at read fraction fr and for any node
-    weights mu >= 0 summing to 1, the busiest node carries at least the
-    mu-average node load, which is at least ``lb_fr(mu) = fr*min_R sum_{x in
-    R} mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
+    Latency and network load are at least :meth:`Bound.cost`; for f = 0
+    each side's minimum is one pass over its expression tree, so no quorum
+    is enumerated. For load, at read fraction fr and for any node weights
+    mu >= 0 summing to 1, the busiest node carries at least the mu-average
+    node load, which is at least ``lb_fr(mu) = fr*min_R sum_{x in R}
+    mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
     duality; Naor & Wool 1998). So capacity is at most ``sum_fr p_fr /
     lb_fr`` and expected load at least ``sum_fr p_fr * lb_fr``, which a
     capacity limit c bounds by 1/c. mu starts proportional to each node's
     capacity at fr and takes up to ``_ASCENT_STEPS`` multiplicative-weights
     steps toward the nodes of the cheapest quorums (Arora, Hazan & Kale
-    2012), stopping once the candidate is ruled out.
+    2012), keeping the largest lb_fr seen. :func:`ascend` runs these steps
+    for a batch of systems at once, and a row leaves the batch as soon as
+    it is ruled out, so the ascent stops early for a system out of reach.
 
     The checks run cheapest first: whether each side has an f-resilient
     quorum (its fault tolerance), the latency or network objective, the
-    latency and network limits, and last the load ascent, which enumerates
-    the quorums and runs only for the load objective or a capacity limit,
-    on the candidates that survived the checks before it.
+    latency and network limits, and last the load bound, which enumerates
+    the quorums and is needed only for the load objective or a capacity
+    limit, on the systems that survived the checks before it.
 
     An LP strategy's distributions may each sum to 1 within
     ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
@@ -425,55 +573,17 @@ def can_beat(
     objective = Objective(objective)
     constraints = constraints or Constraints()
     value = None if value is None else float(as_fraction(value))
-    below, above = float(1 - _BOUND_MARGIN), float(1 + _BOUND_MARGIN)
-
-    @cache
-    def bound(kind: Objective) -> float:
-        ef = float(w.mean_read_fraction)
-        return (ef * _least_cost(qs, kind, "read", f)
-                + (1 - ef) * _least_cost(qs, kind, "write", f))
-
-    if value is not None and objective is not Objective.LOAD:
-        if bound(objective) * below >= value:
-            return False
-    tol = lp.FEASIBILITY_TOL
-    for kind, limit in ((Objective.LATENCY, constraints.latency_limit),
-                        (Objective.NETWORK, constraints.network_limit)):
-        if limit is not None and bound(kind) > (float(limit) + tol) * above:
-            return False
-
-    # Out of reach: capacity at most min_capacity, or expected load above max_load.
-    min_capacity = max_load = None
-    if value is not None and objective is Objective.LOAD:
-        min_capacity = value * below
-    if constraints.capacity_limit is not None:
-        max_load = (1 / float(constraints.capacity_limit) + 2 * tol) * above
+    if bound is None:
+        bound = Bound(qs, w, f)
+    if not bound.may_beat(objective, value, constraints):
+        return False
+    min_capacity, max_load = _load_limits(objective, value, constraints)
     if min_capacity is None and max_load is None:
         return True
-
-    points = w.items()
-    fr = np.array([float(x) for x, _ in points])[:, None]
-    prob = np.array([float(p) for _, p in points])
-    # unit[fraction, node]: the node's load per unit of read or write selection
-    read_unit = fr * np.array([float(1 / n.read_cap) for n in qs.universe])
-    write_unit = (1 - fr) * np.array([float(1 / n.write_cap) for n in qs.universe])
-    read_in, write_in = _membership(qs, "read", f), _membership(qs, "write", f)
-    read_of, write_of = read_in.T.copy(), write_in.T.copy()  # quorum -> node row
-    mu = 1 / (read_unit + write_unit)
-    best = np.zeros(len(points))
-    for step in range(_ASCENT_STEPS + 1):
-        mu /= mu.sum(axis=1, keepdims=True)
-        read_cost = (mu * read_unit) @ read_in
-        write_cost = (mu * write_unit) @ write_in
-        np.maximum(best, read_cost.min(axis=1) + write_cost.min(axis=1), out=best)
-        if min_capacity is not None and prob @ (1 / best) <= min_capacity:
-            return False
-        if max_load is not None and prob @ best > max_load:
-            return False
-        gain = read_unit * read_of[read_cost.argmin(axis=1)]
-        gain += write_unit * write_of[write_cost.argmin(axis=1)]
-        mu *= np.exp(gain / gain.max(axis=1, keepdims=True) / math.sqrt(step + 1))
-    return True
+    if bound.load is None:
+        ascend([bound], w, objective, value, constraints)
+    prob = np.array([float(p) for _, p in w.items()])
+    return not _out_of_reach(bound.load, prob, min_capacity, max_load)
 
 
 def capacity_curve(

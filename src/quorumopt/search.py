@@ -24,6 +24,15 @@ Each bound holds for every strategy the LP could return, allowing by
 rounding, and for a limit also for the solver's tolerance on its row. A tie
 never replaces the incumbent, so the winner, its strategy and its metric
 are the ones the search without the bounds finds.
+
+Candidates are taken ``_BLOCK`` at a time. A block's tree bounds are worked
+out once per candidate, and one load-bound ascent
+(:func:`~quorumopt.optimize.ascend`) runs over all of its candidates that
+the tree bounds leave in play against the incumbent the block started
+with; a candidate leaves the ascent once it is ruled out against that
+incumbent. The block is then decided in emission order against the
+incumbent of the moment, which gives the decisions of a search that takes
+one candidate at a time (see :func:`search`).
 """
 
 from __future__ import annotations
@@ -44,11 +53,21 @@ from .errors import (
     NoResilientQuorum,
 )
 from .model import Node, QuorumSystem, Workload, WorkloadLike
-from .optimize import Constraints, Objective, Strategy, can_beat, find_strategy
+from .optimize import (
+    Bound,
+    Constraints,
+    Objective,
+    Strategy,
+    ascend,
+    can_beat,
+    find_strategy,
+)
 
 # Set partitions grow super-exponentially (Bell numbers); past 8 nodes full
 # enumeration stops being a desk-scale computation.
 SEARCH_NODE_BOUND = 8
+# Candidates taken from the stream at a time; see search().
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -180,6 +199,19 @@ def search(
     exhaustion the best result so far is returned; if nothing feasible was
     found, NoFeasibleCandidate is raised.
 
+    Candidates are taken from the stream ``_BLOCK`` at a time, and each
+    one's quorum system is built once. A block's load bounds come from one
+    ascent against the incumbent at the start of the block, and each
+    candidate is then decided against the incumbent of the moment. This
+    decides as a search one candidate at a time does: the incumbent only
+    improves and an ascent's running maximum only grows, so a candidate
+    ruled out against the block's first incumbent is ruled out against any
+    later one, and a candidate that took every ascent step is decided on
+    the bound that the one-at-a-time ascent ends with. The budget and the
+    timeout are checked before each candidate is taken, so a budget stops
+    the stream exactly; a block once taken is decided in full, so a search
+    can run past its timeout by the bounds and LPs of one block.
+
     The load objective maximizes capacity; latency and network objectives
     minimize their metric. Ties keep the earliest candidate, so results are
     reproducible under a candidate budget.
@@ -187,33 +219,41 @@ def search(
     options = options or SearchOptions()
     w = Workload.coerce(workload)
     names = sorted(node.name for node in universe)
+    objective, constraints, f = options.objective, options.constraints, options.f
 
     start = time.monotonic()
     best: SearchResult | None = None
     examined = 0
-    for reads in enumerate_candidates(names):
-        if options.budget is not None and examined >= options.budget:
-            break
-        if options.timeout is not None and time.monotonic() - start >= options.timeout:
-            break
-        examined += 1
-        qs = QuorumSystem(universe, reads=reads)
-        if qs.fault_tolerance() < options.min_fault_tolerance:
-            continue
-        try:
-            incumbent = None if best is None else best.metric_value
-            if not can_beat(
-                qs, w, options.objective, incumbent, options.f, options.constraints
-            ):
+
+    def reached() -> Iterator[QuorumSystem]:
+        nonlocal examined
+        for reads in enumerate_candidates(names):
+            if options.budget is not None and examined >= options.budget:
+                return
+            if options.timeout is not None and time.monotonic() - start >= options.timeout:
+                return
+            examined += 1
+            yield QuorumSystem(universe, reads=reads)
+
+    systems = reached()
+    while block := list(itertools.islice(systems, _BLOCK)):
+        bounds = [Bound(qs, w, f) for qs in block
+                  if qs.fault_tolerance() >= options.min_fault_tolerance]
+        incumbent = None if best is None else float(best.metric_value)
+        ascend([b for b in bounds if b.may_beat(objective, incumbent, constraints)],
+               w, objective, incumbent, constraints)
+        for bound in bounds:
+            qs = bound.qs
+            try:
+                incumbent = None if best is None else best.metric_value
+                if not can_beat(qs, w, objective, incumbent, f, constraints, bound=bound):
+                    continue
+                sigma = find_strategy(qs, w, objective, constraints, f=f)
+            except (Infeasible, NoResilientQuorum):
                 continue
-            sigma = find_strategy(
-                qs, w, options.objective, options.constraints, f=options.f
-            )
-        except (Infeasible, NoResilientQuorum):
-            continue
-        value = _metric(sigma, w, options.objective)
-        if best is None or _better(options.objective, value, best.metric_value):
-            best = SearchResult(qs, sigma, value, examined)
+            value = _metric(sigma, w, objective)
+            if best is None or _better(objective, value, best.metric_value):
+                best = SearchResult(qs, sigma, value, examined)
     if best is None:
         raise NoFeasibleCandidate(
             f"no feasible quorum system among {examined} candidates"

@@ -1,7 +1,9 @@
 """Strategy optimization: the LP, metrics, and their invariants."""
 
 import itertools
+import statistics
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,13 +13,16 @@ from hypothesis import strategies as st
 
 from exprgen import duplicate_free_expressions, expressions
 from quorumopt import lp
+from quorumopt.cli import load_config
 from quorumopt.errors import DomainError, Infeasible, NoResilientQuorum, SolverFailure
 from quorumopt.expr import min_quorum_latency
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import (
+    Bound,
     Constraints,
     Objective,
     Strategy,
+    ascend,
     can_beat,
     capacity_curve,
     find_strategy,
@@ -501,6 +506,38 @@ class TestCanBeat:
         for objective in Objective:
             assert can_beat(big, Fraction(1, 2), objective, None, constraints=near)
             assert not can_beat(big, Fraction(1, 2), objective, None, constraints=far)
+
+
+class TestBlockAscent:
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_each_row_is_its_bound_alone(self, f):
+        # The case-study candidates with an f-resilient quorum (885 at f = 0,
+        # 293 at f = 1) in one batch, against each one alone. Their quorum
+        # counts differ, so short rows are padded.
+        config = load_config(str(Path(__file__).parent / "data" / "case_study_search.json"))
+        w = config.workload
+        systems = [QuorumSystem(config.nodes, reads=e)
+                   for e in enumerate_candidates([n.name for n in config.nodes])]
+        systems = [qs for qs in systems if qs.fault_tolerance() >= f]
+        assert len(systems) == {0: 885, 1: 293}[f]
+        assert len({len(qs.quorum_masks("read", f)) for qs in systems}) > 1
+        batch = [Bound(qs, w, f) for qs in systems]
+        ascend(batch, w, "load", None)
+        for b in batch:
+            alone = Bound(b.qs, w, f)
+            ascend([alone], w, "load", None)
+            assert np.allclose(b.load, alone.load, rtol=1e-12, atol=0), b.qs.reads
+        # Decisions against a capacity that about half the rows reach, and
+        # against a capacity limit, with the batch's bounds and alone.
+        prob = np.array([float(p) for _, p in w.items()])
+        capacity = statistics.median(float(prob @ (1 / b.load)) for b in batch)
+        for objective, value, limits in (
+            ("load", capacity, Constraints()),
+            ("network", None, Constraints(capacity_limit=capacity)),
+        ):
+            decided = [can_beat(b.qs, w, objective, value, f, limits, bound=b) for b in batch]
+            assert decided == [can_beat(qs, w, objective, value, f, limits) for qs in systems]
+            assert 0 < sum(decided) < len(decided)
 
 
 class TestCapacityCurve:

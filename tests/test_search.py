@@ -5,6 +5,7 @@ import hashlib
 import importlib
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from exprgen import duplicate_free_expressions
 from quorumopt.cli import load_config
-from quorumopt.errors import DomainError, NoFeasibleCandidate
+from quorumopt.errors import DomainError, Infeasible, NoFeasibleCandidate, NoResilientQuorum
 from quorumopt.expr import minimal_sets, parse
 from quorumopt.model import Node, QuorumSystem, Workload
-from quorumopt.optimize import Constraints, find_strategy
+from quorumopt.optimize import Constraints, can_beat, find_strategy
 from quorumopt.oracle import exhaustive_fault_tolerance, strategy_metric_recompute, truth_table
 from quorumopt.search import SearchOptions, enumerate_candidates, search
 
@@ -329,3 +330,101 @@ class TestBoundPruning:
         search(config.nodes, config.workload, options)
         assert solves.count("Infeasible") == 1
         assert len(solves) == 57
+
+
+def reference_solves(nodes, w, options):
+    """The candidates that a search taking one candidate at a time hands to
+    find_strategy: can_beat on each, against the incumbent of the moment.
+    Also the stream positions where the incumbent improved."""
+    best, solved, improved = None, [], []
+    for i, reads in enumerate(enumerate_candidates([n.name for n in nodes])):
+        qs = QuorumSystem(nodes, reads=reads)
+        if qs.fault_tolerance() < options.min_fault_tolerance:
+            continue
+        try:
+            if not can_beat(qs, w, options.objective, best, options.f, options.constraints):
+                continue
+            solved.append(str(qs.reads))
+            sigma = find_strategy(qs, w, options.objective, options.constraints, f=options.f)
+        except (Infeasible, NoResilientQuorum):
+            continue
+        value = search_module._metric(sigma, w, options.objective)
+        if best is None or search_module._better(options.objective, value, best):
+            best = value
+            improved.append(i)
+    return solved, improved
+
+
+class TestBlocks:
+    def test_same_lps_as_one_candidate_at_a_time(self, monkeypatch):
+        config = load_config(str(DATA / "case_study_search.json"))
+        # A five-node universe whose load search improves twice inside its
+        # second block, whose ascent ran against an older incumbent.
+        caps = [(200, 50), (100, 100), (200, 50), (25, Fraction(25, 4)), (200, 50)]
+        hetero = [Node(x, read_cap=r, write_cap=wc) for x, (r, wc) in zip("abcde", caps)]
+        hetero_w = Workload.from_weights(
+            {Fraction(1, 10): 1, Fraction(1, 2): 2, Fraction(9, 10): 1})
+        runs = [
+            (config.nodes, config.workload, SearchOptions(min_fault_tolerance=1)),
+            (config.nodes, config.workload,
+             SearchOptions(objective="latency", constraints=Constraints(capacity_limit=3000))),
+            (hetero, hetero_w, SearchOptions()),
+        ]
+        block = search_module._BLOCK
+        for nodes, w, options in runs:
+            expected, improved = reference_solves(nodes, w, options)
+            reached = []
+
+            def recording(qs, *args, **kwargs):
+                reached.append(str(qs.reads))
+                return find_strategy(qs, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(search_module, "find_strategy", recording)
+                search(nodes, w, options)
+            assert reached == expected
+            if nodes is hetero:
+                assert any(i > block and i % block for i in improved), improved
+
+
+def fake_clock(monkeypatch):
+    """Make search's clock read the number of quorum systems it has built,
+    so a timeout of k - 1/2 expires after k candidates."""
+    built = []
+
+    def building(*args, **kwargs):
+        built.append(None)
+        return QuorumSystem(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "QuorumSystem", building)
+    monkeypatch.setattr(search_module, "time", SimpleNamespace(monotonic=lambda: len(built)))
+    return built
+
+
+class TestTimeout:
+    @pytest.mark.parametrize("reached", [40, 300])
+    def test_returns_the_best_of_the_candidates_reached(self, monkeypatch, reached):
+        # 300 candidates end inside the second block.
+        config = load_config(str(DATA / "case_study_search.json"))
+        options = dict(min_fault_tolerance=1)
+        built = fake_clock(monkeypatch)
+        result = search(config.nodes, config.workload,
+                        SearchOptions(timeout=reached - 0.5, **options))
+        assert result.candidates_examined == len(built) == reached
+        budget = search(config.nodes, config.workload,
+                        SearchOptions(budget=reached, **options))
+        assert (str(result.qs.reads), result.metric_value) == (
+            str(budget.qs.reads), budget.metric_value)
+        # The best of those candidates, every LP solved.
+        monkeypatch.setattr(search_module, "can_beat", lambda *args, **kwargs: True)
+        solved = search(config.nodes, config.workload,
+                        SearchOptions(budget=reached, **options))
+        assert (str(result.qs.reads), result.metric_value) == (
+            str(solved.qs.reads), solved.metric_value)
+
+    def test_expiry_before_a_feasible_candidate(self, monkeypatch):
+        # The first two candidates, a + b + c + d and a*b*c*d, tolerate no fault.
+        built = fake_clock(monkeypatch)
+        with pytest.raises(NoFeasibleCandidate, match="among 2 candidates"):
+            search(hetero_nodes(), 1, SearchOptions(min_fault_tolerance=1, timeout=1.5))
+        assert len(built) == 2
