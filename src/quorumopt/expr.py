@@ -44,8 +44,20 @@ class Expression:
         return and_(self, other)
 
     def evaluate(self, alive: AbstractSet[str]) -> bool:
-        """True iff ``alive`` is a quorum of this expression."""
-        raise NotImplementedError
+        """True iff ``alive`` is a quorum of this expression: for a composite
+        node, iff at least :func:`threshold` of its children hold, deciding
+        at the first child that settles it either way."""
+        need = threshold(self)  # children that must still hold
+        spare = len(self.children) - need  # children that may still fail
+        for c in self.children:
+            if c.evaluate(alive):
+                need -= 1
+                if need == 0:
+                    return True
+            elif spare == 0:
+                return False
+            else:
+                spare -= 1
 
     def dual(self) -> "Expression":
         """Swap and/or (thresholds flip k to n-k+1).
@@ -118,9 +130,6 @@ class Or(Expression):
         object.__setattr__(self, "children", tuple(self.children))
         _check_children(self.children, "Or")
 
-    def evaluate(self, alive: AbstractSet[str]) -> bool:
-        return any(c.evaluate(alive) for c in self.children)
-
     def dual(self) -> Expression:
         return And(tuple(c.dual() for c in self.children))
 
@@ -135,9 +144,6 @@ class And(Expression):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         _check_children(self.children, "And")
-
-    def evaluate(self, alive: AbstractSet[str]) -> bool:
-        return all(c.evaluate(alive) for c in self.children)
 
     def dual(self) -> Expression:
         return Or(tuple(c.dual() for c in self.children))
@@ -164,15 +170,6 @@ class Choose(Expression):
                 f"choose threshold must satisfy 1 <= k <= {len(self.children)}, got {self.k}"
             )
 
-    def evaluate(self, alive: AbstractSet[str]) -> bool:
-        need = self.k
-        for c in self.children:
-            if c.evaluate(alive):
-                need -= 1
-                if need == 0:
-                    return True
-        return False
-
     def dual(self) -> Expression:
         n = len(self.children)
         return Choose(n - self.k + 1, tuple(c.dual() for c in self.children))
@@ -184,28 +181,19 @@ class Choose(Expression):
 
 def or_(*exprs: Expression) -> Expression:
     """Disjunction; splices nested Or children so a+b+c is one node."""
-    flat: list[Expression] = []
-    for e in exprs:
-        if isinstance(e, Or):
-            flat.extend(e.children)
-        else:
-            flat.append(e)
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    flat = _splice(Or, exprs)
+    return flat[0] if len(flat) == 1 else Or(tuple(flat))
 
 
 def and_(*exprs: Expression) -> Expression:
     """Conjunction; splices nested And children so a*b*c is one node."""
-    flat: list[Expression] = []
-    for e in exprs:
-        if isinstance(e, And):
-            flat.extend(e.children)
-        else:
-            flat.append(e)
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    flat = _splice(And, exprs)
+    return flat[0] if len(flat) == 1 else And(tuple(flat))
+
+
+def _splice(kind: type, exprs: Iterable[Expression]) -> list[Expression]:
+    """``exprs`` with each ``kind`` node replaced by its children."""
+    return [c for e in exprs for c in (e.children if isinstance(e, kind) else (e,))]
 
 
 def choose(k: int, exprs: Sequence[Expression]) -> Expression:
@@ -378,17 +366,8 @@ def canonical(e: Expression) -> Expression:
     children = [canonical(c) for c in e.children]
     if isinstance(e, Choose) and 1 < e.k < len(children):
         return Choose(e.k, tuple(sorted(children, key=str)))
-    as_or = isinstance(e, Or) or (isinstance(e, Choose) and e.k == 1)
-    flat: list[Expression] = []
-    for c in children:
-        if as_or and isinstance(c, Or):
-            flat.extend(c.children)
-        elif not as_or and isinstance(c, And):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    ordered = tuple(sorted(flat, key=str))
-    return Or(ordered) if as_or else And(ordered)
+    kind = Or if threshold(e) == 1 else And
+    return kind(tuple(sorted(_splice(kind, children), key=str)))
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,6 @@ class QuorumSystem:
         except KeyError:
             raise UnknownNode(f"no node named {name!r}") from None
 
-    def node_names(self) -> list[str]:
-        return sorted(self._nodes)
-
     def __repr__(self) -> str:
         return f"QuorumSystem(reads={self.reads}, writes={self.writes})"
 
@@ -300,19 +297,23 @@ class QuorumSystem:
 
     def is_resilient(self, side: str, quorum: AbstractSet[str], f: int) -> bool:
         """True iff ``quorum`` stays a quorum of ``side`` after the removal of
-        any f of its nodes, so never for f or fewer nodes: iff it shares more
-        than f nodes with each minimal quorum of the side's dual, the minimal
-        sets that meet every quorum (Ibaraki & Kameda 1993). Exact for every
-        expression."""
-        (s,) = _expr.to_masks([frozenset(quorum)], self.side_names(side))
-        return all((s & d).bit_count() > f for d in self._dual(side))
+        any f of its nodes, so never for f or fewer nodes: iff it holds one
+        of the side's minimal f-resilient quorums (:meth:`quorum_masks`),
+        which the first call for a (side, f) sweeps for. False for every set
+        past the side's fault tolerance; a negative f raises DomainError."""
+        try:
+            masks = self.quorum_masks(side, f)
+        except NoResilientQuorum:
+            return False
+        (s,) = _expr.to_masks([quorum], self._names[side])
+        return any(s & m == m for m in masks)
 
     def resilient_quorums(self, side: str, f: int) -> list[frozenset[str]]:
         """Inclusion-minimal quorums of ``side`` that survive the removal of
         any f of their nodes, in canonical order; for f = 0, the minimal
-        quorums. For f > 0, :func:`expr.minimal_transversals` tests every set
-        of the side's names as :meth:`is_resilient` does, in one vectorised
-        sweep, once per (side, f); each call gets a copy."""
+        quorums. For f > 0, :func:`expr.minimal_transversals` finds them in
+        one vectorised sweep of every set of the side's names, once per
+        (side, f); each call gets a copy."""
         if f == 0:
             return self.minimal_quorums(side)
         if (side, f) not in self._sets:

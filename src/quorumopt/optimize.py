@@ -95,6 +95,11 @@ def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fracti
     return fastest
 
 
+def _shares(fr: Fraction) -> dict[str, Fraction]:
+    """Each side's share of the operations at read fraction ``fr``."""
+    return {"read": fr, "write": 1 - fr}
+
+
 class Strategy:
     """Probability distributions over read and write quorums of a quorum
     system, with exact metric recomputation."""
@@ -108,8 +113,8 @@ class Strategy:
     ):
         self._qs = qs
         self._f = f
-        self._read_dist = self._normalize(read_dist, "read")
-        self._write_dist = self._normalize(write_dist, "write")
+        self._dist = {"read": self._normalize(read_dist, "read"),
+                      "write": self._normalize(write_dist, "write")}
 
     def _normalize(self, dist, side: str) -> tuple[tuple[frozenset[str], Fraction], ...]:
         e = self._qs.side(side)
@@ -121,7 +126,8 @@ class Strategy:
                 raise DomainError(f"probability {prob} is outside [0, 1]")
             if not e.evaluate(quorum):
                 raise DomainError(f"{set(quorum)} is not a {side} quorum")
-            if self._f > 0 and not self._qs.is_resilient(side, quorum, self._f):
+            # is_resilient raises DomainError for a negative f
+            if self._f != 0 and not self._qs.is_resilient(side, quorum, self._f):
                 raise DomainError(
                     f"{set(quorum)} is not {self._f}-resilient on the {side} side"
                 )
@@ -142,11 +148,11 @@ class Strategy:
 
     @property
     def read_dist(self) -> list[tuple[frozenset[str], Fraction]]:
-        return list(self._read_dist)
+        return list(self._dist["read"])
 
     @property
     def write_dist(self) -> list[tuple[frozenset[str], Fraction]]:
-        return list(self._write_dist)
+        return list(self._dist["write"])
 
     def __repr__(self) -> str:
         def fmt(dist):
@@ -154,40 +160,34 @@ class Strategy:
                 f"{{{', '.join(sorted(q))}}}: {p}" for q, p in dist
             ) + "}"
 
-        return f"Strategy(reads={fmt(self._read_dist)}, writes={fmt(self._write_dist)})"
+        return f"Strategy(reads={fmt(self._dist['read'])}, writes={fmt(self._dist['write'])})"
 
     # -- node selection masses ----------------------------------------------
 
     @cached_property
-    def _read_mass(self) -> dict[str, Fraction]:
-        mass: dict[str, Fraction] = {}
-        for quorum, p in self._read_dist:
-            for x in quorum:
-                mass[x] = mass.get(x, Fraction(0)) + p
-        return mass
-
-    @cached_property
-    def _write_mass(self) -> dict[str, Fraction]:
-        mass: dict[str, Fraction] = {}
-        for quorum, p in self._write_dist:
-            for x in quorum:
-                mass[x] = mass.get(x, Fraction(0)) + p
+    def _mass(self) -> dict[str, dict[str, Fraction]]:
+        """Per side, each node's selection probability, for the nodes of
+        some quorum of the side's distribution."""
+        mass: dict[str, dict[str, Fraction]] = {}
+        for side, dist in self._dist.items():
+            mass[side] = side_mass = {}
+            for quorum, p in dist:
+                for x in quorum:
+                    side_mass[x] = side_mass.get(x, Fraction(0)) + p
         return mass
 
     def _node_load_at(self, name: str, fr: Fraction) -> Fraction:
         node = self._qs.node(name)
-        rm = self._read_mass.get(name, Fraction(0))
-        wm = self._write_mass.get(name, Fraction(0))
-        return fr * rm / node.read_cap + (1 - fr) * wm / node.write_cap
+        cap = {"read": node.read_cap, "write": node.write_cap}
+        read, write = (share * self._mass[side].get(name, 0) / cap[side]
+                       for side, share in _shares(fr).items())
+        return read + write
 
     def load_at(self, fr: Rational) -> Fraction:
         """Per-fraction load: utilization of the busiest node."""
         fr = as_fraction(fr)
-        return max(
-            self._node_load_at(n.name, fr)
-            for n in self._qs.universe
-            if n.name in self._read_mass or n.name in self._write_mass
-        )
+        used = set().union(*self._mass.values())
+        return max(self._node_load_at(n.name, fr) for n in self._qs.universe if n.name in used)
 
     # -- workload-level metrics ----------------------------------------------
 
@@ -204,46 +204,38 @@ class Strategy:
         return sum(p * self._node_load_at(name, fr) for fr, p in w.items())
 
     def latency(self, workload: WorkloadLike) -> Fraction:
-        w = Workload.coerce(workload)
-        ef = w.mean_read_fraction
-        read = sum(p * quorum_latency(self._qs, "read", q) for q, p in self._read_dist)
-        write = sum(p * quorum_latency(self._qs, "write", q) for q, p in self._write_dist)
-        return ef * read + (1 - ef) * write
+        return self._expected(workload, lambda side, q: quorum_latency(self._qs, side, q))
 
     def network_load(self, workload: WorkloadLike) -> Fraction:
-        w = Workload.coerce(workload)
-        ef = w.mean_read_fraction
-        read = sum(p * len(q) for q, p in self._read_dist)
-        write = sum(p * len(q) for q, p in self._write_dist)
-        return ef * read + (1 - ef) * write
+        return self._expected(workload, lambda side, q: len(q))
 
-
-def _held(qs: QuorumSystem, side: str, f: int) -> np.ndarray:
-    """``held[i, j]`` is 1 iff the j-th minimal f-resilient quorum of ``side``
-    holds the i-th of ``qs.side_names(side)``."""
-    masks = np.array(qs.quorum_masks(side, f), dtype=np.int64)
-    return _expr.mask_bits(masks, len(qs.side_names(side)))
+    def _expected(self, workload: WorkloadLike, cost) -> Fraction:
+        """E[f] times the expected ``cost(side, quorum)`` of the read
+        distribution, plus 1 - E[f] times that of the write distribution."""
+        share = _shares(Workload.coerce(workload).mean_read_fraction)
+        read, write = (share[side] * sum(p * cost(side, q) for q, p in dist)
+                       for side, dist in self._dist.items())
+        return read + write
 
 
 def _quorum_metric(
-    qs: QuorumSystem, kind: Objective, side: str, f: int
+    qs: QuorumSystem, kind: Objective, side: str, held: np.ndarray
 ) -> tuple[np.ndarray, list[Fraction] | range]:
-    """The latency or node count of each minimal f-resilient quorum of
-    ``side``, as indices into a list of exact values.
+    """The latency or node count of each quorum of ``side`` that a column of
+    ``held[node, quorum]`` gives, nodes in universe order (:func:`_stacked`),
+    as indices into a list of exact values.
 
     Latency is :func:`quorum_latency` on every quorum in one tree pass: a
     variable gives its latency's rank among the side's distinct latencies
     where the quorum holds it, else a rank past them all, and a node that
     takes k children the k-th smallest child rank."""
     names = qs.side_names(side)
-    held = _held(qs, side, f)
     if kind is Objective.NETWORK:
-        return held.sum(axis=0), range(len(names) + 1)
+        return held.sum(axis=0).astype(int), range(len(names) + 1)
     values = sorted({qs.node(x).latency for x in names})
     rank = {v: i for i, v in enumerate(values)}
-    ranks = {
-        x: np.where(held[i], rank[qs.node(x).latency], len(values)) for i, x in enumerate(names)
-    }
+    ranks = {n.name: np.where(held[i], rank[n.latency], len(values))
+             for i, n in enumerate(qs.universe) if n.name in names}
 
     def fastest(e: _expr.Expression) -> np.ndarray:
         if isinstance(e, _expr.Var):
@@ -286,14 +278,8 @@ def _unit_loads(universe: tuple[Node, ...], w: Workload) -> np.ndarray:
 
 def uniform_strategy(qs: QuorumSystem, f: int = 0) -> Strategy:
     """Every minimal (f-resilient) quorum of each side equally likely."""
-    reads = qs.resilient_quorums("read", f)
-    writes = qs.resilient_quorums("write", f)
-    return Strategy(
-        qs,
-        [(q, Fraction(1, len(reads))) for q in reads],
-        [(q, Fraction(1, len(writes))) for q in writes],
-        f=f,
-    )
+    pools = [qs.resilient_quorums(side, f) for side in ("read", "write")]
+    return Strategy(qs, *[[(q, Fraction(1, len(pool))) for q in pool] for pool in pools], f=f)
 
 
 def find_strategy(
@@ -326,21 +312,22 @@ def find_strategy(
     objective = Objective(objective)
     constraints = constraints or Constraints()
 
-    read_pool = qs.resilient_quorums("read", f)
-    write_pool = qs.resilient_quorums("write", f)
-    columns = [("read", q) for q in read_pool] + [("write", q) for q in write_pool]
-    is_write = np.repeat([0, 1], [len(read_pool), len(write_pool)])
+    pools = {side: qs.resilient_quorums(side, f) for side in ("read", "write")}
+    columns = [(side, q) for side, pool in pools.items() for q in pool]
+    is_write = np.repeat([0, 1], [len(pool) for pool in pools.values()])
     points = w.items()
     nq, nl = len(columns), len(points)
-    share = {"read": w.mean_read_fraction, "write": 1 - w.mean_read_fraction}
+    share = _shares(w.mean_read_fraction)
+    # held[side][node, j]: whether the side's j-th quorum holds the node
+    held = {side: _stacked([qs], side, f)[0] for side in pools}
 
     @cache
     def cost(kind: Objective) -> np.ndarray:
         if kind is Objective.LOAD:
             return np.array([0.0] * nq + [float(p) for _, p in points])
         parts = []
-        for s in ("read", "write"):
-            index, values = _quorum_metric(qs, kind, s, f)
+        for s in pools:
+            index, values = _quorum_metric(qs, kind, s, held[s])
             parts.append(np.array([float(share[s] * v) for v in values])[index])
         return np.concatenate(parts + [np.zeros(nl)])
 
@@ -352,8 +339,7 @@ def find_strategy(
     }
     limits = [(kind, limit) for kind, limit in limit_of.items() if limit is not None]
 
-    # member[node, column]: whether the column's quorum holds the node
-    member = np.hstack([_stacked([qs], side, f)[0] for side in ("read", "write")])
+    member = np.hstack(list(held.values()))  # [node, column]
     used = np.flatnonzero(member.any(axis=1))
     coef = _unit_loads(qs.universe, w)[used]
     nload = len(used) * nl
@@ -370,19 +356,19 @@ def find_strategy(
     bounds[:, 1] = np.repeat([1.0, np.inf], [nq, nl])
 
     x = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds)
-    dist = {"read": [], "write": []}
+    dist = {side: [] for side in pools}
     for (s, quorum), p in zip(columns, x):
         p = min(float(p), 1.0)  # solver round-off can spill past 1
         if p > 1e-9:
             dist[s].append((quorum, Fraction(p)))
-    return Strategy(qs, dist["read"], dist["write"], f=f)
+    return Strategy(qs, *dist.values(), f=f)
 
 
 def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     """The least latency or node count of a minimal f-resilient quorum of
     ``side``; for f = 0, computed on the expression tree."""
     if f > 0:
-        index, values = _quorum_metric(qs, kind, side, f)
+        index, values = _quorum_metric(qs, kind, side, _stacked([qs], side, f)[0])
         return float(values[index.min()])
     if kind is Objective.LATENCY:
         latency = {n.name: float(n.latency) for n in qs.universe}
@@ -485,19 +471,18 @@ def ascend(
     value = None if value is None else float(as_fraction(value))
     min_capacity, max_load = _load_limits(objective, value, constraints)
     prob = np.array([float(p) for _, p in w.items()])
-    unit = _unit_loads(bounds[0].qs.universe, w)
-    read_unit, write_unit = unit[:, :, 0].T, unit[:, :, 1].T  # [point, node]
+    # read and write pairs: unit[point, node] and member[row, node, quorum]
+    unit = tuple(_unit_loads(bounds[0].qs.universe, w).T)
     systems, f = [b.qs for b in bounds], bounds[0].f
-    read_in, write_in = _stacked(systems, "read", f), _stacked(systems, "write", f)
+    member = [_stacked(systems, side, f) for side in ("read", "write")]
     rows = np.arange(len(bounds))
-    mu = np.tile(1 / (read_unit + write_unit), (len(bounds), 1, 1))
+    mu = np.tile(1 / (unit[0] + unit[1]), (len(bounds), 1, 1))
     best = np.zeros((len(bounds), len(prob)))
     for step in range(_ASCENT_STEPS + 1):
         mu /= mu.sum(axis=2, keepdims=True)
         # cost[row, point, quorum]: the mu-weighted load of the quorum's nodes
-        read_cost = (mu * read_unit) @ read_in
-        write_cost = (mu * write_unit) @ write_in
-        np.maximum(best, read_cost.min(axis=2) + write_cost.min(axis=2), out=best)
+        cost = [(mu * u) @ m for u, m in zip(unit, member)]
+        np.maximum(best, cost[0].min(axis=2) + cost[1].min(axis=2), out=best)
         done = _out_of_reach(best, prob, min_capacity, max_load) | (step == _ASCENT_STEPS)
         for i in np.flatnonzero(done):
             bounds[rows[i]].load = best[i].copy()
@@ -506,12 +491,10 @@ def ascend(
         if done.any():
             keep = ~done
             rows, mu, best = rows[keep], mu[keep], best[keep]
-            read_in, write_in = read_in[keep], write_in[keep]
-            read_cost, write_cost = read_cost[keep], write_cost[keep]
+            member, cost = [m[keep] for m in member], [c[keep] for c in cost]
         pick = np.arange(len(rows))[:, None]
         # [row, point, node]: membership of each point's cheapest quorum
-        gain = read_unit * read_in[pick, :, read_cost.argmin(axis=2)]
-        gain += write_unit * write_in[pick, :, write_cost.argmin(axis=2)]
+        gain = np.add(*[u * m[pick, :, c.argmin(axis=2)] for u, m, c in zip(unit, member, cost)])
         mu *= np.exp(gain / gain.max(axis=2, keepdims=True) / math.sqrt(step + 1))
 
 
@@ -620,15 +603,11 @@ def throughput_breakdown(
     """
     w = Workload.coerce(workload)
     rate = 1 / strategy.load(w)
-    ef = w.mean_read_fraction
+    share = _shares(w.mean_read_fraction)
     rows = []
-    for quorum, p in strategy.read_dist:
-        thr = rate * ef * p
-        for name in quorum:
-            rows.append((name, "read", quorum, thr))
-    for quorum, p in strategy.write_dist:
-        thr = rate * (1 - ef) * p
-        for name in quorum:
-            rows.append((name, "write", quorum, thr))
+    for side, dist in strategy._dist.items():
+        for quorum, p in dist:
+            thr = rate * share[side] * p
+            rows.extend((name, side, quorum, thr) for name in quorum)
     rows.sort(key=lambda r: (r[0], r[1], len(r[2]), tuple(sorted(r[2]))))
     return rows

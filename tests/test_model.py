@@ -351,6 +351,10 @@ class TestResilientQuorums:
         qs = QuorumSystem(nodes("ab"), reads="a + b")
         with pytest.raises(DomainError):
             qs.resilient_quorums("read", -1)
+        pairs = QuorumSystem(nodes("abcd"), reads="a*b + c*d")
+        for quorum in ({"a"}, {"a", "b"}):
+            with pytest.raises(DomainError):
+                pairs.is_resilient("read", quorum, -1)
 
     def test_spare_universe_nodes_never_join_resilient_quorums(self):
         qs = QuorumSystem(nodes("abcdz"), reads="a*b + c*d")

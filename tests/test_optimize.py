@@ -333,6 +333,8 @@ class TestMetrics:
         single = QuorumSystem(plain("a"), reads="a")
         with pytest.raises(DomainError):
             Strategy(single, [({"a"}, 1)], [({"a"}, 1)], f=2)
+        with pytest.raises(DomainError):
+            Strategy(single, [({"a"}, 1)], [({"a"}, 1)], f=-1)
 
     def test_degenerate_workload_equals_scalar(self, grid):
         sigma = find_strategy(grid, Workload({Fraction(3, 10): 1}))

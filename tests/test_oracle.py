@@ -1,15 +1,17 @@
 """The brute-force reference implementations themselves."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exprgen import expressions
 from quorumopt.errors import UniverseTooLarge
 from quorumopt.expr import Var, or_, parse
 from quorumopt.model import Node, QuorumSystem
-from quorumopt.optimize import uniform_strategy
+from quorumopt.optimize import Strategy, uniform_strategy
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
     exhaustive_minimal_sets,
@@ -87,18 +89,38 @@ class TestMetricRecompute:
         assert latency == 1
         assert network == 2
 
-    @given(expressions(names=("a", "b", "c", "d"), depth=2))
+    @given(expressions(names=("a", "b", "c", "d"), depth=2), st.randoms(use_true_random=False))
+    # drawn expressions seldom tolerate a fault; these do, on both sides
+    @example(parse("a*b + b*c + a*c"), random.Random(1))
+    @example(parse("choose(2, [a + b, c, d])"), random.Random(2))
     @settings(max_examples=60, deadline=None)
-    def test_agrees_with_strategy_methods(self, e):
+    def test_agrees_with_strategy_methods(self, e, rng):
+        names = sorted(e.names())
         universe = [
             Node(x, read_cap=i + 1, write_cap=2 * i + 1, latency=3 * i + 1)
-            for i, x in enumerate(sorted(e.names()))
+            for i, x in enumerate(names)
         ]
         qs = QuorumSystem(universe, reads=e)
-        sigma = uniform_strategy(qs)
+
+        def weighted(quorums):
+            # random weights over the quorums and over random supersets of them
+            pool = quorums + [q | set(rng.sample(names, rng.randint(0, len(names))))
+                              for q in quorums]
+            weights = [Fraction(rng.randint(1, 9)) for _ in pool]
+            return [(q, w / sum(weights)) for q, w in zip(pool, weights)]
+
+        sides = ("read", "write")
+        strategies = [
+            uniform_strategy(qs),
+            Strategy(qs, *[weighted(qs.minimal_quorums(side)) for side in sides]),
+        ]
+        if qs.fault_tolerance() >= 1:
+            strategies.append(Strategy(
+                qs, *[weighted(qs.resilient_quorums(side, 1)) for side in sides], f=1))
         w = {Fraction(1, 4): Fraction(1, 2), Fraction(9, 10): Fraction(1, 2)}
-        load, latency, network = strategy_metric_recompute(sigma, w)
-        # same values through the optimizer's own (prefix-scan) code paths
-        assert load == sigma.load(w)
-        assert latency == sigma.latency(w)
-        assert network == sigma.network_load(w)
+        for sigma in strategies:
+            load, latency, network = strategy_metric_recompute(sigma, w)
+            # same values through the optimizer's own (prefix-scan) code paths
+            assert load == sigma.load(w)
+            assert latency == sigma.latency(w)
+            assert network == sigma.network_load(w)
