@@ -30,6 +30,13 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # each of them an LP column.
 ENUMERATION_BOUND = 20
 
+# Parsed text may open at most this many parentheses at once. The parser and
+# the passes over the tree recurse: each level costs up to four parser frames
+# and, as in a*(b + a*(b + ...)), two tree levels. Without a bound, such an
+# expression overflows Python's default limit of 1000 frames at about 165
+# levels; at 100 levels, analyze, the deepest command, needs about 620.
+NESTING_BOUND = 100
+
 
 class Expression:
     """Base class; concrete nodes are Var, and Or, And, and Choose, which hold
@@ -254,6 +261,11 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        depth = 0  # parentheses open after each token
+        for _, value, pos in self.tokens:
+            depth += (value == "(") - (value == ")")
+            if depth > NESTING_BOUND:
+                raise ParseError(f"more than {NESTING_BOUND} nested parentheses", pos)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -342,8 +354,9 @@ def parse(text: str) -> Expression:
     Whitespace is insignificant. Same-operator chains are flattened, so
     ``a*b*c`` is a single conjunction of three children.
 
-    Raises ParseError (with position) for malformed input and DomainError
-    for an out-of-range choose threshold.
+    Raises ParseError (with position) for malformed input, including more
+    than ``NESTING_BOUND`` open parentheses, and DomainError for an
+    out-of-range choose threshold.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)

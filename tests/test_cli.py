@@ -10,7 +10,7 @@ import pytest
 import quorumopt.cli
 import quorumopt.lp
 from quorumopt.cli import build_parser, load_config, main
-from quorumopt.expr import parse
+from quorumopt.expr import NESTING_BOUND, parse
 from quorumopt.model import QuorumSystem, Workload
 from quorumopt.optimize import Strategy
 from quorumopt.oracle import strategy_metric_recompute, truth_table
@@ -189,6 +189,17 @@ UNREADABLE_INPUTS = [
     )
     for field in ("read_cap", "latency_s")
     for value in ("NaN", "Infinity", "-Infinity", "1e400", '"Infinity"', "true")
+] + [
+    # nested deeper than expr.NESTING_BOUND
+    pytest.param(
+        [command], _config('{"name": "a"}, {"name": "c"}', reads=json.dumps(reads)),
+        id=f"{command}-{name}",
+    )
+    for name, reads in [
+        ("400-parentheses", "(" * 400 + "a" + ")" * 400),
+        ("200-alternations", "a*(b+" * 200 + "c" + ")" * 200),
+    ]
+    for command in ("analyze", "strategy", "curve", "breakdown")
 ]
 
 
@@ -204,6 +215,16 @@ def test_unreadable_numbers_and_names_exit_2(tmp_path, capsys, argv, config):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "strategy", "curve", "breakdown"])
+def test_nesting_at_the_bound_runs(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    reads = "a*(b+" * NESTING_BOUND + "c" + ")" * NESTING_BOUND
+    path.write_text(_config('{"name": "a"}, {"name": "c"}', reads=json.dumps(reads)))
+    code, out = run(capsys, command, path)
+    assert code == 0
+    assert out
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from exprgen import NAMES, duplicate_free_expressions, expressions
 from quorumopt.errors import DomainError, ParseError, UniverseTooLarge
 from quorumopt.expr import (
+    NESTING_BOUND,
     And,
     Choose,
     Or,
@@ -53,6 +54,21 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("a + ?")
         assert err.value.position == 4
+
+    def test_nesting_bound(self):
+        def alternating(levels):
+            return "a*(b + " * levels + "c" + ")" * levels
+
+        deepest = parse(alternating(NESTING_BOUND))
+        assert deepest.depth() == 2 * NESTING_BOUND
+        assert parse(str(deepest)) == deepest
+        assert minimal_sets(deepest) == [frozenset("ab"), frozenset("ac")]
+        with pytest.raises(ParseError, match="nested parentheses") as err:
+            parse(alternating(NESTING_BOUND + 1))
+        assert err.value.position == len("a*(b + ") * NESTING_BOUND + len("a*")
+        with pytest.raises(ParseError, match="nested parentheses") as err:
+            parse("(" * 400 + "a" + ")" * 400)
+        assert err.value.position == NESTING_BOUND
 
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
