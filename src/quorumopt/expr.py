@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -36,6 +36,12 @@ ENUMERATION_BOUND = 20
 # expression overflows Python's default limit of 1000 frames at about 165
 # levels; at 100 levels, analyze, the deepest command, needs about 620.
 NESTING_BOUND = 100
+# The deepest tree that + and * give within that many parentheses: an Or and
+# an And inside each and outside them all, then a variable. No tree may be
+# deeper, however it was built, as the passes over the tree recurse. Parsed
+# choose(2, [x + y*choose(...), ...]) nests three levels a parenthesis, so
+# past 67 of them it is refused here.
+_DEPTH_BOUND = 2 * NESTING_BOUND + 2
 
 
 class Expression:
@@ -76,8 +82,9 @@ class Expression:
         raise NotImplementedError
 
     def depth(self) -> int:
-        """Height of the syntax tree; a bare variable has depth 0."""
-        return 1 + max(c.depth() for c in self.children)
+        """Height of the syntax tree; a bare variable has depth 0. A
+        composite node records it when it is built."""
+        return self._depth
 
     def leaves(self) -> tuple[str, ...]:
         """Leaf names in syntactic order, with repetitions."""
@@ -98,6 +105,7 @@ class Expression:
 @dataclass(frozen=True, slots=True)
 class Var(Expression):
     name: str
+    _depth = 0  # a class attribute, not a field
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not _NAME.fullmatch(self.name):
@@ -111,9 +119,6 @@ class Var(Expression):
     def dual(self) -> Expression:
         return self
 
-    def depth(self) -> int:
-        return 0
-
     def leaves(self) -> tuple[str, ...]:
         return (self.name,)
 
@@ -121,21 +126,31 @@ class Var(Expression):
         return self.name
 
 
-def _check_children(children, op: str) -> None:
+def _check_children(node: Expression, op: str) -> None:
+    """Check a composite node's children and record its depth, which may not
+    pass ``_DEPTH_BOUND``: the passes over the tree recurse."""
+    children = node.children
     if len(children) < 2:
         raise DomainError(f"{op} needs at least 2 children, got {len(children)}")
+    depth = 1  # one more than the deepest child's
     for c in children:
         if not isinstance(c, Expression):
             raise DomainError(f"{op} child {c!r} is not an Expression")
+        if c._depth >= depth:
+            depth = c._depth + 1
+    if depth > _DEPTH_BOUND:
+        raise DomainError(f"expression is nested more than {_DEPTH_BOUND} levels deep")
+    object.__setattr__(node, "_depth", depth)
 
 
 @dataclass(frozen=True, slots=True)
 class Or(Expression):
     children: tuple[Expression, ...]
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        _check_children(self.children, "Or")
+        _check_children(self, "Or")
 
     def dual(self) -> Expression:
         return And(tuple(c.dual() for c in self.children))
@@ -147,10 +162,11 @@ class Or(Expression):
 @dataclass(frozen=True, slots=True)
 class And(Expression):
     children: tuple[Expression, ...]
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        _check_children(self.children, "And")
+        _check_children(self, "And")
 
     def dual(self) -> Expression:
         return Or(tuple(c.dual() for c in self.children))
@@ -168,10 +184,11 @@ class And(Expression):
 class Choose(Expression):
     k: int
     children: tuple[Expression, ...]
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        _check_children(self.children, "Choose")
+        _check_children(self, "Choose")
         if not isinstance(self.k, int) or not 1 <= self.k <= len(self.children):
             raise DomainError(
                 f"choose threshold must satisfy 1 <= k <= {len(self.children)}, got {self.k}"
@@ -413,13 +430,12 @@ def minimal_sets(
     unions are dropped after every child, so partial families stay antichains."""
     names = sorted(e.names()) if universe is None else list(universe)
     check_enumeration_bound(len(names))
-    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
     try:
-        masks, _ = _masks(e, bit)
+        masks = _masks(e, names)
     except KeyError:
         missing = sorted(e.names().difference(names))
         raise DomainError(f"expression names {missing} are not in the universe") from None
-    return unmask(sorted(masks, key=lambda mask: (mask.bit_count(), -mask)), names)
+    return unmask(masks, names)
 
 
 def unmask(masks: Iterable[int], names: Sequence[str]) -> list[frozenset[str]]:
@@ -440,7 +456,14 @@ def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     return masks >> np.arange(n - 1, -1, -1)[:, None] & 1
 
 
-def _masks(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
+def _masks(e: Expression, names: Sequence[str]) -> tuple[int, ...]:
+    """The minimal sets of e as masks over ``names``, which must hold every
+    name of e (else KeyError), in the canonical order of :func:`minimal_sets`."""
+    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
+    return tuple(sorted(_family(e, bit)[0], key=lambda mask: (mask.bit_count(), -mask)))
+
+
+def _family(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
     """The minimal sets of e as masks, and the mask of the names e uses."""
     if isinstance(e, Var):
         return [bit[e.name]], bit[e.name]
@@ -448,7 +471,7 @@ def _masks(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
     used = 0
     shared = False  # whether two children use a common name
     for c in e.children:
-        family, names = _masks(c, bit)
+        family, names = _family(c, bit)
         families.append(family)
         shared = shared or bool(used & names)
         used |= names
@@ -522,18 +545,29 @@ def min_quorum_size(e: Expression) -> int:
 def survey(e: Expression) -> tuple[tuple[str, ...], int | None]:
     """From one walk of the tree: the sorted names of e, and the tree pass of
     :func:`min_quorum_size` if no name repeats, else None."""
+    names, sizes = _survey(e)
+    return names, None if sizes is None else sizes[0]
+
+
+def _survey(e: Expression) -> tuple[tuple[str, ...], tuple[int, int] | None]:
+    """:func:`survey`, with the tree pass on e and on its dual: from the same
+    walk, the smallest quorum sizes of both."""
     leaves: list[str] = []
-    size = _smallest(e, leaves)
+    sizes = _smallest(e, leaves)
     names = tuple(sorted(set(leaves)))
-    return names, size if len(names) == len(leaves) else None
+    return names, sizes if len(names) == len(leaves) else None
 
 
-def _smallest(e: Expression, leaves: list[str]) -> int:
-    """The tree pass of min_quorum_size; appends each leaf's name to ``leaves``."""
+def _smallest(e: Expression, leaves: list[str]) -> tuple[int, int]:
+    """The tree pass of min_quorum_size on e and on its dual; appends each
+    leaf's name to ``leaves``. The dual of a node that takes k of m children
+    takes m - k + 1 of their duals."""
     if isinstance(e, Var):
         leaves.append(e.name)
-        return 1
-    return sum(sorted(_smallest(c, leaves) for c in e.children)[: threshold(e)])
+        return 1, 1
+    sizes, duals = zip(*[_smallest(c, leaves) for c in e.children])
+    k = threshold(e)
+    return sum(sorted(sizes)[:k]), sum(sorted(duals)[: len(duals) - k + 1])
 
 
 def min_quorum_latency(

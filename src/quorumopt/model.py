@@ -165,24 +165,33 @@ class QuorumSystem:
         if reads is None and writes is None:
             raise DomainError("supply read quorums, write quorums, or both")
         derived = reads is None or writes is None
+        # One walk of each given side finds its names, which a derived dual
+        # shares, and, if no name repeats, the smallest quorum sizes of the side
+        # and of its dual. A side's fault tolerance is its dual's smallest
+        # quorum size, less one (see _fault_tolerance).
+        self._names: dict[str, tuple[str, ...]] = {}
         self._tolerance: dict[str, int] = {}
-        # One walk of a given side finds its names, which its dual shares, and, if no
-        # name repeats, its smallest quorum size: its dual's fault tolerance + 1.
-        read_names, smallest = _expr.survey(writes if reads is None else reads)
-        write_names = read_names if derived else _expr.survey(writes)[0]
-        if derived and smallest is not None:
-            self._tolerance["read" if reads is None else "write"] = smallest - 1
+        for side, other, e in (("read", "write", reads), ("write", "read", writes)):
+            if e is None:
+                continue
+            self._names[side], sizes = _expr._survey(e)
+            if derived:
+                self._names[other] = self._names[side]
+            if sizes is not None:
+                self._tolerance[side] = sizes[1] - 1
+                if derived:
+                    self._tolerance[other] = sizes[0] - 1
         reads = writes.dual() if reads is None else reads
         writes = reads.dual() if writes is None else writes
+        read_names, write_names = self._names["read"], self._names["write"]
         unknown = sorted(set(read_names + write_names).difference(names))
         if unknown:
             raise UnknownNode(f"expression names {unknown} are not in the universe")
-        # Refuse now what minimal_sets would refuse on first use.
+        # Refuse now what enumerating a side's quorums would refuse on first use.
         _expr.check_enumeration_bound(max(len(read_names), len(write_names)))
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
         self._exprs = {"read": reads, "write": writes}
-        self._names = {"read": read_names, "write": write_names}
         # Derived, each side is the other's dual, as dual(dual(e)) is e.
         self._dual_side = {"read": "write", "write": "read"} if derived else {}
         self._sets: dict[tuple[str, int], list[frozenset[str]]] = {}
@@ -244,7 +253,7 @@ class QuorumSystem:
 
     def minimal_quorums(self, side: str) -> list[frozenset[str]]:
         if (side, 0) not in self._sets:
-            self._sets[side, 0] = _expr.minimal_sets(self.side(side), self._names[side])
+            self._sets[side, 0] = _expr.unmask(self.quorum_masks(side), self.side_names(side))
         return list(self._sets[side, 0])
 
     def quorum_masks(self, side: str, f: int = 0) -> tuple[int, ...]:
@@ -256,7 +265,7 @@ class QuorumSystem:
             if f > 0 and self._fault_tolerance(side) < f:
                 raise NoResilientQuorum(f"no {side} quorum survives every removal of {f} nodes")
             self._masks[side, f] = (
-                _expr.to_masks(self.minimal_quorums(side), self._names[side]) if f == 0
+                _expr._masks(self.side(side), self._names[side]) if f == 0
                 else _expr.minimal_transversals(self._dual(side), len(self._names[side]), f))
         return self._masks[side, f]
 
@@ -265,8 +274,7 @@ class QuorumSystem:
         if side in self._dual_side:
             return self.quorum_masks(self._dual_side[side])
         if side not in self._dual_masks:
-            dual = _expr.minimal_sets(self.side(side).dual(), self._names[side])
-            self._dual_masks[side] = _expr.to_masks(dual, self._names[side])
+            self._dual_masks[side] = _expr._masks(self.side(side).dual(), self._names[side])
         return self._dual_masks[side]
 
     # -- fault tolerance -----------------------------------------------------

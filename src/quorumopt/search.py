@@ -7,9 +7,13 @@ with sorted children, which makes each the unique modular decomposition of
 its boolean function, so each function appears once. Write quorums are
 always the dual of the candidate reads (searching both sides independently
 would be redundant: the dual is the optimal complement). Each candidate that
-meets the fault tolerance floor is scored by solving the strategy LP; the
-best metric value wins, ties broken by emission order so runs are
-reproducible.
+meets the fault tolerance floor is scored by solving the strategy LP and
+working out the metric of its strategy in floats. A candidate replaces the
+best so far only if it beats it by more than the relative tie band ``_TIE``
+(4 ppm); otherwise the earlier candidate stays, so exact ties, and metrics
+that float rounding alone sets apart, keep the first in emission order and
+runs are reproducible. Only the winner's metric is worked out in exact
+``Fraction`` arithmetic.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
@@ -17,13 +21,15 @@ cheapest quorum, less one). Each candidate above it then gets cheap bounds,
 :func:`~quorumopt.optimize.can_beat`, on what any of its strategies can
 reach, cheapest first: the latency or network objective and the latency and
 network limits from tree passes, then, if still needed, the load bound that
-enumerates the minimal quorums. Its LP is skipped when a bound shows that
-it cannot strictly beat the best so far or cannot meet a requested limit.
+enumerates the minimal quorums. The bounds are asked whether a candidate
+can beat the best so far moved by the tie band, which is what it must beat
+to replace it. Its LP is skipped when a bound shows that it cannot, or
+cannot meet a requested limit; so exact ties are skipped without an LP.
 Each bound holds for every strategy the LP could return, allowing by
 ``_BOUND_MARGIN`` for the tolerance on distribution sums and for float
-rounding, and for a limit also for the solver's tolerance on its row. A tie
-never replaces the incumbent, so the winner, its strategy and its metric
-are the ones the search without the bounds finds.
+rounding, and for a limit also for the solver's tolerance on its row. So
+the winner, its strategy and its metric are the ones the search without
+the bounds finds.
 
 Candidates are taken ``_BLOCK`` at a time. A block's tree bounds are worked
 out once per candidate, and one load-bound ascent
@@ -52,8 +58,9 @@ from .errors import (
     NoFeasibleCandidate,
     NoResilientQuorum,
 )
-from .model import Node, QuorumSystem, Workload, WorkloadLike
+from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike
 from .optimize import (
+    _BOUND_MARGIN,
     Bound,
     Constraints,
     Objective,
@@ -61,6 +68,7 @@ from .optimize import (
     ascend,
     can_beat,
     find_strategy,
+    quorum_latency,
 )
 
 # Set partitions grow super-exponentially (Bell numbers); past 8 nodes full
@@ -68,6 +76,10 @@ from .optimize import (
 SEARCH_NODE_BOUND = 8
 # Candidates taken from the stream at a time; see search().
 _BLOCK = 256
+# A challenger must beat the incumbent by more than this, relative. Twice the
+# bounds' margin, so a bound prunes a candidate that can at best tie; far
+# above the float rounding of a score (about 1e-15), which cannot flip it.
+_TIE = 2 * _BOUND_MARGIN
 
 
 @dataclass(frozen=True)
@@ -172,7 +184,45 @@ def _metric(strategy: Strategy, workload: Workload, objective: Objective) -> Fra
     return strategy.network_load(workload)
 
 
-def _better(objective: Objective, challenger: Fraction, incumbent: Fraction) -> bool:
+def _score(strategy: Strategy, workload: Workload, objective: Objective) -> float:
+    """:func:`_metric` in floats. Each capacity, latency, read fraction and
+    probability is rounded once, and the sums over quorums, nodes and points
+    are short, so the score is within about 1e-15 relative of the exact
+    metric."""
+    qs = strategy.qs
+    dists = {"read": strategy.read_dist, "write": strategy.write_dist}
+    if objective is Objective.LOAD:
+        mass: dict[str, list[float]] = {}  # node: its read and write selection probability
+        for side, dist in enumerate(dists.values()):
+            for quorum, p in dist:
+                for x in quorum:
+                    mass.setdefault(x, [0.0, 0.0])[side] += float(p)
+        nodes = [(r, w, float(qs.node(x).read_cap), float(qs.node(x).write_cap))
+                 for x, (r, w) in mass.items()]
+        capacity = 0.0
+        for fr, p in workload.items():
+            fr = float(fr)
+            capacity += float(p) / max(fr * r / rc + (1 - fr) * w / wc for r, w, rc, wc in nodes)
+        return capacity
+
+    def cost(side: str, quorum: frozenset[str]) -> float:
+        if objective is Objective.LATENCY:
+            return float(quorum_latency(qs, side, quorum))
+        return len(quorum)
+
+    ef = float(workload.mean_read_fraction)
+    return sum(share * sum(float(p) * cost(side, q) for q, p in dists[side])
+               for side, share in (("read", ef), ("write", 1 - ef)))
+
+
+def _to_beat(objective: Objective, score: float) -> Fraction:
+    """What a challenger must strictly beat to replace an incumbent that
+    scores ``score``: ``score`` moved by the tie band, exactly, as
+    :func:`can_beat` takes it."""
+    return Fraction(score) * (1 + _TIE if objective is Objective.LOAD else 1 - _TIE)
+
+
+def _better(objective: Objective, challenger: Rational, incumbent: Rational) -> bool:
     if objective is Objective.LOAD:
         return challenger > incumbent  # capacity: higher is better
     return challenger < incumbent
@@ -187,17 +237,23 @@ def search(
 
     Each candidate's writes are the dual of its reads. Candidates below the
     fault tolerance floor are skipped without solving; infeasible candidates
-    are skipped. So is every candidate whose bound (:func:`can_beat`) shows
-    that none of its strategies meets the limits and strictly beats the
-    incumbent: such a candidate could not have replaced it, and its LP
-    would have been infeasible or lost, so the result is the same as with
-    every LP solved. The bound allows a returned strategy's distributions to
-    miss a sum of 1 by the tolerance that Strategy accepts, plus float
-    rounding, and a limit's row to be met only within the solver's
-    feasibility tolerance. ``candidates_examined`` and the budget count
-    every candidate, skipped ones included. On timeout or budget
-    exhaustion the best result so far is returned; if nothing feasible was
-    found, NoFeasibleCandidate is raised.
+    are skipped. A solved candidate replaces the incumbent only if its
+    metric, worked out in floats, beats the incumbent's by more than the
+    relative tie band ``_TIE`` (4 ppm): a higher capacity by that factor,
+    or a latency or network load lower by it. A candidate is also skipped
+    when its bound (:func:`can_beat`) shows that none of its strategies
+    meets the limits and strictly beats the incumbent moved by the band,
+    exact ties included: such a candidate could not have replaced it, and
+    its LP would have been infeasible or lost, so the result is the same as
+    with every LP solved. The bound allows a returned strategy's
+    distributions to miss a sum of 1 by the tolerance that Strategy
+    accepts, plus float rounding, and a limit's row to be met only within
+    the solver's feasibility tolerance. Only the winner's metric, its
+    ``metric_value``, is worked out in exact ``Fraction`` arithmetic.
+    ``candidates_examined`` and the budget count every candidate, skipped
+    ones included. On timeout or budget exhaustion the best result so far
+    is returned; if nothing feasible was found, NoFeasibleCandidate is
+    raised.
 
     Candidates are taken from the stream ``_BLOCK`` at a time, and each
     one's quorum system is built once. A block's load bounds come from one
@@ -213,8 +269,9 @@ def search(
     can run past its timeout by the bounds and LPs of one block.
 
     The load objective maximizes capacity; latency and network objectives
-    minimize their metric. Ties keep the earliest candidate, so results are
-    reproducible under a candidate budget.
+    minimize their metric. Ties within the band keep the earliest candidate,
+    so results are reproducible under a candidate budget, and float
+    rounding cannot pick the winner.
     """
     options = options or SearchOptions()
     w = Workload.coerce(workload)
@@ -222,7 +279,8 @@ def search(
     objective, constraints, f = options.objective, options.constraints, options.f
 
     start = time.monotonic()
-    best: SearchResult | None = None
+    best: Strategy | None = None
+    bar: Fraction | None = None  # what a challenger must beat: _to_beat of the best score
     examined = 0
 
     def reached() -> Iterator[QuorumSystem]:
@@ -239,23 +297,22 @@ def search(
     while block := list(itertools.islice(systems, _BLOCK)):
         bounds = [Bound(qs, w, f) for qs in block
                   if qs.fault_tolerance() >= options.min_fault_tolerance]
-        incumbent = None if best is None else float(best.metric_value)
+        incumbent = None if bar is None else float(bar)
         ascend([b for b in bounds if b.may_beat(objective, incumbent, constraints)],
                w, objective, incumbent, constraints)
         for bound in bounds:
             qs = bound.qs
             try:
-                incumbent = None if best is None else best.metric_value
-                if not can_beat(qs, w, objective, incumbent, f, constraints, bound=bound):
+                if not can_beat(qs, w, objective, bar, f, constraints, bound=bound):
                     continue
                 sigma = find_strategy(qs, w, objective, constraints, f=f)
             except (Infeasible, NoResilientQuorum):
                 continue
-            value = _metric(sigma, w, objective)
-            if best is None or _better(objective, value, best.metric_value):
-                best = SearchResult(qs, sigma, value, examined)
+            score = _score(sigma, w, objective)
+            if bar is None or _better(objective, score, bar):
+                best, bar = sigma, _to_beat(objective, score)
     if best is None:
         raise NoFeasibleCandidate(
             f"no feasible quorum system among {examined} candidates"
         )
-    return SearchResult(best.qs, best.strategy, best.metric_value, examined)
+    return SearchResult(best.qs, best, _metric(best, w, objective), examined)

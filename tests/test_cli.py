@@ -227,6 +227,21 @@ def test_nesting_at_the_bound_runs(tmp_path, capsys, command):
     assert out
 
 
+@pytest.mark.parametrize("command", ["analyze", "strategy", "curve", "breakdown"])
+def test_trees_past_the_depth_bound_exit_2(tmp_path, capsys, command):
+    # Within the parenthesis bound, choose(2, [d + a*...]) nests three tree
+    # levels a parenthesis, 300 here: each command refuses the tree as the
+    # parser builds it.
+    path = tmp_path / "config.json"
+    reads = "choose(2, [d + a*" * NESTING_BOUND + "c" + ", b, c])" * NESTING_BOUND
+    nodes = '{"name": "a"}, {"name": "c"}, {"name": "d"}'
+    path.write_text(_config(nodes, reads=json.dumps(reads)))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: expression is nested more than 202 levels deep\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [

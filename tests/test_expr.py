@@ -70,6 +70,25 @@ class TestParse:
             parse("(" * 400 + "a" + ")" * 400)
         assert err.value.position == NESTING_BOUND
 
+    def test_trees_stop_at_the_parsed_depth(self):
+        # Built through the API, 200 rounds would nest 400 levels, past what
+        # str() and the other recursive passes can take.
+        e = Var("c")
+        with pytest.raises(DomainError, match="202 levels deep"):
+            for _ in range(200):
+                e = and_(Var("a"), or_(Var("b"), e))
+        deepest = 2 * NESTING_BOUND + 2
+        assert e.depth() == deepest
+        assert str(e) == "a*(b + " * (deepest // 2) + "c" + ")" * (deepest // 2)
+        assert e.dual().dual() == e
+        # the deepest text of + and * within the parenthesis bound
+        text = "d*e + " + "a*(b + " * NESTING_BOUND + "c*e + d" + ")" * NESTING_BOUND
+        assert parse(text).depth() == deepest
+        # choose(2, [d + a*choose(...), b, c]) nests three levels a parenthesis
+        assert parse("choose(2, [d + a*" * 67 + "c" + ", b, c])" * 67).depth() == 201
+        with pytest.raises(DomainError, match="202 levels deep"):
+            parse("choose(2, [d + a*" * 68 + "c" + ", b, c])" * 68)
+
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse("a b")

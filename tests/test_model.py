@@ -294,6 +294,30 @@ class TestFaultTolerance:
         assert len(qs.read_minimal) == len(qs.write_minimal) == 6435
         assert qs.fault_tolerance() == 7
 
+    @given(st.one_of(duplicate_free_expressions(), expressions()),
+           st.sampled_from(["reads", "writes", "both"]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_gives_both_sides(self, e, given_as):
+        # A side that repeats no name gets both fault tolerances from the
+        # walk at construction, with no second tree pass; a derived system
+        # enumerates no quorum either (both sides given, the intersection
+        # check does). A repeated name takes the dual's minimal quorums.
+        sides = {"reads": dict(reads=e), "writes": dict(writes=e),
+                 "both": dict(reads=e, writes=e.dual())}[given_as]
+
+        def refuse(*args):
+            raise AssertionError("a second walk or an enumeration")
+
+        with pytest.MonkeyPatch.context() as m:
+            if e.uses_each_variable_once():
+                m.setattr("quorumopt.expr.min_quorum_size", refuse)
+                if given_as != "both":
+                    m.setattr("quorumopt.expr._masks", refuse)
+            qs = QuorumSystem(nodes(sorted(e.names())), **sides)
+            tolerance = (qs.read_fault_tolerance(), qs.write_fault_tolerance())
+        assert tolerance == (exhaustive_fault_tolerance(qs, "read"),
+                             exhaustive_fault_tolerance(qs, "write"))
+
     @given(duplicate_free_expressions())
     @settings(max_examples=100, deadline=None)
     def test_symmetric_under_swapping_sides(self, e):

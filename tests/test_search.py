@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import importlib
+import itertools
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,14 +15,15 @@ from hypothesis import strategies as st
 from exprgen import duplicate_free_expressions
 from quorumopt.cli import load_config
 from quorumopt.errors import DomainError, Infeasible, NoFeasibleCandidate, NoResilientQuorum
-from quorumopt.expr import minimal_sets, parse
+from quorumopt.expr import parse
 from quorumopt.model import Node, QuorumSystem, Workload
-from quorumopt.optimize import Constraints, can_beat, find_strategy
+from quorumopt.optimize import Constraints, Objective, Strategy, can_beat, find_strategy
 from quorumopt.oracle import exhaustive_fault_tolerance, strategy_metric_recompute, truth_table
 from quorumopt.search import SearchOptions, enumerate_candidates, search
 
 # the module, which the package's `search` function shadows as an attribute
 search_module = importlib.import_module("quorumopt.search")
+expr_module = importlib.import_module("quorumopt.expr")
 DATA = Path(__file__).parent / "data"
 
 
@@ -306,12 +308,13 @@ class TestBoundPruning:
         config = load_config(str(DATA / "case_study_search.json"))
         names = [n.name for n in config.nodes]
         enumerated = []
+        masks = expr_module._masks
 
         def counting(e, *args):
             enumerated.append(str(e))
-            return minimal_sets(e, *args)
+            return masks(e, *args)
 
-        monkeypatch.setattr("quorumopt.expr.minimal_sets", counting)
+        monkeypatch.setattr(expr_module, "_masks", counting)
         search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
         above = [
             e for e in enumerate_candidates(names)
@@ -320,6 +323,21 @@ class TestBoundPruning:
         ]
         assert len(above) == 293
         assert sorted(enumerated) == sorted(str(s) for e in above for s in (e, e.dual()))
+
+    @pytest.mark.parametrize("flags,lps", [
+        (dict(objective="network", f=1), 2),
+        (dict(objective="network"), 3),
+        (dict(objective="latency"), 4),
+    ], ids=["network-f1", "network", "latency"])
+    def test_case_study_ties_are_pruned(self, monkeypatch, flags, lps):
+        # a, c and e are interchangeable, and so are b and d: a candidate
+        # that swaps them ties exactly. Without the tie band, its bound
+        # could not rule it out, and these searches solved 72, 140 and 48 LPs.
+        config = load_config(str(DATA / "case_study_search.json"))
+        solves = counted_solves(monkeypatch)
+        result = search(config.nodes, config.workload, SearchOptions(**flags))
+        assert result.candidates_examined == 885
+        assert solves == ["solved"] * lps
 
     def test_capacity_limited_latency_search_infeasible_lp_count_is_pinned(self, monkeypatch):
         # The expected-load bound proves the limit out of reach for all but
@@ -334,23 +352,27 @@ class TestBoundPruning:
 
 def reference_solves(nodes, w, options):
     """The candidates that a search taking one candidate at a time hands to
-    find_strategy: can_beat on each, against the incumbent of the moment.
-    Also the stream positions where the incumbent improved."""
-    best, solved, improved = None, [], []
-    for i, reads in enumerate(enumerate_candidates([n.name for n in nodes])):
+    find_strategy: can_beat on each, against the incumbent of the moment
+    moved by the tie band, each solved metric being exact, up to the
+    budget. Also the stream positions where the incumbent improved."""
+    tie = search_module._TIE
+    band = 1 + tie if options.objective is Objective.LOAD else 1 - tie
+    bar, solved, improved = None, [], []
+    stream = enumerate_candidates([n.name for n in nodes])
+    for i, reads in enumerate(itertools.islice(stream, options.budget)):
         qs = QuorumSystem(nodes, reads=reads)
         if qs.fault_tolerance() < options.min_fault_tolerance:
             continue
         try:
-            if not can_beat(qs, w, options.objective, best, options.f, options.constraints):
+            if not can_beat(qs, w, options.objective, bar, options.f, options.constraints):
                 continue
             solved.append(str(qs.reads))
             sigma = find_strategy(qs, w, options.objective, options.constraints, f=options.f)
         except (Infeasible, NoResilientQuorum):
             continue
         value = search_module._metric(sigma, w, options.objective)
-        if best is None or search_module._better(options.objective, value, best):
-            best = value
+        if bar is None or search_module._better(options.objective, value, bar):
+            bar = value * band
             improved.append(i)
     return solved, improved
 
@@ -385,6 +407,51 @@ class TestBlocks:
             assert reached == expected
             if nodes is hetero:
                 assert any(i > block and i % block for i in improved), improved
+
+
+class TestTieBand:
+    @given(nodes=hetero_universes(), w=multi_point_workloads(),
+           objective=st.sampled_from(["load", "latency", "network"]))
+    @settings(max_examples=12, deadline=None)
+    def test_float_decisions_match_exact_ones(self, nodes, w, objective):
+        # The search decides on float scores; the reference on exact
+        # metrics, under the same band. They solve the same LPs and agree
+        # on the winner.
+        options = SearchOptions(objective=objective, budget=120)
+        expected, improved = reference_solves(nodes, w, options)
+        reached = []
+
+        def recording(qs, *args, **kwargs):
+            reached.append(str(qs.reads))
+            return find_strategy(qs, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search_module, "find_strategy", recording)
+            result = search(nodes, w, options)
+        assert reached == expected
+        winner = list(enumerate_candidates([n.name for n in nodes]))[improved[-1]]
+        assert str(result.qs.reads) == str(winner)
+        sigma = find_strategy(QuorumSystem(nodes, reads=winner), w, objective)
+        assert result.metric_value == search_module._metric(sigma, w, Objective(objective))
+
+    @given(nodes=hetero_universes(), w=multi_point_workloads(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_score_is_the_metric_in_floats(self, nodes, w, data):
+        names = sorted(n.name for n in nodes)
+        reads = data.draw(duplicate_free_expressions(names=names, min_vars=len(names)))
+        qs = QuorumSystem(nodes, reads=reads)
+
+        def dist(side):
+            pool = qs.minimal_quorums(side)
+            weights = data.draw(st.lists(st.integers(0, 9), min_size=len(pool),
+                                         max_size=len(pool)).filter(any))
+            return [(q, Fraction(k, sum(weights))) for q, k in zip(pool, weights) if k]
+
+        sigma = Strategy(qs, dist("read"), dist("write"))
+        for objective in Objective:
+            exact = search_module._metric(sigma, w, objective)
+            score = search_module._score(sigma, w, objective)
+            assert abs(Fraction(score) - exact) <= Fraction(1, 10**12) * exact
 
 
 def fake_clock(monkeypatch):
