@@ -538,20 +538,14 @@ def min_quorum_size(e: Expression) -> int:
     a node that takes k children, the sum of the k smallest child values,
     since children of a read-once tree share no node. Otherwise the size of
     the first of :func:`minimal_sets`."""
-    size = survey(e)[1]
-    return len(minimal_sets(e)[0]) if size is None else size
-
-
-def survey(e: Expression) -> tuple[tuple[str, ...], int | None]:
-    """From one walk of the tree: the sorted names of e, and the tree pass of
-    :func:`min_quorum_size` if no name repeats, else None."""
-    names, sizes = _survey(e)
-    return names, None if sizes is None else sizes[0]
+    sizes = _survey(e)[1]
+    return len(minimal_sets(e)[0]) if sizes is None else sizes[0]
 
 
 def _survey(e: Expression) -> tuple[tuple[str, ...], tuple[int, int] | None]:
-    """:func:`survey`, with the tree pass on e and on its dual: from the same
-    walk, the smallest quorum sizes of both."""
+    """From one walk of the tree: the sorted names of e and, if no name
+    repeats, the tree pass of :func:`min_quorum_size` on e and on its dual,
+    the smallest quorum sizes of both; else None."""
     leaves: list[str] = []
     sizes = _smallest(e, leaves)
     names = tuple(sorted(set(leaves)))

@@ -22,25 +22,45 @@ Rational = Union[int, float, str, Fraction, Decimal]
 _PROB_SUM_TOL = Fraction(1, 10**9)
 
 
+# A nonzero number's decimal exponent must lie in this range, so that its
+# magnitude is at least 1e-300 and below 1e300: the floats that the LP and
+# the metrics take from such numbers, their reciprocals and short sums of
+# them stay finite and nonzero.
+_EXPONENTS = range(-300, 300)
+_SCALE = 10**300
+
+
+def _out_of_range(value: Rational) -> DomainError:
+    return DomainError(f"{value!r} is out of range: a nonzero number must be at least "
+                       "1e-300 and below 1e300 in magnitude")
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Exact rational from a finite number or string, reading floats
-    decimally; booleans, NaN and infinities raise DomainError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    try:
-        if isinstance(value, float):
-            # repr of a builtin float is its shortest round-tripping decimal;
-            # float subclasses (numpy) may repr differently, so normalize first
-            return Fraction(Decimal(repr(float(value))))
-        if isinstance(value, Decimal):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value) if "/" in value else Fraction(Decimal(value))
-    except (ValueError, ArithmeticError) as e:  # NaN, infinity, x/0, junk text
-        raise DomainError(f"cannot interpret {value!r} as a rational") from e
-    raise DomainError(f"cannot interpret {value!r} as a rational")
+    decimally. Booleans, NaN, infinities and nonzero magnitudes below 1e-300
+    or from 1e300 up raise DomainError. A decimal's range is decided on its
+    exponent, before the exact conversion, whose time grows with it."""
+    number = value
+    if not isinstance(value, Fraction):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
+            raise DomainError(f"cannot interpret {value!r} as a rational")
+        try:
+            if isinstance(value, float):
+                # repr of a builtin float is its shortest round-tripping decimal;
+                # float subclasses (numpy) may repr differently, so normalize first
+                number = Decimal(repr(float(value)))
+            elif isinstance(value, str) and "/" not in value:
+                number = Decimal(value)
+            if isinstance(number, Decimal) and number.is_finite() and number:
+                if number.adjusted() not in _EXPONENTS:
+                    raise _out_of_range(value)
+            number = Fraction(number)
+        except (ValueError, ArithmeticError) as e:  # NaN, infinity, x/0, junk text
+            raise DomainError(f"cannot interpret {value!r} as a rational") from e
+    n, d = abs(number.numerator), number.denominator
+    if n and not (d <= n * _SCALE and n < d * _SCALE):
+        raise _out_of_range(value)
+    return number
 
 
 @dataclass(frozen=True)

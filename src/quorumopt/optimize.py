@@ -42,7 +42,7 @@ from .errors import DomainError, NoResilientQuorum
 from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
-# can_beat's margin, the distribution-sum tolerance doubled to cover float
+# Bound's margin, the distribution-sum tolerance doubled to cover float
 # rounding in its bounds, and its ascent steps on the node weights.
 _BOUND_MARGIN = 2 * _DIST_SUM_TOL
 _BELOW, _ABOVE = float(1 - _BOUND_MARGIN), float(1 + _BOUND_MARGIN)
@@ -377,16 +377,46 @@ def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
 
 
 class Bound:
-    """What :func:`can_beat` knows of one quorum system: lower bounds on the
-    latency and network load of its strategies over the minimal f-resilient
-    quorums, each worked out once on first use, and ``load``, the per-point
-    load bound that :func:`ascend` leaves, or None before it runs."""
+    """What can be known of one quorum system's strategies without solving
+    its LP: lower bounds on their latency and network load over the minimal
+    f-resilient quorums, each worked out once on first use, and ``load``,
+    the per-point load bound that :func:`ascend` leaves, or None before it
+    runs. :meth:`may_beat` decides on them.
+
+    Latency and network load are at least :meth:`cost`; for f = 0 each
+    side's minimum is one pass over its expression tree, so no quorum is
+    enumerated. For load, at read fraction fr and for any node weights
+    mu >= 0 summing to 1, the busiest node carries at least the mu-average
+    node load, which is at least ``lb_fr(mu) = fr*min_R sum_{x in R}
+    mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
+    duality; Naor & Wool 1998). So capacity is at most ``sum_fr p_fr /
+    lb_fr`` and expected load at least ``sum_fr p_fr * lb_fr``, which a
+    capacity limit c bounds by 1/c. mu starts proportional to each node's
+    capacity at fr and takes up to ``_ASCENT_STEPS`` multiplicative-weights
+    steps toward the nodes of the cheapest quorums (Arora, Hazan & Kale
+    2012), keeping the largest lb_fr seen. :func:`ascend` runs these steps
+    for a batch of systems at once, and a row leaves the batch as soon as
+    it is ruled out, so the ascent stops early for a system out of reach.
+
+    An LP strategy's distributions may each sum to 1 within
+    ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
+    factor, so a value is out of reach only when the bound misses it by the
+    factor ``_BOUND_MARGIN``. A limit is a row of the LP, which HiGHS meets
+    only within ``lp.FEASIBILITY_TOL`` (tol): a returned strategy's latency
+    or network load may pass its limit by tol, and its expected load may
+    pass 1/c by 2*tol, tol on the limit row and tol on the node-load rows
+    that define each L_f. So a limit is out of reach only when a latency or
+    network bound is above ``(limit + tol)*(1 + _BOUND_MARGIN)``, or the
+    expected-load bound above ``(1/c + 2*tol)*(1 + _BOUND_MARGIN)``.
+    """
 
     def __init__(self, qs: QuorumSystem, workload: WorkloadLike, f: int = 0):
+        w = Workload.coerce(workload)
         self.qs = qs
         self.f = f
         self.load: np.ndarray | None = None
-        self._ef = float(Workload.coerce(workload).mean_read_fraction)
+        self.prob = np.array([float(p) for _, p in w.items()])
+        self._ef = float(w.mean_read_fraction)
         self._cost: dict[Objective, float] = {}
 
     def cost(self, kind: Objective) -> float:
@@ -400,12 +430,13 @@ class Bound:
 
     def may_beat(self, objective: Objective, value: float | None,
                  constraints: Constraints) -> bool:
-        """False when a side has no f-resilient quorum, or the latency and
-        network bounds alone show that no strategy meets the latency and
-        network limits and beats ``value``, a float or None as in
-        :func:`can_beat`."""
-        if self.f > 0 and self.qs.fault_tolerance() < self.f:
-            return False
+        """False only when no strategy over the minimal f-resilient quorums
+        both meets ``constraints`` and strictly beats ``value``: a capacity
+        above it for the load objective, a latency or network load below it
+        otherwise; None is beaten by any strategy that meets them. Decided
+        on the latency and network bounds, cheapest first, and, once
+        :func:`ascend` has set ``load``, on the load bound. The system must
+        have an f-resilient quorum on each side."""
         if value is not None and objective is not Objective.LOAD:
             if self.cost(objective) * _BELOW >= value:
                 return False
@@ -413,45 +444,36 @@ class Bound:
                             (Objective.NETWORK, constraints.network_limit)):
             if limit is not None and self.cost(kind) > (float(limit) + lp.FEASIBILITY_TOL) * _ABOVE:
                 return False
-        return True
+        return self.load is None or not _out_of_reach(self.load, self.prob, objective, value,
+                                                      constraints)
 
 
-def _out_of_reach(load: np.ndarray, prob: np.ndarray, min_capacity: float | None,
-                  max_load: float | None) -> np.ndarray:
-    """Per row of per-point load bounds: whether capacity is at most
-    ``min_capacity`` or expected load above ``max_load``."""
+def _out_of_reach(load: np.ndarray, prob: np.ndarray, objective: Objective,
+                  value: float | None, constraints: Constraints) -> np.ndarray:
+    """Per row of per-point load bounds: whether, for the load objective,
+    capacity is at most ``value``, or expected load is above the capacity
+    limit's, each by the margins that :class:`Bound` sets out."""
     out = np.zeros(load.shape[:-1], dtype=bool)
-    if min_capacity is not None:
-        out |= (prob * (1 / load)).sum(axis=-1) <= min_capacity
-    if max_load is not None:
-        out |= (prob * load).sum(axis=-1) > max_load
-    return out
-
-
-def _load_limits(objective: Objective, value: float | None,
-                 constraints: Constraints) -> tuple[float | None, float | None]:
-    """The capacity at or below which, and the expected load above which, a
-    quorum system is out of reach; None where no such limit applies."""
-    min_capacity = max_load = None
     if value is not None and objective is Objective.LOAD:
-        min_capacity = value * _BELOW
+        out |= (prob * (1 / load)).sum(axis=-1) <= value * _BELOW
     if constraints.capacity_limit is not None:
         max_load = (1 / float(constraints.capacity_limit) + 2 * lp.FEASIBILITY_TOL) * _ABOVE
-    return min_capacity, max_load
+        out |= (prob * load).sum(axis=-1) > max_load
+    return out
 
 
 def ascend(
     bounds: list[Bound],
     workload: WorkloadLike,
     objective: Union[Objective, str],
-    value: Rational | None,
+    value: float | None,
     constraints: Constraints | None = None,
 ) -> None:
     """Set each bound's ``load`` by one multiplicative-weights ascent over
-    all of them at once (quorum systems over one universe, bounds of one f,
-    no system below it in fault tolerance); see :func:`can_beat` for the
-    bound. Does nothing unless the load objective or a capacity limit asks
-    for it.
+    all of them at once; see :class:`Bound` for the bound. The bounds must
+    be of quorum systems over one universe, for this workload and one f, and
+    no system may be below f in fault tolerance. Does nothing unless the
+    load objective or a capacity limit asks for it.
 
     The rows' node weights, quorum costs and membership are stacked along a
     first axis, and every operation acts on each row alone, so a row gets
@@ -468,9 +490,7 @@ def ascend(
     if not bounds or objective is not Objective.LOAD and constraints.capacity_limit is None:
         return
     w = Workload.coerce(workload)
-    value = None if value is None else float(as_fraction(value))
-    min_capacity, max_load = _load_limits(objective, value, constraints)
-    prob = np.array([float(p) for _, p in w.items()])
+    prob = bounds[0].prob
     # read and write pairs: unit[point, node] and member[row, node, quorum]
     unit = tuple(_unit_loads(bounds[0].qs.universe, w).T)
     systems, f = [b.qs for b in bounds], bounds[0].f
@@ -483,7 +503,7 @@ def ascend(
         # cost[row, point, quorum]: the mu-weighted load of the quorum's nodes
         cost = [(mu * u) @ m for u, m in zip(unit, member)]
         np.maximum(best, cost[0].min(axis=2) + cost[1].min(axis=2), out=best)
-        done = _out_of_reach(best, prob, min_capacity, max_load) | (step == _ASCENT_STEPS)
+        done = _out_of_reach(best, prob, objective, value, constraints) | (step == _ASCENT_STEPS)
         for i in np.flatnonzero(done):
             bounds[rows[i]].load = best[i].copy()
         if done.all():
@@ -502,71 +522,22 @@ def can_beat(
     qs: QuorumSystem,
     workload: WorkloadLike,
     objective: Union[Objective, str],
-    value: Rational | None,
+    value: float | None,
     f: int = 0,
     constraints: Constraints | None = None,
-    *,
-    bound: Bound | None = None,
 ) -> bool:
-    """False only when no strategy over the minimal f-resilient quorums of
-    ``qs`` both meets ``constraints`` and strictly beats ``value``: a
-    capacity above it for the load objective, a latency or network load
-    below it otherwise. A ``value`` of None is beaten by any strategy that
-    meets the constraints. ``bound``, if given, is the :class:`Bound` of
-    ``qs`` for this workload and f, with ``load`` set by :func:`ascend`
-    against ``value`` or a value that ``value`` beats, or not at all;
-    otherwise ``qs`` gets its own, as a batch of one.
-
-    Latency and network load are at least :meth:`Bound.cost`; for f = 0
-    each side's minimum is one pass over its expression tree, so no quorum
-    is enumerated. For load, at read fraction fr and for any node weights
-    mu >= 0 summing to 1, the busiest node carries at least the mu-average
-    node load, which is at least ``lb_fr(mu) = fr*min_R sum_{x in R}
-    mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
-    duality; Naor & Wool 1998). So capacity is at most ``sum_fr p_fr /
-    lb_fr`` and expected load at least ``sum_fr p_fr * lb_fr``, which a
-    capacity limit c bounds by 1/c. mu starts proportional to each node's
-    capacity at fr and takes up to ``_ASCENT_STEPS`` multiplicative-weights
-    steps toward the nodes of the cheapest quorums (Arora, Hazan & Kale
-    2012), keeping the largest lb_fr seen. :func:`ascend` runs these steps
-    for a batch of systems at once, and a row leaves the batch as soon as
-    it is ruled out, so the ascent stops early for a system out of reach.
-
-    The checks run cheapest first: whether each side has an f-resilient
-    quorum (its fault tolerance), the latency or network objective, the
-    latency and network limits, and last the load bound, which enumerates
-    the quorums and is needed only for the load objective or a capacity
-    limit, on the systems that survived the checks before it.
-
-    An LP strategy's distributions may each sum to 1 within
-    ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
-    factor, so ``value`` is out of reach only when the bound misses it by
-    the factor ``_BOUND_MARGIN``. A limit is a row of the LP, which HiGHS
-    meets only within ``lp.FEASIBILITY_TOL`` (tol): a returned strategy's
-    latency or network load may pass its limit by tol, and its expected
-    load may pass 1/c by 2*tol, tol on the limit row and tol on the
-    node-load rows that define each L_f. So a limit is out of reach only
-    when a latency or network bound is above ``(limit + tol)*(1 +
-    _BOUND_MARGIN)``, or the expected-load bound above ``(1/c + 2*tol)*(1
-    + _BOUND_MARGIN)``. Raises NoResilientQuorum as find_strategy does.
-    """
+    """:meth:`Bound.may_beat` for one quorum system, on its own
+    :class:`Bound` with its load bound set by :func:`ascend` where the load
+    objective or a capacity limit needs it. Raises NoResilientQuorum as
+    find_strategy does."""
     if qs.fault_tolerance() < f:
         raise NoResilientQuorum(f"a side has no quorum that survives every removal of {f} nodes")
-    w = Workload.coerce(workload)
     objective = Objective(objective)
     constraints = constraints or Constraints()
-    value = None if value is None else float(as_fraction(value))
-    if bound is None:
-        bound = Bound(qs, w, f)
-    if not bound.may_beat(objective, value, constraints):
-        return False
-    min_capacity, max_load = _load_limits(objective, value, constraints)
-    if min_capacity is None and max_load is None:
-        return True
-    if bound.load is None:
-        ascend([bound], w, objective, value, constraints)
-    prob = np.array([float(p) for _, p in w.items()])
-    return not _out_of_reach(bound.load, prob, min_capacity, max_load)
+    bound = Bound(qs, workload, f)
+    if bound.may_beat(objective, value, constraints):
+        ascend([bound], workload, objective, value, constraints)
+    return bound.may_beat(objective, value, constraints)
 
 
 def capacity_curve(

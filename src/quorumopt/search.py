@@ -6,39 +6,44 @@ depth. They are flat (no Or child under an Or, no And child under an And)
 with sorted children, which makes each the unique modular decomposition of
 its boolean function, so each function appears once. Write quorums are
 always the dual of the candidate reads (searching both sides independently
-would be redundant: the dual is the optimal complement). Each candidate that
-meets the fault tolerance floor is scored by solving the strategy LP and
-working out the metric of its strategy in floats. A candidate replaces the
-best so far only if it beats it by more than the relative tie band ``_TIE``
-(4 ppm); otherwise the earlier candidate stays, so exact ties, and metrics
-that float rounding alone sets apart, keep the first in emission order and
-runs are reproducible. Only the winner's metric is worked out in exact
-``Fraction`` arithmetic.
+would be redundant: the dual is the optimal complement). The fault
+tolerance floor is the larger of ``min_fault_tolerance`` (the CLI's
+``--fault-tolerance``) and ``f`` (``--f``): below f a side has no
+f-resilient quorum, so no strategy exists. Each candidate that meets the
+floor is scored by solving the strategy LP and working out the metric of
+its strategy in floats. A candidate replaces the best so far only if it
+beats it by more than the relative tie band ``_TIE`` (4 ppm); otherwise the
+earlier candidate stays, so exact ties, and metrics that float rounding
+alone sets apart, keep the first in emission order and runs are
+reproducible. Only the winner's metric is worked out in exact ``Fraction``
+arithmetic.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
-cheapest quorum, less one). Each candidate above it then gets cheap bounds,
-:func:`~quorumopt.optimize.can_beat`, on what any of its strategies can
-reach, cheapest first: the latency or network objective and the latency and
-network limits from tree passes, then, if still needed, the load bound that
-enumerates the minimal quorums. The bounds are asked whether a candidate
-can beat the best so far moved by the tie band, which is what it must beat
-to replace it. Its LP is skipped when a bound shows that it cannot, or
-cannot meet a requested limit; so exact ties are skipped without an LP.
-Each bound holds for every strategy the LP could return, allowing by
-``_BOUND_MARGIN`` for the tolerance on distribution sums and for float
-rounding, and for a limit also for the solver's tolerance on its row. So
-the winner, its strategy and its metric are the ones the search without
-the bounds finds.
+cheapest quorum, less one). Each candidate at or above it then gets a
+:class:`~quorumopt.optimize.Bound`, cheap bounds on what any of its
+strategies can reach, and one gate,
+:meth:`~quorumopt.optimize.Bound.may_beat`, decides on them, cheapest first:
+the latency or network objective and the latency and network limits from
+tree passes, then, once it is set, the load bound that enumerates the
+minimal quorums. The gate is asked whether a candidate can beat the best so
+far moved by the tie band, which is what it must beat to replace it. Its
+LP is skipped when a bound shows that it cannot, or cannot meet a requested
+limit; so exact ties are skipped without an LP. Each bound holds for every
+strategy the LP could return, allowing by ``_BOUND_MARGIN`` for the
+tolerance on distribution sums and for float rounding, and for a limit
+also for the solver's tolerance on its row. So the winner, its strategy
+and its metric are the ones the search without the bounds finds.
 
 Candidates are taken ``_BLOCK`` at a time. A block's tree bounds are worked
 out once per candidate, and one load-bound ascent
 (:func:`~quorumopt.optimize.ascend`) runs over all of its candidates that
 the tree bounds leave in play against the incumbent the block started
 with; a candidate leaves the ascent once it is ruled out against that
-incumbent. The block is then decided in emission order against the
-incumbent of the moment, which gives the decisions of a search that takes
-one candidate at a time (see :func:`search`).
+incumbent. The candidates that the gate passed are then decided in
+emission order against the incumbent of the moment, which gives the
+decisions of a search that takes one candidate at a time (see
+:func:`search`).
 """
 
 from __future__ import annotations
@@ -52,13 +57,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from . import expr as _expr
-from .errors import (
-    DomainError,
-    Infeasible,
-    NoFeasibleCandidate,
-    NoResilientQuorum,
-)
-from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike
+from .errors import DomainError, Infeasible, NoFeasibleCandidate
+from .model import Node, QuorumSystem, Workload, WorkloadLike
 from .optimize import (
     _BOUND_MARGIN,
     Bound,
@@ -66,7 +66,6 @@ from .optimize import (
     Objective,
     Strategy,
     ascend,
-    can_beat,
     find_strategy,
     quorum_latency,
 )
@@ -215,19 +214,6 @@ def _score(strategy: Strategy, workload: Workload, objective: Objective) -> floa
                for side, share in (("read", ef), ("write", 1 - ef)))
 
 
-def _to_beat(objective: Objective, score: float) -> Fraction:
-    """What a challenger must strictly beat to replace an incumbent that
-    scores ``score``: ``score`` moved by the tie band, exactly, as
-    :func:`can_beat` takes it."""
-    return Fraction(score) * (1 + _TIE if objective is Objective.LOAD else 1 - _TIE)
-
-
-def _better(objective: Objective, challenger: Rational, incumbent: Rational) -> bool:
-    if objective is Objective.LOAD:
-        return challenger > incumbent  # capacity: higher is better
-    return challenger < incumbent
-
-
 def search(
     universe: Sequence[Node],
     workload: WorkloadLike,
@@ -236,16 +222,17 @@ def search(
     """Best quorum system over duplicate-free read expressions.
 
     Each candidate's writes are the dual of its reads. Candidates below the
-    fault tolerance floor are skipped without solving; infeasible candidates
+    fault tolerance floor, the larger of ``options.min_fault_tolerance``
+    and ``options.f``, are skipped without solving; infeasible candidates
     are skipped. A solved candidate replaces the incumbent only if its
     metric, worked out in floats, beats the incumbent's by more than the
     relative tie band ``_TIE`` (4 ppm): a higher capacity by that factor,
     or a latency or network load lower by it. A candidate is also skipped
-    when its bound (:func:`can_beat`) shows that none of its strategies
-    meets the limits and strictly beats the incumbent moved by the band,
-    exact ties included: such a candidate could not have replaced it, and
-    its LP would have been infeasible or lost, so the result is the same as
-    with every LP solved. The bound allows a returned strategy's
+    when its gate (:meth:`Bound.may_beat`) shows that none of its
+    strategies meets the limits and strictly beats the incumbent moved by
+    the band, exact ties included: such a candidate could not have replaced
+    it, and its LP would have been infeasible or lost, so the result is the
+    same as with every LP solved. The bound allows a returned strategy's
     distributions to miss a sum of 1 by the tolerance that Strategy
     accepts, plus float rounding, and a limit's row to be met only within
     the solver's feasibility tolerance. Only the winner's metric, its
@@ -256,17 +243,18 @@ def search(
     raised.
 
     Candidates are taken from the stream ``_BLOCK`` at a time, and each
-    one's quorum system is built once. A block's load bounds come from one
-    ascent against the incumbent at the start of the block, and each
-    candidate is then decided against the incumbent of the moment. This
-    decides as a search one candidate at a time does: the incumbent only
-    improves and an ascent's running maximum only grows, so a candidate
-    ruled out against the block's first incumbent is ruled out against any
-    later one, and a candidate that took every ascent step is decided on
-    the bound that the one-at-a-time ascent ends with. The budget and the
-    timeout are checked before each candidate is taken, so a budget stops
-    the stream exactly; a block once taken is decided in full, so a search
-    can run past its timeout by the bounds and LPs of one block.
+    one's quorum system is built once. The candidates that the gate passes
+    against the incumbent at the start of the block get their load bounds
+    from one ascent against it, and each of them is then decided against
+    the incumbent of the moment. This decides as a search one candidate at
+    a time does: the incumbent only improves and an ascent's running
+    maximum only grows, so a candidate ruled out against the block's first
+    incumbent is ruled out against any later one, and a candidate that
+    took every ascent step is decided on the bound that the one-at-a-time
+    ascent ends with. The budget and the timeout are checked before each
+    candidate is taken, so a budget stops the stream exactly; a block once
+    taken is decided in full, so a search can run past its timeout by the
+    bounds and LPs of one block.
 
     The load objective maximizes capacity; latency and network objectives
     minimize their metric. Ties within the band keep the earliest candidate,
@@ -277,10 +265,13 @@ def search(
     w = Workload.coerce(workload)
     names = sorted(node.name for node in universe)
     objective, constraints, f = options.objective, options.constraints, options.f
+    floor = max(options.min_fault_tolerance, f)
+    maximize = objective is Objective.LOAD  # capacity: higher is better
+    band = float(1 + _TIE if maximize else 1 - _TIE)
 
     start = time.monotonic()
     best: Strategy | None = None
-    bar: Fraction | None = None  # what a challenger must beat: _to_beat of the best score
+    bar: float | None = None  # what a challenger must beat: the best score moved by the band
     examined = 0
 
     def reached() -> Iterator[QuorumSystem]:
@@ -295,22 +286,19 @@ def search(
 
     systems = reached()
     while block := list(itertools.islice(systems, _BLOCK)):
-        bounds = [Bound(qs, w, f) for qs in block
-                  if qs.fault_tolerance() >= options.min_fault_tolerance]
-        incumbent = None if bar is None else float(bar)
-        ascend([b for b in bounds if b.may_beat(objective, incumbent, constraints)],
-               w, objective, incumbent, constraints)
+        bounds = [Bound(qs, w, f) for qs in block if qs.fault_tolerance() >= floor]
+        bounds = [b for b in bounds if b.may_beat(objective, bar, constraints)]
+        ascend(bounds, w, objective, bar, constraints)
         for bound in bounds:
-            qs = bound.qs
+            if not bound.may_beat(objective, bar, constraints):
+                continue
             try:
-                if not can_beat(qs, w, objective, bar, f, constraints, bound=bound):
-                    continue
-                sigma = find_strategy(qs, w, objective, constraints, f=f)
-            except (Infeasible, NoResilientQuorum):
+                sigma = find_strategy(bound.qs, w, objective, constraints, f=f)
+            except Infeasible:
                 continue
             score = _score(sigma, w, objective)
-            if bar is None or _better(objective, score, bar):
-                best, bar = sigma, _to_beat(objective, score)
+            if bar is None or (score > bar if maximize else score < bar):
+                best, bar = sigma, score * band
     if best is None:
         raise NoFeasibleCandidate(
             f"no feasible quorum system among {examined} candidates"

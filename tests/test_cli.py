@@ -178,6 +178,7 @@ UNREADABLE_INPUTS = [
     pytest.param(["strategy", "--capacity-limit", "nan"], None, id="capacity-limit-nan"),
     pytest.param(["strategy", "--capacity-limit", "inf"], None, id="capacity-limit-inf"),
     pytest.param(["strategy", "--latency-limit", "1e400"], None, id="latency-limit-1e400"),
+    pytest.param(["strategy", "--capacity-limit", "1e-320"], None, id="capacity-limit-1e-320"),
     pytest.param(["analyze"], _config(read_fraction="true"), id="read_fraction-true"),
     pytest.param(["analyze"], _config(read_fraction="NaN"), id="read_fraction-NaN"),
     pytest.param(
@@ -188,7 +189,8 @@ UNREADABLE_INPUTS = [
         ["analyze"], _config(f'{{"name": "a", "{field}": {value}}}'), id=f"{field}-{value}"
     )
     for field in ("read_cap", "latency_s")
-    for value in ("NaN", "Infinity", "-Infinity", "1e400", '"Infinity"', "true")
+    for value in ("NaN", "Infinity", "-Infinity", "1e400", '"Infinity"', "true",
+                  '"1e400"', '"1e-400"', '"1e30000000"')
 ] + [
     # nested deeper than expr.NESTING_BOUND
     pytest.param(

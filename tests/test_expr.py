@@ -14,6 +14,7 @@ from quorumopt.expr import (
     Choose,
     Or,
     Var,
+    _survey,
     and_,
     canonical,
     choose,
@@ -23,7 +24,6 @@ from quorumopt.expr import (
     minimal_transversals,
     or_,
     parse,
-    survey,
     to_masks,
     unmask,
 )
@@ -327,10 +327,12 @@ class TestMasks:
     @given(st.one_of(expressions(), duplicate_free_expressions()))
     @settings(max_examples=200, deadline=None)
     def test_survey_finds_the_names_and_the_tree_pass(self, e):
-        names, size = survey(e)
+        names, sizes = _survey(e)
         assert names == tuple(sorted(e.names()))
-        assert (size is None) == (not e.uses_each_variable_once())
-        assert size is None or size == min(len(s) for s in exhaustive_minimal_sets(e))
+        assert (sizes is None) == (not e.uses_each_variable_once())
+        if sizes is not None:
+            assert sizes[0] == min(len(s) for s in exhaustive_minimal_sets(e))
+            assert sizes[1] == min(len(s) for s in exhaustive_minimal_sets(e.dual()))
 
     @given(st.one_of(expressions(), duplicate_free_expressions()))
     @settings(max_examples=200, deadline=None)

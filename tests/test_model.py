@@ -176,7 +176,7 @@ class TestQuorumSystem:
 
     def test_read_once_systems_enumerate_no_quorum_for_fault_tolerance(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("quorumopt.expr.minimal_sets", lambda *a: calls.append(a))
+        monkeypatch.setattr("quorumopt.expr._masks", lambda *a: calls.append(a))
         qs = QuorumSystem(nodes("abcde"), reads="choose(2, [a, b*c, d + e])")
         assert qs.fault_tolerance() == 1
         assert calls == []

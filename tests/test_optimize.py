@@ -537,7 +537,7 @@ class TestBlockAscent:
             ("load", capacity, Constraints()),
             ("network", None, Constraints(capacity_limit=capacity)),
         ):
-            decided = [can_beat(b.qs, w, objective, value, f, limits, bound=b) for b in batch]
+            decided = [b.may_beat(Objective(objective), value, limits) for b in batch]
             assert decided == [can_beat(qs, w, objective, value, f, limits) for qs in systems]
             assert 0 < sum(decided) < len(decided)
 

@@ -267,23 +267,23 @@ class TestBoundPruning:
         options = SearchOptions(**options)
         pruned = outcome(nodes, w, options)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(search_module, "can_beat", lambda *args, **kwargs: True)
+            m.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
             unpruned = outcome(nodes, w, options)
         assert pruned == unpruned
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_can_beat_is_the_only_prune(self, case, monkeypatch):
-        # With can_beat always True, every candidate that meets the floor
-        # reaches find_strategy: no tree or limit bound prunes outside it.
+        # With Bound.may_beat always True, every candidate that meets the
+        # floor reaches find_strategy: no tree or limit bound prunes outside it.
         nodes = hetero_nodes()
         options = dict(self.CASES[case])
         options["constraints"] = Constraints(
             capacity_limit=100, latency_limit=3, network_limit=Fraction(5, 2)
         )
-        monkeypatch.setattr(search_module, "can_beat", lambda *args, **kwargs: True)
+        monkeypatch.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
         solves = counted_solves(monkeypatch)
         examined = outcome(nodes, Fraction(1, 2), SearchOptions(**options))
-        floor = options.get("min_fault_tolerance", 0)
+        floor = max(options.get("min_fault_tolerance", 0), options.get("f", 0))
         expected = [
             e for e in enumerate_candidates("abcd")
             if min(exhaustive_fault_tolerance(QuorumSystem(nodes, reads=e), side)
@@ -371,7 +371,7 @@ def reference_solves(nodes, w, options):
         except (Infeasible, NoResilientQuorum):
             continue
         value = search_module._metric(sigma, w, options.objective)
-        if bar is None or search_module._better(options.objective, value, bar):
+        if bar is None or (value > bar if options.objective is Objective.LOAD else value < bar):
             bar = value * band
             improved.append(i)
     return solved, improved
@@ -483,7 +483,7 @@ class TestTimeout:
         assert (str(result.qs.reads), result.metric_value) == (
             str(budget.qs.reads), budget.metric_value)
         # The best of those candidates, every LP solved.
-        monkeypatch.setattr(search_module, "can_beat", lambda *args, **kwargs: True)
+        monkeypatch.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
         solved = search(config.nodes, config.workload,
                         SearchOptions(budget=reached, **options))
         assert (str(result.qs.reads), result.metric_value) == (
