@@ -90,10 +90,10 @@ def _highs_options() -> HighsOptions:
 _HIGHS_OPTIONS = _highs_options()
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, options):
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
     """Minimize c.x subject to A_ub.x <= b_ub, A_eq.x = b_eq and ``bounds``
-    with HiGHS, configured by ``options``. Every argument but ``options`` is
-    a float array; ``bounds`` is (n, 2), with ``np.inf`` for no bound.
+    with HiGHS, configured by ``_HIGHS_OPTIONS``. Every argument is a float
+    array; ``bounds`` is (n, 2), with ``np.inf`` for no bound.
 
     Returns an object with ``status`` (scipy's codes: 0 optimal, 2
     infeasible, 4 any other failure), ``x`` (None unless HiGHS found an
@@ -120,7 +120,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, options):
     lp.row_upper_ = np.concatenate((b_ub, b_eq))
 
     highs = _Highs()
-    highs.passOptions(options)
+    highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(lp) == HighsStatus.kError:
         return SimpleNamespace(status=2, x=None, nit=0, message="HiGHS rejected the model")
     highs.run()  # a failed run leaves a model status other than kOptimal
@@ -158,10 +158,7 @@ def solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
     Raises Infeasible when the constraints are unsatisfiable and
     SolverFailure for any other solver failure.
     """
-    result = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        options=_HIGHS_OPTIONS,
-    )
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
     if result.status == 2:
         raise Infeasible("constraints are unsatisfiable")
     if result.status != 0:

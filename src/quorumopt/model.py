@@ -121,6 +121,9 @@ class Workload:
     def from_weights(cls, weights: Mapping[Rational, Rational]) -> "Workload":
         """Normalize arbitrary nonnegative weights into a distribution."""
         ws = {as_fraction(fr): as_fraction(w) for fr, w in weights.items()}
+        for fr, w in ws.items():
+            if w < 0:
+                raise DomainError(f"workload weight {w} of read fraction {fr} is negative")
         total = sum(ws.values())
         if total <= 0:
             raise DomainError("workload weights must have positive total")
@@ -169,11 +172,12 @@ class QuorumSystem:
     the nodes outside each minimal write quorum hold no read quorum, one
     tree evaluation per write quorum.
 
-    A side's minimal quorums are enumerated on first use and cached in
-    canonical order, and kept as int bitmasks over :meth:`side_names` for
-    latency, membership and resilience. Fault tolerance needs no
-    enumeration when a side's dual repeats no name. A side over more than
-    ``expr.ENUMERATION_BOUND`` names raises UniverseTooLarge at construction.
+    A side's minimal (f-resilient) quorums are enumerated on first use and
+    cached in canonical order, once, as int bitmasks over :meth:`side_names`
+    (:meth:`quorum_masks`); the name sets are unmasked from them on each
+    call. Fault tolerance needs no enumeration when a side's dual repeats no
+    name. A side over more than ``expr.ENUMERATION_BOUND`` names raises
+    UniverseTooLarge at construction.
     """
 
     def __init__(self, universe: Sequence[Node], reads: ExprLike = None, writes: ExprLike = None):
@@ -214,7 +218,6 @@ class QuorumSystem:
         self._exprs = {"read": reads, "write": writes}
         # Derived, each side is the other's dual, as dual(dual(e)) is e.
         self._dual_side = {"read": "write", "write": "read"} if derived else {}
-        self._sets: dict[tuple[str, int], list[frozenset[str]]] = {}
         self._masks: dict[tuple[str, int], tuple[int, ...]] = {}
         self._dual_masks: dict[str, tuple[int, ...]] = {}
         missed = [] if derived else [
@@ -272,9 +275,8 @@ class QuorumSystem:
         return self._names[side]
 
     def minimal_quorums(self, side: str) -> list[frozenset[str]]:
-        if (side, 0) not in self._sets:
-            self._sets[side, 0] = _expr.unmask(self.quorum_masks(side), self.side_names(side))
-        return list(self._sets[side, 0])
+        """``resilient_quorums(side, 0)``: the side's minimal quorums."""
+        return self.resilient_quorums(side, 0)
 
     def quorum_masks(self, side: str, f: int = 0) -> tuple[int, ...]:
         """``resilient_quorums(side, f)`` as masks over :meth:`side_names`;
@@ -314,11 +316,10 @@ class QuorumSystem:
     def _fault_tolerance(self, side: str) -> int:
         # Killing a node set removes every quorum iff the set meets every
         # quorum. The minimal such sets are the minimal quorums of the dual,
-        # so the dual's smallest quorum, less one, is the fault tolerance.
+        # so the dual's smallest quorum, first in canonical order, less one,
+        # is the fault tolerance.
         if side not in self._tolerance:
-            other = self._dual_side.get(side)
-            dual = self._exprs[other] if other else self.side(side).dual()
-            self._tolerance[side] = _expr.min_quorum_size(dual) - 1
+            self._tolerance[side] = self._dual(side)[0].bit_count() - 1
         return self._tolerance[side]
 
     # -- resilient quorums ---------------------------------------------------
@@ -341,9 +342,5 @@ class QuorumSystem:
         any f of their nodes, in canonical order; for f = 0, the minimal
         quorums. For f > 0, :func:`expr.minimal_transversals` finds them in
         one vectorised sweep of every set of the side's names, once per
-        (side, f); each call gets a copy."""
-        if f == 0:
-            return self.minimal_quorums(side)
-        if (side, f) not in self._sets:
-            self._sets[side, f] = _expr.unmask(self.quorum_masks(side, f), self._names[side])
-        return list(self._sets[side, f])
+        (side, f); each call unmasks a fresh list from :meth:`quorum_masks`."""
+        return _expr.unmask(self.quorum_masks(side, f), self.side_names(side))

@@ -162,32 +162,26 @@ class Strategy:
 
         return f"Strategy(reads={fmt(self._dist['read'])}, writes={fmt(self._dist['write'])})"
 
-    # -- node selection masses ----------------------------------------------
+    # -- node loads -----------------------------------------------------------
 
     @cached_property
-    def _mass(self) -> dict[str, dict[str, Fraction]]:
-        """Per side, each node's selection probability, for the nodes of
-        some quorum of the side's distribution."""
-        mass: dict[str, dict[str, Fraction]] = {}
-        for side, dist in self._dist.items():
-            mass[side] = side_mass = {}
+    def _unit_load(self) -> dict[str, tuple[Fraction, Fraction]]:
+        """For each node of some quorum of either distribution, in universe
+        order, its exact load per unit of reads and per unit of writes: its
+        read selection probability over its read capacity, and likewise for
+        writes."""
+        mass: dict[str, list] = {}
+        for i, dist in enumerate(self._dist.values()):
             for quorum, p in dist:
                 for x in quorum:
-                    side_mass[x] = side_mass.get(x, Fraction(0)) + p
-        return mass
-
-    def _node_load_at(self, name: str, fr: Fraction) -> Fraction:
-        node = self._qs.node(name)
-        cap = {"read": node.read_cap, "write": node.write_cap}
-        read, write = (share * self._mass[side].get(name, 0) / cap[side]
-                       for side, share in _shares(fr).items())
-        return read + write
+                    mass.setdefault(x, [0, 0])[i] += p
+        return {n.name: (mass[n.name][0] / n.read_cap, mass[n.name][1] / n.write_cap)
+                for n in self._qs.universe if n.name in mass}
 
     def load_at(self, fr: Rational) -> Fraction:
         """Per-fraction load: utilization of the busiest node."""
         fr = as_fraction(fr)
-        used = set().union(*self._mass.values())
-        return max(self._node_load_at(n.name, fr) for n in self._qs.universe if n.name in used)
+        return max(fr * r + (1 - fr) * w for r, w in self._unit_load.values())
 
     # -- workload-level metrics ----------------------------------------------
 
@@ -200,8 +194,10 @@ class Strategy:
         return sum(p / self.load_at(fr) for fr, p in w.items())
 
     def node_load(self, name: str, workload: WorkloadLike) -> Fraction:
+        self._qs.node(name)  # rejects an unknown name
         w = Workload.coerce(workload)
-        return sum(p * self._node_load_at(name, fr) for fr, p in w.items())
+        read, write = self._unit_load.get(name, (0, 0))
+        return sum(p * (fr * read + (1 - fr) * write) for fr, p in w.items())
 
     def latency(self, workload: WorkloadLike) -> Fraction:
         return self._expected(workload, lambda side, q: quorum_latency(self._qs, side, q))
@@ -292,8 +288,9 @@ def find_strategy(
     """Optimal strategy for the given objective, subject to the constraints.
 
     The LP's columns are the selection probabilities of the minimal
-    f-resilient read quorums, then of the write quorums, each in [0, 1],
-    then one load L_f >= 0 per read fraction f, in workload order. Its rows:
+    f-resilient read quorums, then of the write quorums, each in [0, 1] and
+    in :meth:`QuorumSystem.quorum_masks` order, then one load L_f >= 0 per
+    read fraction f, in workload order. Its rows:
 
     * two equalities: each side's probabilities sum to 1;
     * per node that is in some quorum (universe order), then per read
@@ -303,7 +300,9 @@ def find_strategy(
 
     Each metric is one cost vector, used as the objective or as a limit row:
     load is the expected L_f (a capacity limit c bounds it by 1/c), latency
-    and network are the expected quorum latency and quorum size.
+    and network are the expected quorum latency and quorum size. Only the
+    quorums that the solution selects with probability above 1e-9 are
+    unmasked into name sets, for the returned Strategy.
 
     Raises Infeasible when no strategy satisfies the constraints and
     NoResilientQuorum when a side has no f-resilient quorum at all.
@@ -312,8 +311,8 @@ def find_strategy(
     objective = Objective(objective)
     constraints = constraints or Constraints()
 
-    pools = {side: qs.resilient_quorums(side, f) for side in ("read", "write")}
-    columns = [(side, q) for side, pool in pools.items() for q in pool]
+    pools = {side: qs.quorum_masks(side, f) for side in ("read", "write")}
+    columns = [(side, m) for side, pool in pools.items() for m in pool]
     is_write = np.repeat([0, 1], [len(pool) for pool in pools.values()])
     points = w.items()
     nq, nl = len(columns), len(points)
@@ -357,9 +356,10 @@ def find_strategy(
 
     x = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds)
     dist = {side: [] for side in pools}
-    for (s, quorum), p in zip(columns, x):
+    for (s, mask), p in zip(columns, x):
         p = min(float(p), 1.0)  # solver round-off can spill past 1
         if p > 1e-9:
+            (quorum,) = _expr.unmask([mask], qs.side_names(s))
             dist[s].append((quorum, Fraction(p)))
     return Strategy(qs, *dist.values(), f=f)
 

@@ -91,6 +91,10 @@ class TestWorkload:
         w = Workload.from_weights({0.9: 10, 0.5: 460})
         assert w.points[Fraction(9, 10)] == Fraction(10, 470)
 
+    def test_from_weights_refuses_a_negative_weight(self):
+        with pytest.raises(DomainError, match="weight -1 of read fraction 1/2 is negative"):
+            Workload.from_weights({"0.5": -1, "0.7": 2})
+
     def test_mean(self):
         w = Workload({0: Fraction(1, 2), 1: Fraction(1, 2)})
         assert w.mean_read_fraction == Fraction(1, 2)

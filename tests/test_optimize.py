@@ -12,9 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprgen import duplicate_free_expressions, expressions
+from quorumopt import expr as _expr
 from quorumopt import lp
 from quorumopt.cli import load_config
-from quorumopt.errors import DomainError, Infeasible, NoResilientQuorum, SolverFailure
+from quorumopt.errors import (
+    DomainError,
+    Infeasible,
+    NoResilientQuorum,
+    SolverFailure,
+    UnknownNode,
+)
 from quorumopt.expr import min_quorum_latency
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import (
@@ -267,6 +274,36 @@ class TestFindStrategy:
         assert sigma.latency(1) <= 1
         assert sigma.read_dist == [(frozenset("ab"), Fraction(1))]
 
+    @pytest.mark.parametrize("f", [0, 1])
+    @pytest.mark.parametrize(
+        "objective,constraints",
+        [(o, Constraints()) for o in Objective]
+        + [(Objective.LATENCY, Constraints(capacity_limit=50))],
+        ids=[o.value for o in Objective] + ["latency-capacity_limit"],
+    )
+    def test_columns_come_from_the_masks_alone(self, monkeypatch, objective, constraints, f):
+        reads = "choose(2, [a, b, c, d])"
+        expected = find_strategy(QuorumSystem(hetero_nodes(), reads=reads), Fraction(1, 2),
+                                 objective, constraints, f=f)
+
+        def refuse(*args):
+            raise AssertionError("find_strategy unmasked every quorum")
+
+        monkeypatch.setattr(QuorumSystem, "resilient_quorums", refuse)
+        qs = QuorumSystem(hetero_nodes(), reads=reads)
+        sigma = find_strategy(qs, Fraction(1, 2), objective, constraints, f=f)
+        assert (sigma.read_dist, sigma.write_dist) == (expected.read_dist, expected.write_dist)
+
+    def test_repeated_names_enumerate_each_side_once(self, monkeypatch):
+        """Each side's fault tolerance is read off the other side's family,
+        its dual, which the LP then takes as its columns."""
+        masks, calls = _expr._masks, []
+        monkeypatch.setattr(_expr, "_masks", lambda *args: calls.append(args) or masks(*args))
+        qs = QuorumSystem(plain("abcd"), reads="a*b + a*c + b*c*d")
+        assert qs.fault_tolerance() == 1
+        find_strategy(qs, Fraction(1, 2))
+        assert len(calls) == 2
+
 
 class TestSolverStatus:
     @pytest.mark.parametrize("status,error", [(2, Infeasible), (4, SolverFailure)])
@@ -287,6 +324,10 @@ class TestNodeLoad:
         qs = QuorumSystem(plain("abcd"), reads="a*b + b*c + a*c")
         sigma = uniform_strategy(qs)
         assert sigma.node_load("d", 1) == 0
+
+    def test_unknown_node_rejected(self, maj3):
+        with pytest.raises(UnknownNode):
+            uniform_strategy(maj3).node_load("z", 1)
 
     def test_optimal_grid_balances_fast_and_slow(self, grid):
         sigma = find_strategy(grid, 1)

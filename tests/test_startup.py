@@ -66,7 +66,7 @@ lp_args = dict(
     bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
 )
 c = np.array([1.0, 1.0])
-ours = lp.linprog(c, **lp_args, options=lp._HIGHS_OPTIONS)
+ours = lp.linprog(c, **lp_args)
 tolerances = {
     "primal_feasibility_tolerance": lp.FEASIBILITY_TOL,
     "dual_feasibility_tolerance": lp.FEASIBILITY_TOL,
