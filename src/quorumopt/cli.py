@@ -69,7 +69,7 @@ def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad JSON or UTF-8
         raise DomainError(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise DomainError("config must be a JSON object")

@@ -77,9 +77,13 @@ class Expression:
 
         The minimal quorums of the dual are exactly the minimal transversals
         of this expression's minimal quorums, and dual(dual(e)) equals e as a
-        boolean function.
+        boolean function. An Or gives an And, an And an Or, and choose(k)
+        over m children choose(m - k + 1) over their duals.
         """
-        raise NotImplementedError
+        children = tuple(c.dual() for c in self.children)
+        if isinstance(self, Choose):
+            return Choose(len(children) - self.k + 1, children)
+        return And(children) if isinstance(self, Or) else Or(children)
 
     def depth(self) -> int:
         """Height of the syntax tree; a bare variable has depth 0. A
@@ -152,9 +156,6 @@ class Or(Expression):
         object.__setattr__(self, "children", tuple(self.children))
         _check_children(self, "Or")
 
-    def dual(self) -> Expression:
-        return And(tuple(c.dual() for c in self.children))
-
     def __str__(self) -> str:
         return " + ".join(str(c) for c in self.children)
 
@@ -167,9 +168,6 @@ class And(Expression):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         _check_children(self, "And")
-
-    def dual(self) -> Expression:
-        return Or(tuple(c.dual() for c in self.children))
 
     def __str__(self) -> str:
         # Or children need parentheses under *; everything else binds tighter.
@@ -193,10 +191,6 @@ class Choose(Expression):
             raise DomainError(
                 f"choose threshold must satisfy 1 <= k <= {len(self.children)}, got {self.k}"
             )
-
-    def dual(self) -> Expression:
-        n = len(self.children)
-        return Choose(n - self.k + 1, tuple(c.dual() for c in self.children))
 
     def __str__(self) -> str:
         inner = ", ".join(str(c) for c in self.children)

@@ -10,13 +10,14 @@ would be redundant: the dual is the optimal complement). The fault
 tolerance floor is the larger of ``min_fault_tolerance`` (the CLI's
 ``--fault-tolerance``) and ``f`` (``--f``): below f a side has no
 f-resilient quorum, so no strategy exists. Each candidate that meets the
-floor is scored by solving the strategy LP and working out the metric of
-its strategy in floats. A candidate replaces the best so far only if it
-beats it by more than the relative tie band ``_TIE`` (4 ppm); otherwise the
-earlier candidate stays, so exact ties, and metrics that float rounding
-alone sets apart, keep the first in emission order and runs are
-reproducible. Only the winner's metric is worked out in exact ``Fraction``
-arithmetic.
+floor is scored by solving the strategy LP and reading the metric of its
+strategy as a float: a latency or network load is the exact metric rounded
+once, and a capacity is summed in floats from the strategy's exact table
+of node loads per unit of reads and of writes. A candidate replaces the
+best so far only if it beats it by more than the relative tie band
+``_TIE`` (4 ppm); otherwise the earlier candidate stays, so exact ties, and
+metrics that float rounding alone sets apart, keep the first in emission
+order and runs are reproducible. The winner's metric is reported exact.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
@@ -67,7 +68,6 @@ from .optimize import (
     Strategy,
     ascend,
     find_strategy,
-    quorum_latency,
 )
 
 # Set partitions grow super-exponentially (Bell numbers); past 8 nodes full
@@ -184,34 +184,16 @@ def _metric(strategy: Strategy, workload: Workload, objective: Objective) -> Fra
 
 
 def _score(strategy: Strategy, workload: Workload, objective: Objective) -> float:
-    """:func:`_metric` in floats. Each capacity, latency, read fraction and
-    probability is rounded once, and the sums over quorums, nodes and points
-    are short, so the score is within about 1e-15 relative of the exact
-    metric."""
-    qs = strategy.qs
-    dists = {"read": strategy.read_dist, "write": strategy.write_dist}
-    if objective is Objective.LOAD:
-        mass: dict[str, list[float]] = {}  # node: its read and write selection probability
-        for side, dist in enumerate(dists.values()):
-            for quorum, p in dist:
-                for x in quorum:
-                    mass.setdefault(x, [0.0, 0.0])[side] += float(p)
-        nodes = [(r, w, float(qs.node(x).read_cap), float(qs.node(x).write_cap))
-                 for x, (r, w) in mass.items()]
-        capacity = 0.0
-        for fr, p in workload.items():
-            fr = float(fr)
-            capacity += float(p) / max(fr * r / rc + (1 - fr) * w / wc for r, w, rc, wc in nodes)
-        return capacity
-
-    def cost(side: str, quorum: frozenset[str]) -> float:
-        if objective is Objective.LATENCY:
-            return float(quorum_latency(qs, side, quorum))
-        return len(quorum)
-
-    ef = float(workload.mean_read_fraction)
-    return sum(share * sum(float(p) * cost(side, q) for q, p in dists[side])
-               for side, share in (("read", ef), ("write", 1 - ef)))
+    """:func:`_metric` as a float. A latency or network score is the exact
+    metric rounded once. A capacity score is summed in floats over the
+    points from each node's exact load per unit of reads and of writes,
+    :attr:`Strategy._unit_load`, each rounded once, so it is within about
+    1e-15 relative of the exact metric."""
+    if objective is not Objective.LOAD:
+        return float(_metric(strategy, workload, objective))
+    unit = [(float(r), float(w)) for r, w in strategy._unit_load.values()]
+    points = [(float(fr), float(p)) for fr, p in workload.items()]
+    return sum(p / max(fr * r + (1 - fr) * w for r, w in unit) for fr, p in points)
 
 
 def search(
@@ -225,7 +207,9 @@ def search(
     fault tolerance floor, the larger of ``options.min_fault_tolerance``
     and ``options.f``, are skipped without solving; infeasible candidates
     are skipped. A solved candidate replaces the incumbent only if its
-    metric, worked out in floats, beats the incumbent's by more than the
+    score (:func:`_score`, its metric as a float: the exact latency or
+    network load rounded once, or a capacity summed in floats from the
+    exact node-load table) beats the incumbent's by more than the
     relative tie band ``_TIE`` (4 ppm): a higher capacity by that factor,
     or a latency or network load lower by it. A candidate is also skipped
     when its gate (:meth:`Bound.may_beat`) shows that none of its
@@ -235,8 +219,8 @@ def search(
     same as with every LP solved. The bound allows a returned strategy's
     distributions to miss a sum of 1 by the tolerance that Strategy
     accepts, plus float rounding, and a limit's row to be met only within
-    the solver's feasibility tolerance. Only the winner's metric, its
-    ``metric_value``, is worked out in exact ``Fraction`` arithmetic.
+    the solver's feasibility tolerance. The winner's ``metric_value`` is its
+    metric in exact ``Fraction`` arithmetic.
     ``candidates_examined`` and the budget count every candidate, skipped
     ones included. On timeout or budget exhaustion the best result so far
     is returned; if nothing feasible was found, NoFeasibleCandidate is

@@ -184,6 +184,13 @@ UNREADABLE_INPUTS = [
     pytest.param(
         ["search"], _config('{"name": "x-y"}', reads="null"), id="search-node-x-y"
     ),
+    # not UTF-8, written as bytes
+    pytest.param(["analyze"], b"\xff\xfe" + _config().encode(), id="config-not-utf-8"),
+    # nested deeper than the JSON decoder's recursion limit
+    pytest.param(["analyze"], "[" * 100_000, id="config-100000-brackets"),
+    # past the interpreter's limit on the digits of an int read from text
+    pytest.param(["analyze"], _config('{"name": "a", "read_cap": ' + "1" * 5000 + "}"),
+                 id="read_cap-5000-digits"),
 ] + [
     pytest.param(
         ["analyze"], _config(f'{{"name": "a", "{field}": {value}}}'), id=f"{field}-{value}"
@@ -210,7 +217,7 @@ def test_unreadable_numbers_and_names_exit_2(tmp_path, capsys, argv, config):
     path = DATA / "majority3.json"
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(config)
+        (path.write_bytes if isinstance(config, bytes) else path.write_text)(config)
     code = main([argv[0], str(path), *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2

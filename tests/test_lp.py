@@ -43,8 +43,7 @@ def assert_agrees_with_scipy(seen, atol=0.0):
     """Each recorded result has scipy's status and iteration count and, when
     optimal, an x within ``atol`` of scipy's (bit-identical at 0)."""
     for c, kwargs, got in seen:
-        args = {k: v for k, v in kwargs.items() if k != "options"}
-        want = scipy_linprog(c, **args, method="highs", options=SCIPY_OPTIONS)
+        want = scipy_linprog(c, **kwargs, method="highs", options=SCIPY_OPTIONS)
         assert (got.status, got.nit) == (want.status, want.nit)
         assert (got.x is None) == (want.x is None)
         if want.x is not None:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from exprgen import duplicate_free_expressions, expressions
 from quorumopt import expr as _expr
 from quorumopt import lp
+from quorumopt import optimize as optimize_module
 from quorumopt.cli import load_config
 from quorumopt.errors import (
     DomainError,
@@ -40,6 +41,7 @@ from quorumopt.optimize import (
 from quorumopt.oracle import (
     _subquorum_latency,
     exhaustive_minimal_sets,
+    exhaustive_resilient,
     strategy_metric_recompute,
 )
 from quorumopt.search import enumerate_candidates
@@ -549,6 +551,35 @@ class TestCanBeat:
         for objective in Objective:
             assert can_beat(big, Fraction(1, 2), objective, None, constraints=near)
             assert not can_beat(big, Fraction(1, 2), objective, None, constraints=far)
+
+
+class TestLeastCost:
+    @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_resilient_quorums_are_priced_from_their_masks(self, e, data):
+        # The f > 0 bounds read the side's masks alone: no stacked matrix.
+        latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
+        qs = QuorumSystem([Node(x, latency=data.draw(latencies)) for x in sorted(e.names())],
+                          reads=e)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_stacked was called")
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(optimize_module, "_stacked", refuse)
+            for side in ("read", "write"):
+                pool = exhaustive_resilient(qs, side, 1)
+                expected = {
+                    Objective.LATENCY: min((_subquorum_latency(qs, side, q) for q in pool),
+                                           default=None),
+                    Objective.NETWORK: min(map(len, pool), default=None),
+                }
+                for kind, least in expected.items():
+                    if least is None:
+                        with pytest.raises(NoResilientQuorum):
+                            optimize_module._least_cost(qs, kind, side, 1)
+                    else:
+                        assert optimize_module._least_cost(qs, kind, side, 1) == float(least)
 
 
 class TestBlockAscent:

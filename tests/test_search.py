@@ -453,6 +453,29 @@ class TestTieBand:
             score = search_module._score(sigma, w, objective)
             assert abs(Fraction(score) - exact) <= Fraction(1, 10**12) * exact
 
+    @given(nodes=hetero_universes(), w=multi_point_workloads(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_score_is_the_exact_metric_rounded(self, nodes, w, data):
+        # Latency and network scores are the exact metric rounded once; a
+        # capacity score sums the exact per-node table in floats.
+        names = sorted(n.name for n in nodes)
+        reads = data.draw(duplicate_free_expressions(names=names, min_vars=len(names)))
+        qs = QuorumSystem(nodes, reads=reads)
+
+        def dist(side):
+            pool = qs.minimal_quorums(side)
+            weights = data.draw(st.lists(st.integers(0, 9), min_size=len(pool),
+                                         max_size=len(pool)).filter(any))
+            return [(q, Fraction(k, sum(weights))) for q, k in zip(pool, weights) if k]
+
+        sigma = Strategy(qs, dist("read"), dist("write"))
+        for objective in (Objective.LATENCY, Objective.NETWORK):
+            exact = search_module._metric(sigma, w, objective)
+            assert search_module._score(sigma, w, objective) == float(exact)
+        exact = search_module._metric(sigma, w, Objective.LOAD)
+        score = search_module._score(sigma, w, Objective.LOAD)
+        assert abs(Fraction(score) - exact) <= Fraction(1, 10**15) * exact
+
 
 def fake_clock(monkeypatch):
     """Make search's clock read the number of quorum systems it has built,

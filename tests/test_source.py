@@ -1,6 +1,8 @@
 """Static checks on the package source, with the standard library alone."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,26 @@ def unreferenced_private(sources: list[str]) -> list[str]:
     return sorted(private - referenced)
 
 
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token other than a comment, a
+    newline or an indent, outside the docstring of the module, a class or a
+    function. A token that spans lines counts on each of them."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in blank:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
@@ -87,3 +109,24 @@ def test_unreferenced_private_definitions_are_found():
     importer = "from .table import _helper as helper\n"
     assert unreferenced_private([module, importer]) == ["_node_load_at", "_unused"]
     assert unreferenced_private([module]) == ["_helper", "_node_load_at", "_unused"]
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    source = (
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        "        return 1  # counted: code before the comment\n"
+        "\n"
+        "TEXT = \"\"\"a string\n"
+        'that is not a docstring"""\n'
+        "x = [1,\n"
+        "     2]\n"
+    )
+    # class A, def f, return, both lines of TEXT and both lines of x
+    assert code_lines(source) == 7
