@@ -32,7 +32,7 @@ from .errors import (
     UnknownNode,
 )
 from .expr import canonical
-from .model import Node, QuorumSystem, Workload, as_fraction
+from .model import Node, QuorumSystem, Workload
 from .optimize import (
     Constraints,
     Strategy,
@@ -104,17 +104,9 @@ def load_config(path: str) -> Config:
     if "read_fraction" not in raw:
         raise DomainError("config needs a read_fraction")
     fr = raw["read_fraction"]
-    if isinstance(fr, dict):
-        points = {}
-        for key, value in fr.items():
-            if not isinstance(key, str):
-                raise DomainError("read_fraction keys must be decimal strings")
-            points[as_fraction(key)] = as_fraction(value)
-        workload = Workload(points)
-    elif isinstance(fr, (int, float, str)):
-        workload = Workload.coerce(as_fraction(fr))
-    else:
+    if not isinstance(fr, (dict, int, float, str)):
         raise DomainError("read_fraction must be a number or a map")
+    workload = Workload.coerce(fr)
 
     unknown = set(raw) - {"version", "nodes", "reads", "writes", "read_fraction"}
     if unknown:
@@ -148,22 +140,22 @@ def _strategy_doc(sigma: Strategy, workload: Workload) -> dict:
     }
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _emit_table(rows: list[tuple[str, str]]) -> None:
+def _emit(doc: dict, table: bool) -> None:
+    """Write doc to stdout as indented JSON or, with table, as aligned
+    ``key  value`` rows: one per scalar field, in the document's order, then
+    one per quorum of the read and write distributions of doc, or of its
+    strategy."""
+    if not table:
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        return
+    rows = [(k, str(v)) for k, v in doc.items() if not isinstance(v, (list, dict))]
+    dists = doc.get("strategy", doc)
+    for side in ("read", "write"):
+        for entry in dists.get(f"{side}_dist", []):
+            quorum = "{" + ", ".join(entry["quorum"]) + "}"
+            rows.append((f"{side} {quorum}", f"{entry['prob']:.9f}"))
     width = max(len(key) for key, _ in rows)
-    for key, value in rows:
-        sys.stdout.write(f"{key.ljust(width)}  {value}\n")
-
-
-def _dist_rows(label: str, entries: list[dict]) -> list[tuple[str, str]]:
-    rows = []
-    for entry in entries:
-        quorum = "{" + ", ".join(entry["quorum"]) + "}"
-        rows.append((f"{label} {quorum}", f"{entry['prob']:.9f}"))
-    return rows
+    sys.stdout.write("".join(f"{key.ljust(width)}  {value}\n" for key, value in rows))
 
 
 def _constraints(args) -> Constraints:
@@ -190,10 +182,7 @@ def cmd_analyze(args) -> int:
         "latency": _q9(sigma.latency(w)),
         "network_load": _q9(sigma.network_load(w)),
     }
-    if args.table:
-        _emit_table([(k, str(v)) for k, v in doc.items()])
-    else:
-        _emit_json(doc)
+    _emit(doc, args.table)
     return 0
 
 
@@ -201,14 +190,7 @@ def cmd_strategy(args) -> int:
     config = load_config(args.config)
     qs = config.quorum_system()
     sigma = find_strategy(qs, config.workload, args.optimize, _constraints(args), f=args.f)
-    doc = _strategy_doc(sigma, config.workload)
-    if args.table:
-        rows = [(k, str(doc[k])) for k in ("load", "capacity", "latency", "network_load")]
-        rows += _dist_rows("read", doc["read_dist"])
-        rows += _dist_rows("write", doc["write_dist"])
-        _emit_table(rows)
-    else:
-        _emit_json(doc)
+    _emit(_strategy_doc(sigma, config.workload), args.table)
     return 0
 
 
@@ -232,18 +214,7 @@ def cmd_search(args) -> int:
         "metric": _q9(result.metric_value),
         "candidates_examined": result.candidates_examined,
     }
-    if args.table:
-        rows = [
-            ("reads", doc["reads"]),
-            ("writes", doc["writes"]),
-            ("metric", str(doc["metric"])),
-            ("candidates_examined", str(doc["candidates_examined"])),
-        ]
-        rows += _dist_rows("read", doc["strategy"]["read_dist"])
-        rows += _dist_rows("write", doc["strategy"]["write_dist"])
-        _emit_table(rows)
-    else:
-        _emit_json(doc)
+    _emit(doc, args.table)
     return 0
 
 

@@ -432,15 +432,21 @@ def minimal_sets(
     return unmask(masks, names)
 
 
+def _bits(names: Sequence[str]) -> dict[str, int]:
+    """Each name's bit in a mask over ``names``: ``names[0]`` is the top of
+    len(names) bits."""
+    return {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
+
+
 def unmask(masks: Iterable[int], names: Sequence[str]) -> list[frozenset[str]]:
-    """The name set of each mask, ``names[0]`` being the top of len(names) bits."""
-    bits = [(1 << (len(names) - 1 - i), x) for i, x in enumerate(names)]
-    return [frozenset(x for b, x in bits if m & b) for m in masks]
+    """The name set of each mask, as :func:`_bits` lays the names out."""
+    bits = _bits(names).items()
+    return [frozenset(x for x, b in bits if m & b) for m in masks]
 
 
 def to_masks(sets: Iterable[Iterable[str]], names: Sequence[str]) -> tuple[int, ...]:
     """The mask of each set, as :func:`unmask` reads it; other names are dropped."""
-    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
+    bit = _bits(names)
     return tuple(sum(bit.get(x, 0) for x in s) for s in sets)
 
 
@@ -453,8 +459,7 @@ def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
 def _masks(e: Expression, names: Sequence[str]) -> tuple[int, ...]:
     """The minimal sets of e as masks over ``names``, which must hold every
     name of e (else KeyError), in the canonical order of :func:`minimal_sets`."""
-    bit = {x: 1 << (len(names) - 1 - i) for i, x in enumerate(names)}
-    return tuple(sorted(_family(e, bit)[0], key=lambda mask: (mask.bit_count(), -mask)))
+    return tuple(sorted(_family(e, _bits(names))[0], key=lambda mask: (mask.bit_count(), -mask)))
 
 
 def _family(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:

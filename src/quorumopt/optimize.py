@@ -38,7 +38,7 @@ import numpy as np
 
 from . import expr as _expr
 from . import lp
-from .errors import DomainError, NoResilientQuorum
+from .errors import DomainError
 from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
@@ -518,28 +518,6 @@ def ascend(
         # [row, point, node]: membership of each point's cheapest quorum
         gain = np.add(*[u * m[pick, :, c.argmin(axis=2)] for u, m, c in zip(unit, member, cost)])
         mu *= np.exp(gain / gain.max(axis=2, keepdims=True) / math.sqrt(step + 1))
-
-
-def can_beat(
-    qs: QuorumSystem,
-    workload: WorkloadLike,
-    objective: Union[Objective, str],
-    value: float | None,
-    f: int = 0,
-    constraints: Constraints | None = None,
-) -> bool:
-    """:meth:`Bound.may_beat` for one quorum system, on its own
-    :class:`Bound` with its load bound set by :func:`ascend` where the load
-    objective or a capacity limit needs it. Raises NoResilientQuorum as
-    find_strategy does."""
-    if qs.fault_tolerance() < f:
-        raise NoResilientQuorum(f"a side has no quorum that survives every removal of {f} nodes")
-    objective = Objective(objective)
-    constraints = constraints or Constraints()
-    bound = Bound(qs, workload, f)
-    if bound.may_beat(objective, value, constraints):
-        ascend([bound], workload, objective, value, constraints)
-    return bound.may_beat(objective, value, constraints)
 
 
 def capacity_curve(

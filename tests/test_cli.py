@@ -64,6 +64,27 @@ GOLDEN_CASES = [
         "breakdown_case_study_uniform.csv",
     ),
     (("breakdown", DATA / "case_study.json"), "breakdown_case_study_optimal.csv"),
+    (("analyze", DATA / "case_study.json", "--table"), "analyze_case_study_table.txt"),
+    (
+        (
+            "strategy",
+            DATA / "case_study.json",
+            "--optimize",
+            "latency",
+            "--capacity-limit",
+            "2000",
+            "--table",
+        ),
+        "strategy_case_study_latency_table.txt",
+    ),
+    (
+        ("strategy", DATA / "majority3.json", "--f", "1", "--table"),
+        "strategy_majority3_f1_table.txt",
+    ),
+    (
+        ("search", DATA / "case_study_search.json", "--budget", "40", "--table"),
+        "search_case_study_budget40_table.txt",
+    ),
 ]
 
 
@@ -406,6 +427,15 @@ class TestConfigValidation:
         )
         code, _ = run(capsys, "analyze", bad)
         assert code == 2
+
+    @pytest.mark.parametrize("points", ['{"0.5": 1, "1/2": 1}', '{"0.5": 0.5, "0.50": 0.5}'])
+    def test_a_read_fraction_named_twice_exits_2(self, tmp_path, capsys, points):
+        bad = tmp_path / "bad.json"
+        bad.write_text(_config(reads='"a"', read_fraction=points))
+        code = main(["analyze", str(bad)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: duplicate read fraction 1/2\n"
 
     def test_parse_error_in_expression(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

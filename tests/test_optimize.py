@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds import can_beat
 from exprgen import duplicate_free_expressions, expressions
 from quorumopt import expr as _expr
 from quorumopt import lp
@@ -31,7 +32,6 @@ from quorumopt.optimize import (
     Objective,
     Strategy,
     ascend,
-    can_beat,
     capacity_curve,
     find_strategy,
     quorum_latency,

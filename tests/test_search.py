@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds import can_beat
 from exprgen import duplicate_free_expressions
 from quorumopt.cli import load_config
 from quorumopt.errors import DomainError, Infeasible, NoFeasibleCandidate, NoResilientQuorum
 from quorumopt.expr import parse
 from quorumopt.model import Node, QuorumSystem, Workload
-from quorumopt.optimize import Constraints, Objective, Strategy, can_beat, find_strategy
+from quorumopt.optimize import Constraints, Objective, Strategy, find_strategy
 from quorumopt.oracle import exhaustive_fault_tolerance, strategy_metric_recompute, truth_table
 from quorumopt.search import SearchOptions, enumerate_candidates, search
 
