@@ -120,13 +120,7 @@ def _q9(value) -> float:
 
 
 def _dist_doc(dist) -> list[dict]:
-    entries = []
-    for quorum, prob in dist:
-        p = _q9(prob)
-        if p == 0.0:
-            continue
-        entries.append({"quorum": sorted(quorum), "prob": p})
-    return entries
+    return [{"quorum": sorted(quorum), "prob": _q9(prob)} for quorum, prob in dist]
 
 
 def _strategy_doc(sigma: Strategy, workload: Workload) -> dict:
@@ -257,6 +251,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+# Every command line option, declared once; build_parser gives each command
+# the config argument and its own options from here.
+_OPTIONS = {
+    "config": {"help": "JSON config file"},
+    "--optimize": {"choices": ["load", "latency", "network"], "default": "load"},
+    "--capacity-limit": {"type": float, "default": None},
+    "--latency-limit": {"type": float, "default": None},
+    "--network-limit": {"type": float, "default": None},
+    "--fault-tolerance": {"type": int, "default": 0},
+    "--f": {"type": int, "default": 0, "help": "resilience level"},
+    "--timeout": {"type": float, "default": None, "help": "wall-clock seconds"},
+    "--budget": {"type": int, "default": None, "help": "candidate count budget"},
+    "--table": {"action": "store_true", "help": "human-readable output"},
+    "--points": {"type": int, "default": 10, "help": "grid intervals"},
+    "--fixed": {
+        "action": "store_true",
+        "help": "evaluate the workload-optimal strategy instead of re-optimizing per point",
+    },
+    "--uniform": {"action": "store_true", "help": "use the uniform strategy"},
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parse_args leaves
@@ -266,55 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze and optimize read-write quorum systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("config", help="JSON config file")
-
-    def limits(p):
-        p.add_argument("--optimize", choices=["load", "latency", "network"], default="load")
-        p.add_argument("--capacity-limit", type=float, default=None)
-        p.add_argument("--latency-limit", type=float, default=None)
-        p.add_argument("--network-limit", type=float, default=None)
-
-    p = sub.add_parser("analyze", help="metrics of the load-optimal strategy")
-    common(p)
-    p.add_argument("--f", type=int, default=0, help="resilience level")
-    p.add_argument("--table", action="store_true", help="human-readable output")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("strategy", help="optimize a strategy for the config's system")
-    common(p)
-    limits(p)
-    p.add_argument("--f", type=int, default=0, help="resilience level")
-    p.add_argument("--table", action="store_true", help="human-readable output")
-    p.set_defaults(func=cmd_strategy)
-
-    p = sub.add_parser("search", help="search duplicate-free quorum systems")
-    common(p)
-    limits(p)
-    p.add_argument("--fault-tolerance", type=int, default=0)
-    p.add_argument("--f", type=int, default=0, help="resilience level")
-    p.add_argument("--timeout", type=float, default=None, help="wall-clock seconds")
-    p.add_argument("--budget", type=int, default=None, help="candidate count budget")
-    p.add_argument("--table", action="store_true", help="human-readable output")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("curve", help="capacity vs read fraction as CSV")
-    common(p)
-    p.add_argument("--points", type=int, default=10, help="grid intervals")
-    p.add_argument("--f", type=int, default=0, help="resilience level")
-    p.add_argument(
-        "--fixed",
-        action="store_true",
-        help="evaluate the workload-optimal strategy instead of re-optimizing per point",
-    )
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("breakdown", help="per-node per-quorum throughput as CSV")
-    common(p)
-    p.add_argument("--uniform", action="store_true", help="use the uniform strategy")
-    p.set_defaults(func=cmd_breakdown)
-
+    limits = ("--optimize", "--capacity-limit", "--latency-limit", "--network-limit")
+    commands = [
+        ("analyze", "metrics of the load-optimal strategy", cmd_analyze,
+         ("--f", "--table")),
+        ("strategy", "optimize a strategy for the config's system", cmd_strategy,
+         (*limits, "--f", "--table")),
+        ("search", "search duplicate-free quorum systems", cmd_search,
+         (*limits, "--fault-tolerance", "--f", "--timeout", "--budget", "--table")),
+        ("curve", "capacity vs read fraction as CSV", cmd_curve,
+         ("--points", "--f", "--fixed")),
+        ("breakdown", "per-node per-quorum throughput as CSV", cmd_breakdown,
+         ("--uniform",)),
+    ]
+    for name, summary, func, options in commands:
+        p = sub.add_parser(name, help=summary)
+        for option in ("config", *options):
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 

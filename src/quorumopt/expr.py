@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -48,13 +48,18 @@ class Expression:
     """Base class; concrete nodes are Var, and Or, And, and Choose, which hold
     a tuple of children."""
 
-    __slots__ = ()
+    __slots__ = ("_depth",)  # a composite node's, set by _check_children; Var's is 0
 
     def __add__(self, other: "Expression") -> "Expression":
         return or_(self, other)
 
     def __mul__(self, other: "Expression") -> "Expression":
         return and_(self, other)
+
+    def __reduce__(self):
+        # Pickle and copy rebuild the node through its constructor, which
+        # records _depth, a slot that is not a dataclass field.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def evaluate(self, alive: AbstractSet[str]) -> bool:
         """True iff ``alive`` is a quorum of this expression: for a composite
@@ -130,16 +135,18 @@ class Var(Expression):
         return self.name
 
 
-def _check_children(node: Expression, op: str) -> None:
-    """Check a composite node's children and record its depth, which may not
-    pass ``_DEPTH_BOUND``: the passes over the tree recurse."""
-    children = node.children
+def _check_children(node: Expression) -> None:
+    """Make a composite node's children a tuple, check them, and record the
+    node's depth, which may not pass ``_DEPTH_BOUND``: the passes over the
+    tree recurse."""
+    children = tuple(node.children)
+    object.__setattr__(node, "children", children)
     if len(children) < 2:
-        raise DomainError(f"{op} needs at least 2 children, got {len(children)}")
+        raise DomainError(f"{type(node).__name__} needs at least 2 children, got {len(children)}")
     depth = 1  # one more than the deepest child's
     for c in children:
         if not isinstance(c, Expression):
-            raise DomainError(f"{op} child {c!r} is not an Expression")
+            raise DomainError(f"{type(node).__name__} child {c!r} is not an Expression")
         if c._depth >= depth:
             depth = c._depth + 1
     if depth > _DEPTH_BOUND:
@@ -150,11 +157,7 @@ def _check_children(node: Expression, op: str) -> None:
 @dataclass(frozen=True, slots=True)
 class Or(Expression):
     children: tuple[Expression, ...]
-    _depth: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        _check_children(self, "Or")
+    __post_init__ = _check_children
 
     def __str__(self) -> str:
         return " + ".join(str(c) for c in self.children)
@@ -163,11 +166,7 @@ class Or(Expression):
 @dataclass(frozen=True, slots=True)
 class And(Expression):
     children: tuple[Expression, ...]
-    _depth: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        _check_children(self, "And")
+    __post_init__ = _check_children
 
     def __str__(self) -> str:
         # Or children need parentheses under *; everything else binds tighter.
@@ -182,11 +181,9 @@ class And(Expression):
 class Choose(Expression):
     k: int
     children: tuple[Expression, ...]
-    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        _check_children(self, "Choose")
+        _check_children(self)
         if not isinstance(self.k, int) or not 1 <= self.k <= len(self.children):
             raise DomainError(
                 f"choose threshold must satisfy 1 <= k <= {len(self.children)}, got {self.k}"
@@ -218,20 +215,15 @@ def choose(k: int, exprs: Sequence[Expression]) -> Expression:
     """Threshold combinator: true when at least k of exprs are true.
 
     choose(1, es) is the same function as or(es) and choose(n, es) the same
-    as and(es); those cases are normalized to the plain connectives.
+    as and(es); those cases are normalized to the plain connectives, after
+    :class:`Choose` has checked k and the children.
     """
-    exprs = list(exprs)
-    if len(exprs) < 2:
-        raise DomainError(f"choose needs at least 2 children, got {len(exprs)}")
-    if not isinstance(k, int) or k < 1 or k > len(exprs):
-        raise DomainError(
-            f"choose threshold must satisfy 1 <= k <= {len(exprs)}, got {k}"
-        )
+    node = Choose(k, exprs)
     if k == 1:
-        return or_(*exprs)
-    if k == len(exprs):
-        return and_(*exprs)
-    return Choose(k, tuple(exprs))
+        return or_(*node.children)
+    if k == len(node.children):
+        return and_(*node.children)
+    return node
 
 
 def majority(exprs: Sequence[Expression]) -> Expression:
@@ -294,31 +286,27 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expression:
-        e = self.parse_or()
+        e = self.parse_chain("+")
         kind, value, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return e
 
-    def parse_or(self) -> Expression:
-        parts = [self.parse_and()]
-        while self.peek()[1] == "+":
+    def parse_chain(self, op: str) -> Expression:
+        """Operands joined by ``op``: a sum of products for "+", a product
+        of atoms for "*"."""
+        parts = []
+        while True:
+            parts.append(self.parse_chain("*") if op == "+" else self.parse_atom())
+            if self.peek()[1] != op:
+                return (or_ if op == "+" else and_)(*parts)
             self.advance()
-            parts.append(self.parse_and())
-        return or_(*parts)
-
-    def parse_and(self) -> Expression:
-        parts = [self.parse_atom()]
-        while self.peek()[1] == "*":
-            self.advance()
-            parts.append(self.parse_atom())
-        return and_(*parts)
 
     def parse_atom(self) -> Expression:
         kind, value, pos = self.peek()
         if value == "(":
             self.advance()
-            e = self.parse_or()
+            e = self.parse_chain("+")
             self.expect(")")
             return e
         if kind == "ident":
@@ -348,10 +336,10 @@ class _Parser:
 
     def parse_list(self) -> list[Expression]:
         self.expect("[")
-        items = [self.parse_or()]
+        items = [self.parse_chain("+")]
         while self.peek()[1] == ",":
             self.advance()
-            items.append(self.parse_or())
+            items.append(self.parse_chain("+"))
         self.expect("]")
         return items
 
@@ -387,11 +375,8 @@ def canonical(e: Expression) -> Expression:
     """
     if isinstance(e, Var):
         return e
-    children = [canonical(c) for c in e.children]
-    if isinstance(e, Choose) and 1 < e.k < len(children):
-        return Choose(e.k, tuple(sorted(children, key=str)))
-    kind = Or if threshold(e) == 1 else And
-    return kind(tuple(sorted(_splice(kind, children), key=str)))
+    node = choose(threshold(e), [canonical(c) for c in e.children])
+    return replace(node, children=sorted(node.children, key=str))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,18 @@ class Node:
             object.__setattr__(self, field, value)
 
 
+def _by_fraction(points: Mapping[Rational, Rational]) -> dict[Fraction, Fraction]:
+    """``points`` with each key and value made exact by :func:`as_fraction`;
+    two keys that name one read fraction are refused."""
+    converted: dict[Fraction, Fraction] = {}
+    for fr, value in points.items():
+        fr = as_fraction(fr)
+        if fr in converted:
+            raise DomainError(f"duplicate read fraction {fr}")
+        converted[fr] = as_fraction(value)
+    return converted
+
+
 class Workload:
     """Discrete probability distribution over read fractions in [0, 1].
 
@@ -93,17 +105,12 @@ class Workload:
     def __init__(self, points: Mapping[Rational, Rational]):
         if not points:
             raise DomainError("workload needs at least one read fraction")
-        converted: dict[Fraction, Fraction] = {}
-        for fr, p in points.items():
-            fr = as_fraction(fr)
-            p = as_fraction(p)
+        converted = _by_fraction(points)
+        for fr, p in converted.items():
             if not 0 <= fr <= 1:
                 raise DomainError(f"read fraction {fr} is outside [0, 1]")
             if not 0 <= p <= 1:
                 raise DomainError(f"probability {p} is outside [0, 1]")
-            if fr in converted:
-                raise DomainError(f"duplicate read fraction {fr}")
-            converted[fr] = p
         total = sum(converted.values())
         if abs(total - 1) > _PROB_SUM_TOL:
             raise DomainError(f"workload probabilities sum to {total}, not 1")
@@ -120,7 +127,7 @@ class Workload:
     @classmethod
     def from_weights(cls, weights: Mapping[Rational, Rational]) -> "Workload":
         """Normalize arbitrary nonnegative weights into a distribution."""
-        ws = {as_fraction(fr): as_fraction(w) for fr, w in weights.items()}
+        ws = _by_fraction(weights)
         for fr, w in ws.items():
             if w < 0:
                 raise DomainError(f"workload weight {w} of read fraction {fr} is negative")

@@ -215,24 +215,23 @@ class Strategy:
 
 
 def _quorum_metric(
-    qs: QuorumSystem, kind: Objective, side: str, masks: tuple[int, ...]
+    qs: QuorumSystem, kind: Objective, side: str, held: np.ndarray
 ) -> tuple[np.ndarray, list[Fraction] | range]:
-    """The latency or node count of each quorum of ``side`` in ``masks``,
-    masks over :meth:`QuorumSystem.side_names`, as indices into a list of
-    exact values.
+    """The latency or node count of each quorum of ``side`` that a column of
+    ``held[node, quorum]`` gives, nodes in universe order (:func:`_stacked`),
+    as indices into a list of exact values.
 
     Latency is :func:`quorum_latency` on every quorum in one tree pass: a
     variable gives its latency's rank among the side's distinct latencies
     where the quorum holds it, else a rank past them all, and a node that
     takes k children the k-th smallest child rank."""
     names = qs.side_names(side)
-    held = _expr.mask_bits(np.array(masks, dtype=np.int64), len(names))  # [name, quorum]
     if kind is Objective.NETWORK:
-        return held.sum(axis=0), range(len(names) + 1)
+        return held.sum(axis=0).astype(int), range(len(names) + 1)
     values = sorted({qs.node(x).latency for x in names})
     rank = {v: i for i, v in enumerate(values)}
-    ranks = {x: np.where(bits, rank[qs.node(x).latency], len(values))
-             for x, bits in zip(names, held)}
+    ranks = {n.name: np.where(bits, rank[n.latency], len(values))
+             for n, bits in zip(qs.universe, held) if n.name in names}
 
     def fastest(e: _expr.Expression) -> np.ndarray:
         if isinstance(e, _expr.Var):
@@ -327,7 +326,7 @@ def find_strategy(
             return np.array([0.0] * nq + [float(p) for _, p in points])
         parts = []
         for s in pools:
-            index, values = _quorum_metric(qs, kind, s, pools[s])
+            index, values = _quorum_metric(qs, kind, s, held[s])
             parts.append(np.array([float(share[s] * v) for v in values])[index])
         return np.concatenate(parts + [np.zeros(nl)])
 
@@ -368,9 +367,9 @@ def find_strategy(
 def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     """The least latency or node count of a minimal f-resilient quorum of
     ``side``: for f = 0, computed on the expression tree; else priced by
-    :func:`_quorum_metric` over the side's masks."""
+    :func:`_quorum_metric` over the side's membership matrix."""
     if f > 0:
-        index, values = _quorum_metric(qs, kind, side, qs.quorum_masks(side, f))
+        index, values = _quorum_metric(qs, kind, side, _stacked([qs], side, f)[0])
         return float(values[index.min()])
     if kind is Objective.LATENCY:
         latency = {n.name: float(n.latency) for n in qs.universe}

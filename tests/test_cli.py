@@ -247,6 +247,54 @@ def test_unreadable_numbers_and_names_exit_2(tmp_path, capsys, argv, config):
     assert captured.err.count("\n") == 1
 
 
+def _doc(**fields) -> str:
+    """A two-node config document with ``fields`` replaced; a field given
+    as None is left out."""
+    doc = {"version": "1", "nodes": [{"name": "a"}, {"name": "b"}], "reads": "a*b",
+           "read_fraction": 1, **fields}
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+INVALID_CONFIGS = [
+    pytest.param(["analyze"], "[]", "config must be a JSON object", id="json-list"),
+    pytest.param(["analyze"], _doc(nodes=[{"read_cap": 2}, {"name": "b"}]),
+                 "node entry {'read_cap': 2} needs a name", id="node-without-name"),
+    pytest.param(["analyze"], _doc(nodes=[{"name": "a", "cap": 2}, {"name": "b"}]),
+                 "unknown node fields ['cap']", id="unknown-node-field"),
+    pytest.param(["analyze"], _doc(reads=5), "reads must be an expression string",
+                 id="reads-not-a-string"),
+    pytest.param(["analyze"], _doc(read_fraction=None), "config needs a read_fraction",
+                 id="no-read-fraction"),
+    pytest.param(["analyze"], _doc(read_fraction=[0.5]),
+                 "read_fraction must be a number or a map", id="read-fraction-list"),
+    pytest.param(["analyze"], _doc(reads=None), "config must declare reads, writes, or both",
+                 id="no-expression"),
+    pytest.param(["analyze"], _doc(nodes=[{"name": "a", "read_cap": 10**300}, {"name": "b"}]),
+                 f"{10**300} is out of range: a nonzero number must be at least 1e-300 "
+                 "and below 1e300 in magnitude", id="capacity-301-digits"),
+    pytest.param(["analyze"], _doc(read_fraction={"0.5": 2}),
+                 "probability 2 is outside [0, 1]", id="probability-2"),
+    pytest.param(["analyze"], _doc(reads="choose(x, [a, b])"),
+                 "expected an integer, found 'x' (at position 7)", id="choose-x"),
+    pytest.param(["analyze"], _doc(reads="(a + b"),
+                 "expected ')', found end of input (at position 6)", id="missing-paren"),
+    pytest.param(["search"], _doc(nodes=[{"name": "a"}, {"name": "a"}], reads=None),
+                 "node names must be unique", id="search-duplicate-names"),
+    pytest.param(["strategy", "--capacity-limit", "0"], _doc(),
+                 "capacity_limit must be positive", id="capacity-limit-0"),
+]
+
+
+@pytest.mark.parametrize("argv,config,message", INVALID_CONFIGS)
+def test_invalid_configs_exit_2_with_one_error_line(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "strategy", "curve", "breakdown"])
 def test_nesting_at_the_bound_runs(tmp_path, capsys, command):
     path = tmp_path / "config.json"

@@ -1,6 +1,8 @@
 """Expression algebra: parsing, evaluation, duality, minimal quorums."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,12 @@ class TestParse:
         assert parse("choose(2, [d + a*" * 67 + "c" + ", b, c])" * 67).depth() == 201
         with pytest.raises(DomainError, match="202 levels deep"):
             parse("choose(2, [d + a*" * 68 + "c" + ", b, c])" * 68)
+        # choose(1, ...) is checked as the Choose it folds, one level above its
+        # children, so a child at the bound is refused even where the Or would fit.
+        child = parse("d + a*" + "choose(2, [d + a*" * 66 + "e*(f + g*h)" + ", b, c])" * 66)
+        assert child.depth() == deepest
+        with pytest.raises(DomainError, match="202 levels deep"):
+            choose(1, [child, Var("x")])
 
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
@@ -196,6 +204,14 @@ class TestStructure:
         assert parse("a + b*c").depth() == 2
         assert parse("choose(2, [a, b, c, d])").depth() == 1
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda e: pickle.loads(pickle.dumps(e))])
+    def test_copies_keep_their_depth(self, clone):
+        e = parse("a*b + choose(2, [a, b, c*(d + e)])")
+        twin = clone(e)
+        assert twin == e and twin.depth() == e.depth() == 4
+        assert (twin * a).depth() == 5
+
     def test_uses_each_variable_once(self):
         assert parse("a + b*c").uses_each_variable_once()
         assert not parse("a*b + a*c").uses_each_variable_once()
@@ -210,6 +226,26 @@ class TestStructure:
             Or((a,))
         with pytest.raises(DomainError):
             And(())
+
+    def test_children_must_be_expressions(self):
+        with pytest.raises(DomainError, match="^Or child 'b' is not an Expression$"):
+            Or((a, "b"))
+        with pytest.raises(DomainError, match="^Choose child 1 is not an Expression$"):
+            choose(2, [a, b, 1])
+
+    @pytest.mark.parametrize("k", [0, 4, -1, 1.0])
+    def test_choose_threshold_is_checked_once_built(self, k):
+        # choose folds k = 1 and k = 3 only after Choose has checked k.
+        for build in (Choose, choose):
+            with pytest.raises(DomainError, match=f"1 <= k <= 3, got {k}$"):
+                build(k, (a, b, c))
+
+    def test_choose_children_become_a_tuple(self):
+        node = Choose(2, [a, b, c])
+        assert node.children == (a, b, c) and node == Choose(2, (a, b, c))
+        assert choose(2, iter([a, b, c])) == node
+        assert choose(1, [a, b + c]) == Or((a, b, c))
+        assert choose(2, [a, b * c]) == And((a, b, c))
 
     def test_var_name_nonempty(self):
         # and an identifier, so that printed expressions parse back

@@ -95,6 +95,16 @@ class TestWorkload:
         with pytest.raises(DomainError, match="weight -1 of read fraction 1/2 is negative"):
             Workload.from_weights({"0.5": -1, "0.7": 2})
 
+    def test_from_weights_refuses_a_zero_total(self):
+        with pytest.raises(DomainError, match="weights must have positive total"):
+            Workload.from_weights({"0.5": 0, "0.7": 0})
+
+    @pytest.mark.parametrize("build", [Workload, Workload.from_weights])
+    def test_a_read_fraction_named_twice_is_refused(self, build):
+        # Both keys name 1/2: neither weight may be dropped for the other.
+        with pytest.raises(DomainError, match="^duplicate read fraction 1/2$"):
+            build({"0.5": Fraction(1, 4), "1/2": Fraction(1, 4), 0.9: Fraction(1, 2)})
+
     def test_mean(self):
         w = Workload({0: Fraction(1, 2), 1: Fraction(1, 2)})
         assert w.mean_read_fraction == Fraction(1, 2)
@@ -128,6 +138,10 @@ class TestQuorumSystem:
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
             QuorumSystem(nodes("ab"), reads="a*z")
+
+    def test_a_side_must_be_an_expression_or_text(self):
+        with pytest.raises(DomainError, match="expected an Expression or text, got 5"):
+            QuorumSystem(nodes("ab"), reads=5)
 
     @pytest.mark.parametrize("sides", ["reads", "writes", "both"])
     def test_too_many_names_rejected_at_construction(self, sides):

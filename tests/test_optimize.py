@@ -364,6 +364,9 @@ class TestMetrics:
             Strategy(maj3, [({"a", "b"}, Fraction(1, 2))], [({"a", "b"}, 1)])
         with pytest.raises(DomainError):
             Strategy(maj3, [({"a"}, 1)], [({"a", "b"}, 1)])
+        for p in (2, -1):
+            with pytest.raises(DomainError, match=f"probability {p} is outside"):
+                Strategy(maj3, [({"a", "b"}, p)], [({"a", "b"}, 1)])
 
     def test_resilience_validation(self, grid):
         with pytest.raises(DomainError):
@@ -557,16 +560,19 @@ class TestLeastCost:
     @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
     @settings(max_examples=100, deadline=None)
     def test_resilient_quorums_are_priced_from_their_masks(self, e, data):
-        # The f > 0 bounds read the side's masks alone: no stacked matrix.
+        # The f > 0 bounds read the side's own membership matrix: one
+        # unpadded _stacked row, never a batch.
         latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
         qs = QuorumSystem([Node(x, latency=data.draw(latencies)) for x in sorted(e.names())],
                           reads=e)
+        stacked = optimize_module._stacked
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("_stacked was called")
+        def single(systems, side, f):
+            assert systems == [qs] and f == 1
+            return stacked(systems, side, f)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(optimize_module, "_stacked", refuse)
+            m.setattr(optimize_module, "_stacked", single)
             for side in ("read", "write"):
                 pool = exhaustive_resilient(qs, side, 1)
                 expected = {
