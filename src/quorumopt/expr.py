@@ -63,19 +63,8 @@ class Expression:
 
     def evaluate(self, alive: AbstractSet[str]) -> bool:
         """True iff ``alive`` is a quorum of this expression: for a composite
-        node, iff at least :func:`threshold` of its children hold, deciding
-        at the first child that settles it either way."""
-        need = threshold(self)  # children that must still hold
-        spare = len(self.children) - need  # children that may still fail
-        for c in self.children:
-            if c.evaluate(alive):
-                need -= 1
-                if need == 0:
-                    return True
-            elif spare == 0:
-                return False
-            else:
-                spare -= 1
+        node, iff at least :func:`threshold` of its children hold."""
+        return sum(c.evaluate(alive) for c in self.children) >= threshold(self)
 
     def dual(self) -> "Expression":
         """Swap and/or (thresholds flip k to n-k+1).
@@ -444,7 +433,12 @@ def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
 def _masks(e: Expression, names: Sequence[str]) -> tuple[int, ...]:
     """The minimal sets of e as masks over ``names``, which must hold every
     name of e (else KeyError), in the canonical order of :func:`minimal_sets`."""
-    return tuple(sorted(_family(e, _bits(names))[0], key=lambda mask: (mask.bit_count(), -mask)))
+    return _canonical(_family(e, _bits(names))[0])
+
+
+def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """``masks`` in canonical order: by bit count, then by descending value."""
+    return tuple(sorted(masks, key=lambda mask: (mask.bit_count(), -mask)))
 
 
 def _family(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
@@ -473,11 +467,10 @@ def _family(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
 
 def minimal_transversals(family: Sequence[int], n: int, f: int = 0) -> tuple[int, ...]:
     """The inclusion-minimal masks over n bits that share more than f bits
-    with every mask of ``family``, in canonical order (by bit count, then by
-    descending value), from one vectorised sweep over all 2^n masks. For
-    f = 0 these are the minimal transversals of the family; given the
-    minimal quorums of an expression's dual, the expression's minimal
-    f-resilient quorums."""
+    with every mask of ``family``, in canonical order (:func:`_canonical`),
+    from one vectorised sweep over all 2^n masks. For f = 0 these are the
+    minimal transversals of the family; given the minimal quorums of an
+    expression's dual, the expression's minimal f-resilient quorums."""
     subsets = np.arange(1 << n, dtype=np.int32)  # n is at most ENUMERATION_BOUND
     family = np.array(family, dtype=np.int32)
     ok = np.ones(1 << n, dtype=bool)
@@ -489,8 +482,7 @@ def minimal_transversals(family: Sequence[int], n: int, f: int = 0) -> tuple[int
     keep = ok.copy()
     for b in range(n):
         keep.reshape(-1, 2, 1 << b)[:, 1] &= ~ok.reshape(-1, 2, 1 << b)[:, 0]
-    found = subsets[keep]
-    return tuple(found[np.lexsort((-found, np.bitwise_count(found)))].tolist())
+    return _canonical(subsets[keep].tolist())
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -515,21 +507,11 @@ def threshold(e: Expression) -> int:
 # ---------------------------------------------------------------------------
 
 
-def min_quorum_size(e: Expression) -> int:
-    """The number of nodes in the smallest quorum of e.
-
-    When no name repeats, one pass over the tree: 1 for a variable, and for
-    a node that takes k children, the sum of the k smallest child values,
-    since children of a read-once tree share no node. Otherwise the size of
-    the first of :func:`minimal_sets`."""
-    sizes = _survey(e)[1]
-    return len(minimal_sets(e)[0]) if sizes is None else sizes[0]
-
-
 def _survey(e: Expression) -> tuple[tuple[str, ...], tuple[int, int] | None]:
     """From one walk of the tree: the sorted names of e and, if no name
-    repeats, the tree pass of :func:`min_quorum_size` on e and on its dual,
-    the smallest quorum sizes of both; else None."""
+    repeats, the smallest quorum sizes of e and of its dual, from the tree
+    pass of :func:`_smallest`; else None, as a repeated name may be counted
+    twice."""
     leaves: list[str] = []
     sizes = _smallest(e, leaves)
     names = tuple(sorted(set(leaves)))
@@ -537,9 +519,12 @@ def _survey(e: Expression) -> tuple[tuple[str, ...], tuple[int, int] | None]:
 
 
 def _smallest(e: Expression, leaves: list[str]) -> tuple[int, int]:
-    """The tree pass of min_quorum_size on e and on its dual; appends each
-    leaf's name to ``leaves``. The dual of a node that takes k of m children
-    takes m - k + 1 of their duals."""
+    """The smallest quorum sizes of e and of its dual, if no name repeats;
+    appends each leaf's name to ``leaves``. One pass over the tree: 1 for a
+    variable, and for a node that takes k children, the sum of the k
+    smallest child values, since children of a read-once tree share no
+    node. The dual of a node that takes k of m children takes m - k + 1 of
+    their duals."""
     if isinstance(e, Var):
         leaves.append(e.name)
         return 1, 1

@@ -7,7 +7,11 @@ private to scipy, with the options ``scipy.optimize.linprog(method="highs")``
 sets, but without that wrapper's per-call option checks, input cleaning and
 result packaging. :func:`linprog` stays the seam between :func:`solve` and
 HiGHS, with scipy's status codes, so that tests and tracers can replace or
-wrap it. Required accuracy: feasibility violation <= 1e-9, objective gap
+wrap it. It departs from scipy in one place: a model that HiGHS refuses,
+at ``passModel`` (a coefficient of magnitude 1e15 or more) or as
+``kModelError``, is a solver failure (status 4) here, where scipy reports
+it as infeasible (status 2); status 2 means that HiGHS proved the model
+infeasible. Required accuracy: feasibility violation <= 1e-9, objective gap
 <= 1e-6.
 
 Importing this module loads the binding's extension file by itself and
@@ -97,9 +101,11 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
 
     Returns an object with ``status`` (scipy's codes: 0 optimal, 2
     infeasible, 4 any other failure), ``x`` (None unless HiGHS found an
-    optimum), ``nit`` (simplex iterations) and ``message``. An optimal x
-    that misses a bound or a row by more than ``_CHECK_TOL`` is reported as
-    status 4, as scipy's linprog reports it.
+    optimum), ``nit`` (simplex iterations) and ``message``. Status 2 is
+    only HiGHS's proof of infeasibility; a model it refuses is status 4,
+    where scipy gives 2. An optimal x that misses a bound or a row by more
+    than ``_CHECK_TOL`` is reported as status 4, as scipy's linprog
+    reports it.
     """
     a = np.vstack((A_ub, A_eq))
     # column-major with ascending rows in each column, as csc_array(a) stores it
@@ -122,7 +128,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
     highs = _Highs()
     highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(lp) == HighsStatus.kError:
-        return SimpleNamespace(status=2, x=None, nit=0, message="HiGHS rejected the model")
+        return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model")
     highs.run()  # a failed run leaves a model status other than kOptimal
     model = highs.getModelStatus()
     info = highs.getInfo()
@@ -132,7 +138,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
         f"primal_status is {highs.solutionStatusToString(info.primal_solution_status)}"
     )
     if model != HighsModelStatus.kOptimal:
-        status = 2 if model in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError) else 4
+        status = 2 if model == HighsModelStatus.kInfeasible else 4
         return SimpleNamespace(status=status, x=None, nit=nit, message=message)
 
     x = np.array(highs.getSolution().col_value)
@@ -155,8 +161,8 @@ def solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
     and ``bounds``, an (n, 2) float array of each variable's lower and upper
     bound, ``np.inf`` for none.
 
-    Raises Infeasible when the constraints are unsatisfiable and
-    SolverFailure for any other solver failure.
+    Raises Infeasible when HiGHS proves the constraints unsatisfiable and
+    SolverFailure for any other solver failure, a refused model included.
     """
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
     if result.status == 2:

@@ -329,6 +329,15 @@ class QuorumSystem:
             self._tolerance[side] = self._dual(side)[0].bit_count() - 1
         return self._tolerance[side]
 
+    def _least_size(self, side: str, f: int = 0) -> int:
+        """The node count of the side's smallest minimal f-resilient quorum,
+        the first of :meth:`quorum_masks` in canonical order. At f = 0 in a
+        derived system, the other side's fault tolerance plus one, as each
+        side is the other's dual, so a read-once side enumerates nothing."""
+        if f == 0 and side in self._dual_side:
+            return self._fault_tolerance(self._dual_side[side]) + 1
+        return self.quorum_masks(side, f)[0].bit_count()
+
     # -- resilient quorums ---------------------------------------------------
 
     def is_resilient(self, side: str, quorum: AbstractSet[str], f: int) -> bool:

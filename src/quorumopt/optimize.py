@@ -366,15 +366,16 @@ def find_strategy(
 
 def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     """The least latency or node count of a minimal f-resilient quorum of
-    ``side``: for f = 0, computed on the expression tree; else priced by
+    ``side``. The node count is :meth:`QuorumSystem._least_size`. The
+    latency, for f = 0, is computed on the expression tree; else priced by
     :func:`_quorum_metric` over the side's membership matrix."""
+    if kind is Objective.NETWORK:
+        return float(qs._least_size(side, f))
     if f > 0:
         index, values = _quorum_metric(qs, kind, side, _stacked([qs], side, f)[0])
         return float(values[index.min()])
-    if kind is Objective.LATENCY:
-        latency = {n.name: float(n.latency) for n in qs.universe}
-        return _expr.min_quorum_latency(qs.side(side), latency)
-    return float(_expr.min_quorum_size(qs.side(side)))
+    latency = {n.name: float(n.latency) for n in qs.universe}
+    return _expr.min_quorum_latency(qs.side(side), latency)
 
 
 class Bound:
@@ -385,10 +386,12 @@ class Bound:
     runs. :meth:`may_beat` decides on them.
 
     Latency and network load are at least :meth:`cost`; for f = 0 each
-    side's minimum is one pass over its expression tree, so no quorum is
-    enumerated. For load, at read fraction fr and for any node weights
-    mu >= 0 summing to 1, the busiest node carries at least the mu-average
-    node load, which is at least ``lb_fr(mu) = fr*min_R sum_{x in R}
+    side's least latency is one pass over its expression tree, and its
+    least node count the other side's fault tolerance plus one, so no
+    quorum of a read-once side is enumerated. For load, at read fraction
+    fr and for any node weights mu >= 0 summing to 1, the busiest node
+    carries at least the mu-average node load, which is at least
+    ``lb_fr(mu) = fr*min_R sum_{x in R}
     mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
     duality; Naor & Wool 1998). So capacity is at most ``sum_fr p_fr /
     lb_fr`` and expected load at least ``sum_fr p_fr * lb_fr``, which a

@@ -152,6 +152,24 @@ class TestExitCodes:
         assert captured.err.startswith("solver failure: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,reads", [("analyze", "a*b + b*c + a*c"),
+                                               ("search", None)])
+    def test_a_refused_model_is_a_solver_failure(self, tmp_path, capsys, command, reads):
+        # capacities of 1e-20 give node-load coefficients of 1e20, past what
+        # HiGHS accepts: a solver failure, not an infeasibility
+        caps = {"read_cap": "1e-20", "write_cap": "1e-20"}
+        doc = {"version": "1", "nodes": [{"name": x, **caps} for x in "abc"],
+               "read_fraction": 1}
+        if reads is not None:
+            doc["reads"] = reads
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "solver failure: LP solve failed: HiGHS rejected the model\n"
+
 
 class TestSuccessiveCalls:
     """main() builds its parser once per process, so no call may see the

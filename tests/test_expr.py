@@ -21,7 +21,6 @@ from quorumopt.expr import (
     canonical,
     choose,
     majority,
-    min_quorum_size,
     minimal_sets,
     minimal_transversals,
     or_,
@@ -344,19 +343,6 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_minimal_sets_match_brute_force_in_universe_order(self, e, universe):
         assert minimal_sets(e, universe) == exhaustive_minimal_sets(e, universe)
-
-
-class TestCheapestQuorum:
-    # expressions() repeats names, which takes the minimal-set fallback;
-    # duplicate_free_expressions() takes the tree pass
-    @given(st.one_of(expressions(), duplicate_free_expressions()))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force(self, e):
-        assert min_quorum_size(e) == min(len(s) for s in exhaustive_minimal_sets(e))
-
-    def test_repeated_names_are_not_summed_twice(self):
-        # the pass alone would give 2 + 2 for a*b * a*c; the smallest quorum is {a, b, c}
-        assert min_quorum_size(parse("(a*b + d*e*f) * (a*c + d*e*f)")) == 3
 
 
 class TestMasks:

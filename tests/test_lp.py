@@ -183,3 +183,17 @@ class TestInfiniteBound:
         assert x.tolist() == [1e15]
         assert models[0].col_upper_ == [lp.kHighsInf]
         assert models[0].col_lower_ == [0.0]
+
+
+
+def test_a_refused_model_is_a_solver_failure():
+    # HiGHS refuses a coefficient of magnitude 1e15 or more when the model is
+    # passed; scipy reports that as infeasible (status 2), lp as a failure
+    args = dict(A_ub=np.array([[1e15]]), b_ub=np.array([1.0]), A_eq=np.zeros((0, 1)),
+                b_eq=np.zeros(0), bounds=np.array([[0.0, 1.0]]))
+    result = lp.linprog(np.array([1.0]), **args)
+    assert (result.status, result.x, result.nit) == (4, None, 0)
+    assert result.message == "HiGHS rejected the model"
+    assert scipy_linprog(np.array([1.0]), **args, method="highs").status == 2
+    with pytest.raises(SolverFailure, match="HiGHS rejected the model"):
+        lp.solve(np.array([1.0]), *args.values())

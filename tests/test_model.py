@@ -16,8 +16,10 @@ from quorumopt.errors import (
     UniverseTooLarge,
     UnknownNode,
 )
+from quorumopt import expr as expr_module
 from quorumopt.expr import Var, and_, choose, majority, minimal_transversals, parse
 from quorumopt.model import Node, QuorumSystem, Workload, as_fraction
+from quorumopt.optimize import Objective, _least_cost
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
     exhaustive_minimal_sets,
@@ -112,6 +114,9 @@ class TestWorkload:
     def test_string_fraction_values(self):
         w = Workload({"0.5": "1/3", "0.25": "2/3"})
         assert w.points[Fraction(1, 2)] == Fraction(1, 3)
+
+    def test_repr_prints_exact_fractions(self):
+        assert repr(Workload({"0.5": 1})) == "Workload({1/2: 1})"
 
 
 class TestQuorumSystem:
@@ -323,18 +328,25 @@ class TestFaultTolerance:
         sides = {"reads": dict(reads=e), "writes": dict(writes=e),
                  "both": dict(reads=e, writes=e.dual())}[given_as]
 
+        walks = []
+        survey = expr_module._survey
+
+        def counting(tree):
+            walks.append(tree)
+            return survey(tree)
+
         def refuse(*args):
-            raise AssertionError("a second walk or an enumeration")
+            raise AssertionError("an enumeration")
 
         with pytest.MonkeyPatch.context() as m:
-            if e.uses_each_variable_once():
-                m.setattr("quorumopt.expr.min_quorum_size", refuse)
-                if given_as != "both":
-                    m.setattr("quorumopt.expr._masks", refuse)
+            m.setattr(expr_module, "_survey", counting)
+            if e.uses_each_variable_once() and given_as != "both":
+                m.setattr(expr_module, "_masks", refuse)
             qs = QuorumSystem(nodes(sorted(e.names())), **sides)
             tolerance = (qs.read_fault_tolerance(), qs.write_fault_tolerance())
         assert tolerance == (exhaustive_fault_tolerance(qs, "read"),
                              exhaustive_fault_tolerance(qs, "write"))
+        assert walks == list(sides.values())
 
     @given(duplicate_free_expressions())
     @settings(max_examples=100, deadline=None)
@@ -461,6 +473,53 @@ class TestResilientQuorums:
             for s in stronger:
                 # every f-resilient quorum is (f-1)-resilient
                 assert any(w <= s for w in weaker)
+
+
+class TestLeastSize:
+    """``QuorumSystem._least_size``, the one owner of a side's smallest
+    quorum, and the network bound that ``_least_cost`` reads from it."""
+
+    SIDES = {"reads": lambda e: dict(reads=e), "writes": lambda e: dict(writes=e),
+             "both": lambda e: dict(reads=e, writes=e.dual())}
+
+    # duplicate_free_expressions() gives read-once sides, which a derived
+    # system prices from the other side's fault tolerance; expressions()
+    # repeats names, which read the side's enumerated family
+    @pytest.mark.parametrize("given_as", SIDES)
+    @pytest.mark.parametrize("generate", [duplicate_free_expressions, expressions])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_exhaustive_oracle(self, given_as, generate, data):
+        e = data.draw(generate(names=("a", "b", "c", "d", "e")))
+        qs = QuorumSystem(nodes(sorted(e.names())), **self.SIDES[given_as](e))
+        for f in (0, 1, 2):
+            for side in ("read", "write"):
+                pool = exhaustive_resilient(qs, side, f)
+                if not pool:
+                    with pytest.raises(NoResilientQuorum):
+                        qs._least_size(side, f)
+                    with pytest.raises(NoResilientQuorum):
+                        _least_cost(qs, Objective.NETWORK, side, f)
+                    continue
+                least = min(map(len, pool))
+                assert qs._least_size(side, f) == least
+                cost = _least_cost(qs, Objective.NETWORK, side, f)
+                assert type(cost) is float and cost == least
+
+    @pytest.mark.parametrize("given_as", SIDES)
+    def test_repeated_names_are_not_summed_twice(self, given_as):
+        # the tree pass alone would give 2 + 2 for a*b * a*c; the smallest
+        # quorum is {a, b, c}
+        e = parse("(a*b + d*e*f) * (a*c + d*e*f)")
+        qs = QuorumSystem(nodes("abcdef"), **self.SIDES[given_as](e))
+        side = "write" if given_as == "writes" else "read"
+        assert qs._least_size(side) == 3
+        assert _least_cost(qs, Objective.NETWORK, side, 0) == 3.0
+
+    def test_a_derived_read_once_side_enumerates_nothing(self, monkeypatch):
+        qs = QuorumSystem(nodes("abcde"), reads="choose(2, [a, b*c, d + e])")
+        monkeypatch.setattr(expr_module, "_masks", None)
+        assert (qs._least_size("read"), qs._least_size("write")) == (2, 2)
 
 
 def test_as_fraction_rejects_junk():

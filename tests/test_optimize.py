@@ -191,6 +191,10 @@ class TestUniformStrategy:
         assert sigma.load(1) == Fraction(2, 3)
         assert sigma.capacity(1) == Fraction(3, 2)
 
+    def test_repr_lists_each_side_in_canonical_order(self, maj3):
+        thirds = "{{a, b}: 1/3, {a, c}: 1/3, {b, c}: 1/3}"
+        assert repr(uniform_strategy(maj3)) == f"Strategy(reads={thirds}, writes={thirds})"
+
 
 class TestFindStrategy:
     def test_majority_load_and_capacity(self, maj3):

@@ -25,13 +25,17 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names if a.name != "*")
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
+    return sorted(imported - read - exported(tree))
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(imported - read - exported)
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unreferenced_private(sources: list[str]) -> list[str]:
@@ -51,6 +55,31 @@ def unreferenced_private(sources: list[str]) -> list[str]:
                 referenced.update(node.name.split("."))
     private = {x for x in defined if x.startswith("_") and not x.startswith("__")}
     return sorted(private - referenced)
+
+
+def unreferenced_public(checked: list[str], others: list[str]) -> list[str]:
+    """The public module-level functions and classes of the ``checked``
+    sources that none of their ``__all__`` lists and that no module of
+    ``checked`` or ``others`` refers to, as a name, an attribute or an
+    import, outside the definition itself, sorted."""
+    defined, referenced, listed = set(), set(), set()
+    for i, source in enumerate(checked + others):
+        tree = ast.parse(source)
+        listed |= exported(tree)
+        for statement in tree.body:
+            own = getattr(statement, "name", None)
+            if i < len(checked) and isinstance(
+                    statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(own)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.alias):
+                    referenced.update(node.name.split("."))
+                elif isinstance(node, ast.Name) and node.id != own:
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    referenced.add(node.attr)
+    public = {x for x in defined if not x.startswith("_")}
+    return sorted(public - referenced - listed)
 
 
 def code_lines(source: str) -> int:
@@ -113,6 +142,35 @@ def test_unreferenced_private_definitions_are_found():
     importer = "from .table import _helper as helper\n"
     assert unreferenced_private([module, importer]) == ["_node_load_at", "_unused"]
     assert unreferenced_private([module]) == ["_helper", "_node_load_at", "_unused"]
+
+
+def test_package_calls_or_exports_every_public_definition():
+    # oracle.py, the naive reference, may define what only tests call
+    checked = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "oracle.py"]
+    assert unreferenced_public(checked, [(PACKAGE / "oracle.py").read_text()]) == []
+
+
+def test_unreferenced_public_definitions_are_found():
+    module = (
+        "__all__ = ['Exported']\n"
+        "class Exported:\n"
+        "    def method(self):\n"
+        "        return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def imported():\n"
+        "    pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def orphan():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    importer = "from .table import imported as alias\n"
+    assert unreferenced_public([module], [importer]) == ["orphan", "recursive"]
+    assert unreferenced_public([module], []) == ["imported", "orphan", "recursive"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
