@@ -179,11 +179,17 @@ class QuorumSystem:
     the nodes outside each minimal write quorum hold no read quorum, one
     tree evaluation per write quorum.
 
-    A side's minimal (f-resilient) quorums are enumerated on first use and
-    cached in canonical order, once, as int bitmasks over :meth:`side_names`
-    (:meth:`quorum_masks`); the name sets are unmasked from them on each
-    call. Fault tolerance needs no enumeration when a side's dual repeats no
-    name. A side over more than ``expr.ENUMERATION_BOUND`` names raises
+    A family is a side or a side's dual, and each fact is kept once per
+    family: its names, its minimal (f-resilient) quorums, enumerated on
+    first use and cached in canonical order as int bitmasks over its names
+    (:meth:`quorum_masks` for a side), and its smallest quorum size
+    (:meth:`_least_size`). In a derived system the two sides are each
+    other's duals; otherwise a side's dual is one more family, whose
+    expression is built on first use. The name sets are unmasked from the
+    masks on each call. A side's fault tolerance is its dual's smallest
+    quorum less one; the walk of a given side that repeats no name finds
+    the smallest quorum of the side and of its dual, so neither enumerates.
+    A side over more than ``expr.ENUMERATION_BOUND`` names raises
     UniverseTooLarge at construction.
     """
 
@@ -196,22 +202,24 @@ class QuorumSystem:
         if reads is None and writes is None:
             raise DomainError("supply read quorums, write quorums, or both")
         derived = reads is None or writes is None
-        # One walk of each given side finds its names, which a derived dual
-        # shares, and, if no name repeats, the smallest quorum sizes of the side
-        # and of its dual. A side's fault tolerance is its dual's smallest
-        # quorum size, less one (see _fault_tolerance).
+        # A family is a side or a side's dual. Derived, each side is the
+        # other's dual, as dual(dual(e)) is e; else a side's dual is one more
+        # family, "~read" or "~write", whose expression is built on first use.
+        pairs = [("read", "write")] if derived else [("read", "~read"), ("write", "~write")]
+        self._dual_of = dict(pairs + [(b, a) for a, b in pairs])
+        # One walk of each given side finds its names, which its dual shares,
+        # and, if no name repeats, the smallest quorum sizes of the side and
+        # of its dual (see _least_size).
         self._names: dict[str, tuple[str, ...]] = {}
-        self._tolerance: dict[str, int] = {}
-        for side, other, e in (("read", "write", reads), ("write", "read", writes)):
+        self._least: dict[str, int] = {}
+        for side, e in (("read", reads), ("write", writes)):
             if e is None:
                 continue
+            dual = self._dual_of[side]
             self._names[side], sizes = _expr._survey(e)
-            if derived:
-                self._names[other] = self._names[side]
+            self._names[dual] = self._names[side]
             if sizes is not None:
-                self._tolerance[side] = sizes[1] - 1
-                if derived:
-                    self._tolerance[other] = sizes[0] - 1
+                self._least[side], self._least[dual] = sizes
         reads = writes.dual() if reads is None else reads
         writes = reads.dual() if writes is None else writes
         read_names, write_names = self._names["read"], self._names["write"]
@@ -223,10 +231,7 @@ class QuorumSystem:
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
         self._exprs = {"read": reads, "write": writes}
-        # Derived, each side is the other's dual, as dual(dual(e)) is e.
-        self._dual_side = {"read": "write", "write": "read"} if derived else {}
         self._masks: dict[tuple[str, int], tuple[int, ...]] = {}
-        self._dual_masks: dict[str, tuple[int, ...]] = {}
         missed = [] if derived else [
             w for w in self.write_minimal if reads.evaluate(self._nodes.keys() - w)]
         if missed:  # report the first disjoint pair in read-major order
@@ -288,23 +293,26 @@ class QuorumSystem:
     def quorum_masks(self, side: str, f: int = 0) -> tuple[int, ...]:
         """``resilient_quorums(side, f)`` as masks over :meth:`side_names`;
         there are some iff f is at most the side's fault tolerance."""
-        if (side, f) not in self._masks:
+        self.side(side)  # rejects an unknown side
+        return self._family(side, f)
+
+    def _family(self, family: str, f: int = 0) -> tuple[int, ...]:
+        """The minimal f-resilient quorums of a family, a side or a side's
+        dual, as masks over its names, enumerated once and cached: at f = 0
+        from its expression, else by :func:`expr.minimal_transversals` from
+        the minimal quorums of its dual."""
+        if (family, f) not in self._masks:
             if f < 0:
                 raise DomainError(f"f must be nonnegative, got {f}")
-            if f > 0 and self._fault_tolerance(side) < f:
-                raise NoResilientQuorum(f"no {side} quorum survives every removal of {f} nodes")
-            self._masks[side, f] = (
-                _expr._masks(self.side(side), self._names[side]) if f == 0
-                else _expr.minimal_transversals(self._dual(side), len(self._names[side]), f))
-        return self._masks[side, f]
-
-    def _dual(self, side: str) -> tuple[int, ...]:
-        """The minimal quorums of the side's dual, as masks over its names."""
-        if side in self._dual_side:
-            return self.quorum_masks(self._dual_side[side])
-        if side not in self._dual_masks:
-            self._dual_masks[side] = _expr._masks(self.side(side).dual(), self._names[side])
-        return self._dual_masks[side]
+            if f > 0 and self._fault_tolerance(family) < f:
+                raise NoResilientQuorum(f"no {family} quorum survives every removal of {f} nodes")
+            if family not in self._exprs:  # a side's dual, built on first use
+                self._exprs[family] = self._exprs[self._dual_of[family]].dual()
+            self._masks[family, f] = (
+                _expr._masks(self._exprs[family], self._names[family]) if f == 0
+                else _expr.minimal_transversals(
+                    self._family(self._dual_of[family]), len(self._names[family]), f))
+        return self._masks[family, f]
 
     # -- fault tolerance -----------------------------------------------------
 
@@ -320,23 +328,20 @@ class QuorumSystem:
         """The smaller side's fault tolerance, computed from the duals."""
         return min(self.read_fault_tolerance(), self.write_fault_tolerance())
 
-    def _fault_tolerance(self, side: str) -> int:
+    def _fault_tolerance(self, family: str) -> int:
         # Killing a node set removes every quorum iff the set meets every
         # quorum. The minimal such sets are the minimal quorums of the dual,
-        # so the dual's smallest quorum, first in canonical order, less one,
-        # is the fault tolerance.
-        if side not in self._tolerance:
-            self._tolerance[side] = self._dual(side)[0].bit_count() - 1
-        return self._tolerance[side]
+        # so the dual's smallest quorum, less one, is the fault tolerance.
+        return self._least_size(self._dual_of[family]) - 1
 
-    def _least_size(self, side: str, f: int = 0) -> int:
-        """The node count of the side's smallest minimal f-resilient quorum,
-        the first of :meth:`quorum_masks` in canonical order. At f = 0 in a
-        derived system, the other side's fault tolerance plus one, as each
-        side is the other's dual, so a read-once side enumerates nothing."""
-        if f == 0 and side in self._dual_side:
-            return self._fault_tolerance(self._dual_side[side]) + 1
-        return self.quorum_masks(side, f)[0].bit_count()
+    def _least_size(self, family: str, f: int = 0) -> int:
+        """The node count of the family's smallest minimal f-resilient
+        quorum: at f = 0 the size that the walk of a read-once side found
+        for the side or its dual, so such a family enumerates nothing; else
+        the first of its masks in canonical order."""
+        if f == 0 and family in self._least:
+            return self._least[family]
+        return self._family(family, f)[0].bit_count()
 
     # -- resilient quorums ---------------------------------------------------
 

@@ -121,6 +121,8 @@ class Strategy:
         entries = []
         for quorum, prob in dist:
             quorum = frozenset(quorum)
+            for name in sorted(quorum):
+                self._qs.node(name)  # raises UnknownNode outside the universe
             prob = as_fraction(prob)
             if not 0 <= prob <= 1:
                 raise DomainError(f"probability {prob} is outside [0, 1]")

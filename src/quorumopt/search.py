@@ -13,11 +13,14 @@ f-resilient quorum, so no strategy exists. Each candidate that meets the
 floor is scored by solving the strategy LP and reading the metric of its
 strategy as a float: a latency or network load is the exact metric rounded
 once, and a capacity is summed in floats from the strategy's exact table
-of node loads per unit of reads and of writes. A candidate replaces the
-best so far only if it beats it by more than the relative tie band
-``_TIE`` (4 ppm); otherwise the earlier candidate stays, so exact ties, and
-metrics that float rounding alone sets apart, keep the first in emission
-order and runs are reproducible. The winner's metric is reported exact.
+of node loads per unit of reads and of writes; a candidate whose LP is
+infeasible is skipped. A candidate replaces the best so far only if it
+beats it, by a higher capacity under the load objective or a lower latency
+or network load under theirs, by more than the relative tie band ``_TIE``
+(4 ppm); otherwise the earlier candidate stays, so exact ties, and metrics
+that float rounding alone sets apart, keep the first in emission order and
+runs are reproducible, under a candidate budget too. The winner's metric is
+reported exact.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
@@ -36,15 +39,18 @@ tolerance on distribution sums and for float rounding, and for a limit
 also for the solver's tolerance on its row. So the winner, its strategy
 and its metric are the ones the search without the bounds finds.
 
-Candidates are taken ``_BLOCK`` at a time. A block's tree bounds are worked
-out once per candidate, and one load-bound ascent
-(:func:`~quorumopt.optimize.ascend`) runs over all of its candidates that
-the tree bounds leave in play against the incumbent the block started
-with; a candidate leaves the ascent once it is ruled out against that
-incumbent. The candidates that the gate passed are then decided in
-emission order against the incumbent of the moment, which gives the
-decisions of a search that takes one candidate at a time (see
-:func:`search`).
+Candidates are taken ``_BLOCK`` at a time, and each one's quorum system is
+built once. A block's tree bounds are worked out once per candidate, and
+one load-bound ascent (:func:`~quorumopt.optimize.ascend`) runs over all of
+its candidates that the tree bounds leave in play against the incumbent the
+block started with; a candidate leaves the ascent once it is ruled out
+against that incumbent. The candidates that the gate passed are then
+decided in emission order against the incumbent of the moment. This
+decides as a search that takes one candidate at a time does: the incumbent
+only improves and an ascent's running maximum only grows, so a candidate
+ruled out against the block's first incumbent is ruled out against any
+later one, and a candidate that took every ascent step is decided on the
+bound that the one-at-a-time ascent ends with.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from .optimize import (
 # Set partitions grow super-exponentially (Bell numbers); past 8 nodes full
 # enumeration stops being a desk-scale computation.
 SEARCH_NODE_BOUND = 8
-# Candidates taken from the stream at a time; see search().
+# Candidates taken from the stream at a time; see the module docstring.
 _BLOCK = 256
 # A challenger must beat the incumbent by more than this, relative. Twice the
 # bounds' margin, so a bound prunes a candidate that can at best tie; far
@@ -201,49 +207,25 @@ def search(
     workload: WorkloadLike,
     options: SearchOptions | None = None,
 ) -> SearchResult:
-    """Best quorum system over duplicate-free read expressions.
+    """The best quorum system on ``universe`` for ``workload`` among the
+    duplicate-free read expressions over its node names, each with the dual
+    as writes, under ``options`` (the defaults if None), by the rules of
+    the module docstring: the highest capacity for the load objective, the
+    lowest latency or network load for theirs.
 
-    Each candidate's writes are the dual of its reads. Candidates below the
-    fault tolerance floor, the larger of ``options.min_fault_tolerance``
-    and ``options.f``, are skipped without solving; infeasible candidates
-    are skipped. A solved candidate replaces the incumbent only if its
-    score (:func:`_score`, its metric as a float: the exact latency or
-    network load rounded once, or a capacity summed in floats from the
-    exact node-load table) beats the incumbent's by more than the
-    relative tie band ``_TIE`` (4 ppm): a higher capacity by that factor,
-    or a latency or network load lower by it. A candidate is also skipped
-    when its gate (:meth:`Bound.may_beat`) shows that none of its
-    strategies meets the limits and strictly beats the incumbent moved by
-    the band, exact ties included: such a candidate could not have replaced
-    it, and its LP would have been infeasible or lost, so the result is the
-    same as with every LP solved. The bound allows a returned strategy's
-    distributions to miss a sum of 1 by the tolerance that Strategy
-    accepts, plus float rounding, and a limit's row to be met only within
-    the solver's feasibility tolerance. The winner's ``metric_value`` is its
-    metric in exact ``Fraction`` arithmetic.
-    ``candidates_examined`` and the budget count every candidate, skipped
-    ones included. On timeout or budget exhaustion the best result so far
-    is returned; if nothing feasible was found, NoFeasibleCandidate is
-    raised.
+    The result holds the winner's quorum system, its strategy, its metric
+    in exact ``Fraction`` arithmetic (``metric_value``), and
+    ``candidates_examined``, which counts every candidate taken, skipped
+    ones included. The budget counts candidates the same way. The budget
+    and the timeout are checked before each candidate is taken, so a budget
+    stops the stream exactly; a block once taken is decided in full, so a
+    search can run past its timeout by the bounds and LPs of one block. On
+    timeout or budget exhaustion the best result so far is returned.
 
-    Candidates are taken from the stream ``_BLOCK`` at a time, and each
-    one's quorum system is built once. The candidates that the gate passes
-    against the incumbent at the start of the block get their load bounds
-    from one ascent against it, and each of them is then decided against
-    the incumbent of the moment. This decides as a search one candidate at
-    a time does: the incumbent only improves and an ascent's running
-    maximum only grows, so a candidate ruled out against the block's first
-    incumbent is ruled out against any later one, and a candidate that
-    took every ascent step is decided on the bound that the one-at-a-time
-    ascent ends with. The budget and the timeout are checked before each
-    candidate is taken, so a budget stops the stream exactly; a block once
-    taken is decided in full, so a search can run past its timeout by the
-    bounds and LPs of one block.
-
-    The load objective maximizes capacity; latency and network objectives
-    minimize their metric. Ties within the band keep the earliest candidate,
-    so results are reproducible under a candidate budget, and float
-    rounding cannot pick the winner.
+    Raises NoFeasibleCandidate if no candidate taken was feasible,
+    SolverFailure if the LP backend fails on one, and DomainError for a
+    universe that is empty, holds more than ``SEARCH_NODE_BOUND`` nodes or
+    repeats a name, or for a workload that is no distribution.
     """
     options = options or SearchOptions()
     w = Workload.coerce(workload)

@@ -516,10 +516,14 @@ class TestLeastSize:
         assert qs._least_size(side) == 3
         assert _least_cost(qs, Objective.NETWORK, side, 0) == 3.0
 
-    def test_a_derived_read_once_side_enumerates_nothing(self, monkeypatch):
-        qs = QuorumSystem(nodes("abcde"), reads="choose(2, [a, b*c, d + e])")
+    # given both sides, each walk prices its side and the side's dual
+    @pytest.mark.parametrize("given_as", ["reads", "both"])
+    def test_a_derived_read_once_side_enumerates_nothing(self, given_as, monkeypatch):
+        e = parse("choose(2, [a, b*c, d + e])")
+        qs = QuorumSystem(nodes("abcde"), **self.SIDES[given_as](e))
         monkeypatch.setattr(expr_module, "_masks", None)
         assert (qs._least_size("read"), qs._least_size("write")) == (2, 2)
+        assert (qs.read_fault_tolerance(), qs.write_fault_tolerance()) == (1, 1)
 
 
 def test_as_fraction_rejects_junk():

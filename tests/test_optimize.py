@@ -372,6 +372,16 @@ class TestMetrics:
             with pytest.raises(DomainError, match=f"probability {p} is outside"):
                 Strategy(maj3, [({"a", "b"}, p)], [({"a", "b"}, 1)])
 
+    def test_a_quorum_naming_a_node_outside_the_universe_is_rejected(self, maj3):
+        # a superset of a quorum, but zzz is no node: it must not count
+        # towards the network load nor get a row of its own
+        with pytest.raises(UnknownNode, match="zzz"):
+            Strategy(maj3, [({"a", "b", "zzz"}, 1)], [({"a", "b"}, 1)])
+        # a node of the universe outside the side's expression is allowed
+        qs = QuorumSystem(plain("abcd"), reads="a*b + b*c + a*c")
+        sigma = Strategy(qs, [({"a", "b", "d"}, 1)], [({"a", "b"}, 1)])
+        assert sigma.network_load(1) == 3
+
     def test_resilience_validation(self, grid):
         with pytest.raises(DomainError):
             Strategy(grid, [({"a", "b"}, 1)], [({"a", "b", "c", "d"}, 1)], f=1)

@@ -82,6 +82,32 @@ def unreferenced_public(checked: list[str], others: list[str]) -> list[str]:
     return sorted(public - referenced - listed)
 
 
+def unread_private_attributes(checked: list[str], others: list[str]) -> list[str]:
+    """The private attributes, those whose name starts with one underscore,
+    that a module of ``checked`` writes on an instance, as ``self._x = ...``
+    or ``object.__setattr__(..., "_x", ...)``, and that no module of
+    ``checked`` or ``others`` reads as ``._x``, sorted. Storing into an
+    attribute's item, ``self._x[k] = ...``, does not read it."""
+    written, read = set(), set()
+    for i, source in enumerate(checked + others):
+        tree = ast.parse(source)
+        stored = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) not in stored:
+                    read.add(node.attr)
+            elif i < len(checked) and isinstance(node, ast.Attribute) and (
+                    isinstance(node.value, ast.Name) and node.value.id == "self"):
+                written.add(node.attr)
+            elif i < len(checked) and isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                written.add(node.args[1].value)
+    private = {x for x in written if x.startswith("_") and not x.startswith("__")}
+    return sorted(private - read)
+
+
 def code_lines(source: str) -> int:
     """The lines of ``source`` that hold a token other than a comment, a
     newline or an indent, outside the docstring of the module, a class or a
@@ -171,6 +197,37 @@ def test_unreferenced_public_definitions_are_found():
     importer = "from .table import imported as alias\n"
     assert unreferenced_public([module], [importer]) == ["orphan", "recursive"]
     assert unreferenced_public([module], []) == ["imported", "orphan", "recursive"]
+
+
+def test_package_reads_every_private_attribute_it_writes():
+    # oracle.py, the naive reference, is read but not checked
+    checked = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "oracle.py"]
+    assert unread_private_attributes(checked, [(PACKAGE / "oracle.py").read_text()]) == []
+
+
+def test_unread_private_attributes_are_found():
+    module = (
+        "class Table:\n"
+        "    def __init__(self, rows):\n"
+        "        self._rows = rows\n"
+        "        self._cache = {}\n"
+        "        self._spare = {}\n"
+        "        self._spare[0] = 1\n"
+        "        self._count = 0\n"
+        "        self._count += 1\n"
+        "        self.__hidden = 1\n"
+        "        object.__setattr__(self, '_frozen', 1)\n"
+        "        object.__setattr__(self, '_kept', 2)\n"
+        "    def first(self):\n"
+        "        self._cache[0] = self._rows[0]\n"
+        "        return self._cache[0]\n"
+    )
+    reader = "def kept(table):\n    return table._kept\n"
+    assert unread_private_attributes([module], [reader]) == ["_count", "_frozen", "_spare"]
+    assert unread_private_attributes([module], []) == ["_count", "_frozen", "_kept", "_spare"]
+    # a write outside the checked modules is not checked
+    assert unread_private_attributes([reader], [module]) == []
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
