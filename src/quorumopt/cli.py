@@ -1,10 +1,14 @@
 """Command line interface.
 
-Commands read a JSON config file (version "1") describing nodes, optional
-read/write expressions, and a workload, and write a single machine-readable
-document to stdout: JSON for analyze/strategy/search (human-readable tables
-behind --table), CSV for curve/breakdown. All emitted numbers are quantized
-to 9 decimal places so outputs are byte-stable.
+Every command takes a JSON config file (version "1") describing nodes,
+optional read/write expressions, and a workload. Each ``cmd_*`` function
+maps the loaded config and its arguments to one machine-readable document:
+a dict, written as JSON for analyze/strategy/search (a human-readable table
+behind --table), or a list of rows, written as CSV for curve/breakdown.
+:func:`main` alone loads the config, writes the document through
+:func:`_emit`, and turns an error into one stderr line and its exit code
+(``_EXITS``); stdout stays empty on an error. All emitted numbers are
+quantized to 9 decimal places so outputs are byte-stable.
 
 Exit codes: 0 success, 2 config or parse error, 3 no strategy: unsatisfiable
 limits, no f-resilient quorum, or the LP solver failed, 4 search exhausted
@@ -27,6 +31,7 @@ from .errors import (
     NoFeasibleCandidate,
     NoResilientQuorum,
     ParseError,
+    QuorumError,
     SolverFailure,
     UniverseTooLarge,
     UnknownNode,
@@ -43,13 +48,15 @@ from .optimize import (
 )
 from .search import SearchOptions, search
 
-_CONFIG_ERRORS = (
-    DomainError,
-    ParseError,
-    UnknownNode,
-    IntersectionViolation,
-    UniverseTooLarge,
+# Each exit on an error: the errors it takes, its stderr prefix, its code.
+_EXITS = (
+    ((DomainError, ParseError, UnknownNode, IntersectionViolation, UniverseTooLarge), "error", 2),
+    ((Infeasible, NoResilientQuorum), "infeasible", 3),
+    ((SolverFailure,), "solver failure", 3),
+    ((NoFeasibleCandidate,), "search exhausted", 4),
 )
+# Each config node field, with the Node field it sets.
+_NODE_FIELDS = {"read_cap": "read_cap", "write_cap": "write_cap", "latency_s": "latency"}
 
 
 @dataclass
@@ -83,17 +90,11 @@ def load_config(path: str) -> Config:
     for entry in nodes_raw:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DomainError(f"node entry {entry!r} needs a name")
-        unknown = set(entry) - {"name", "read_cap", "write_cap", "latency_s"}
+        unknown = set(entry) - {"name", *_NODE_FIELDS}
         if unknown:
             raise DomainError(f"unknown node fields {sorted(unknown)}")
-        nodes.append(
-            Node(
-                entry["name"],
-                read_cap=entry.get("read_cap", 1),
-                write_cap=entry.get("write_cap", 1),
-                latency=entry.get("latency_s", 1),
-            )
-        )
+        fields = {field: entry[key] for key, field in _NODE_FIELDS.items() if key in entry}
+        nodes.append(Node(entry["name"], **fields))
 
     reads = raw.get("reads")
     writes = raw.get("writes")
@@ -134,11 +135,18 @@ def _strategy_doc(sigma: Strategy, workload: Workload) -> dict:
     }
 
 
-def _emit(doc: dict, table: bool) -> None:
-    """Write doc to stdout as indented JSON or, with table, as aligned
-    ``key  value`` rows: one per scalar field, in the document's order, then
-    one per quorum of the read and write distributions of doc, or of its
-    strategy."""
+def _emit(doc: dict | list[dict], table: bool) -> None:
+    """The one writer to stdout. A list of rows is written as CSV: a header
+    of the first row's keys, then one line per row, floats at 9 decimals and
+    strings as given. A dict is written as indented JSON or, with table, as
+    aligned ``key  value`` rows: one per scalar field, in the document's
+    order, then one per quorum of the read and write distributions of doc,
+    or of its strategy."""
+    if isinstance(doc, list):
+        lines = [doc[0].keys()] + [
+            [f"{v:.9f}" if isinstance(v, float) else v for v in row.values()] for row in doc]
+        sys.stdout.write("".join(",".join(line) + "\n" for line in lines))
+        return
     if not table:
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return
@@ -160,12 +168,11 @@ def _constraints(args) -> Constraints:
     )
 
 
-def cmd_analyze(args) -> int:
-    config = load_config(args.config)
+def cmd_analyze(config: Config, args) -> dict:
     qs = config.quorum_system()
     sigma = find_strategy(qs, config.workload, "load", f=args.f)
     w = config.workload
-    doc = {
+    return {
         "reads": str(canonical(qs.reads)),
         "writes": str(canonical(qs.writes)),
         "fault_tolerance": qs.fault_tolerance(),
@@ -176,20 +183,15 @@ def cmd_analyze(args) -> int:
         "latency": _q9(sigma.latency(w)),
         "network_load": _q9(sigma.network_load(w)),
     }
-    _emit(doc, args.table)
-    return 0
 
 
-def cmd_strategy(args) -> int:
-    config = load_config(args.config)
+def cmd_strategy(config: Config, args) -> dict:
     qs = config.quorum_system()
     sigma = find_strategy(qs, config.workload, args.optimize, _constraints(args), f=args.f)
-    _emit(_strategy_doc(sigma, config.workload), args.table)
-    return 0
+    return _strategy_doc(sigma, config.workload)
 
 
-def cmd_search(args) -> int:
-    config = load_config(args.config)
+def cmd_search(config: Config, args) -> dict:
     if config.reads is not None or config.writes is not None:
         raise DomainError("search configs must not fix reads or writes")
     options = SearchOptions(
@@ -201,46 +203,35 @@ def cmd_search(args) -> int:
         budget=args.budget,
     )
     result = search(config.nodes, config.workload, options)
-    doc = {
+    return {
         "reads": str(canonical(result.qs.reads)),
         "writes": str(canonical(result.qs.writes)),
         "strategy": _strategy_doc(result.strategy, config.workload),
         "metric": _q9(result.metric_value),
         "candidates_examined": result.candidates_examined,
     }
-    _emit(doc, args.table)
-    return 0
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(config: Config, args) -> list[dict]:
     if args.points <= 0:
         raise DomainError("--points must be positive")
-    config = load_config(args.config)
     qs = config.quorum_system()
     grid = [Fraction(i, args.points) for i in range(args.points + 1)]
     if args.fixed:
-        sigma = find_strategy(qs, config.workload, "load", f=args.f)
-        rows = capacity_curve(sigma, grid)
+        rows = capacity_curve(find_strategy(qs, config.workload, "load", f=args.f), grid)
     else:
         rows = capacity_curve(qs, grid, f=args.f)
-    sys.stdout.write("read_fraction,capacity\n")
-    for fr, cap in rows:
-        sys.stdout.write(f"{float(fr)!r},{_q9(cap):.9f}\n")
-    return 0
+    return [{"read_fraction": repr(float(fr)), "capacity": _q9(cap)} for fr, cap in rows]
 
 
-def cmd_breakdown(args) -> int:
-    config = load_config(args.config)
+def cmd_breakdown(config: Config, args) -> list[dict]:
     qs = config.quorum_system()
     if args.uniform:
         sigma = uniform_strategy(qs)
     else:
         sigma = find_strategy(qs, config.workload, "load")
-    sys.stdout.write("node,side,quorum,throughput\n")
-    for node, side, quorum, thr in throughput_breakdown(sigma, config.workload):
-        label = "*".join(sorted(quorum))
-        sys.stdout.write(f"{node},{side},{label},{_q9(thr):.9f}\n")
-    return 0
+    return [{"node": node, "side": side, "quorum": "*".join(sorted(q)), "throughput": _q9(thr)}
+            for node, side, q, thr in throughput_breakdown(sigma, config.workload)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,21 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: load its config, write the document it returns, and
+    map an error of ``_EXITS`` to its stderr line and exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _CONFIG_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (Infeasible, NoResilientQuorum) as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
-    except SolverFailure as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 3
-    except NoFeasibleCandidate as e:
-        print(f"search exhausted: {e}", file=sys.stderr)
-        return 4
+        doc = args.func(load_config(args.config), args)
+    except QuorumError as e:
+        for errors, prefix, code in _EXITS:
+            if isinstance(e, errors):
+                print(f"{prefix}: {e}", file=sys.stderr)
+                return code
+        raise
+    _emit(doc, getattr(args, "table", False))
+    return 0
 
 
 if __name__ == "__main__":

@@ -83,6 +83,14 @@ class Node:
             object.__setattr__(self, field, value)
 
 
+def read_fraction(value: Rational) -> Fraction:
+    """``value`` as an exact read fraction; outside [0, 1] raises DomainError."""
+    fr = as_fraction(value)
+    if not 0 <= fr <= 1:
+        raise DomainError(f"read fraction {fr} is outside [0, 1]")
+    return fr
+
+
 def _by_fraction(points: Mapping[Rational, Rational]) -> dict[Fraction, Fraction]:
     """``points`` with each key and value made exact by :func:`as_fraction`;
     two keys that name one read fraction are refused."""
@@ -107,8 +115,7 @@ class Workload:
             raise DomainError("workload needs at least one read fraction")
         converted = _by_fraction(points)
         for fr, p in converted.items():
-            if not 0 <= fr <= 1:
-                raise DomainError(f"read fraction {fr} is outside [0, 1]")
+            read_fraction(fr)
             if not 0 <= p <= 1:
                 raise DomainError(f"probability {p} is outside [0, 1]")
         total = sum(converted.values())

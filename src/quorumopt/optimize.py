@@ -39,7 +39,7 @@ import numpy as np
 from . import expr as _expr
 from . import lp
 from .errors import DomainError
-from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction
+from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction, read_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
 # Bound's margin, the distribution-sum tolerance doubled to cover float
@@ -53,6 +53,13 @@ class Objective(str, enum.Enum):
     LOAD = "load"
     LATENCY = "latency"
     NETWORK = "network"
+
+
+def _objective(value: Union[Objective, str]) -> Objective:
+    try:
+        return Objective(value)
+    except ValueError:
+        raise DomainError(f"objective must be load, latency or network, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -182,7 +189,7 @@ class Strategy:
 
     def load_at(self, fr: Rational) -> Fraction:
         """Per-fraction load: utilization of the busiest node."""
-        fr = as_fraction(fr)
+        fr = read_fraction(fr)
         return max(fr * r + (1 - fr) * w for r, w in self._unit_load.values())
 
     # -- workload-level metrics ----------------------------------------------
@@ -310,7 +317,7 @@ def find_strategy(
     NoResilientQuorum when a side has no f-resilient quorum at all.
     """
     w = Workload.coerce(workload)
-    objective = Objective(objective)
+    objective = _objective(objective)
     constraints = constraints or Constraints()
 
     pools = {side: qs.quorum_masks(side, f) for side in ("read", "write")}
@@ -491,7 +498,7 @@ def ascend(
     ``_ASCENT_STEPS`` steps. As the running maximum only grows, a row that
     left is also out of reach against any value that beats ``value``.
     """
-    objective = Objective(objective)
+    objective = _objective(objective)
     constraints = constraints or Constraints()
     if not bounds or objective is not Objective.LOAD and constraints.capacity_limit is None:
         return

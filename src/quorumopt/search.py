@@ -72,6 +72,7 @@ from .optimize import (
     Constraints,
     Objective,
     Strategy,
+    _objective,
     ascend,
     find_strategy,
 )
@@ -97,7 +98,7 @@ class SearchOptions:
     budget: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", Objective(self.objective))
+        object.__setattr__(self, "objective", _objective(self.objective))
         if self.min_fault_tolerance < 0:
             raise DomainError("min_fault_tolerance must be nonnegative")
         if self.f < 0:

@@ -60,6 +60,10 @@ GOLDEN_CASES = [
     ),
     (("curve", DATA / "hetero_grid.json", "--points", "10"), "curve_hetero_grid.csv"),
     (
+        ("curve", DATA / "hetero_grid.json", "--points", "10", "--fixed"),
+        "curve_hetero_grid_fixed.csv",
+    ),
+    (
         ("breakdown", DATA / "case_study.json", "--uniform"),
         "breakdown_case_study_uniform.csv",
     ),

@@ -311,6 +311,14 @@ class TestFindStrategy:
         assert len(calls) == 2
 
 
+def test_an_unknown_objective_is_a_domain_error(maj3):
+    message = "objective must be load, latency or network, got 'LOAD'"
+    with pytest.raises(DomainError, match=message):
+        find_strategy(maj3, Fraction(1, 2), "LOAD")
+    with pytest.raises(DomainError, match=message):
+        ascend([Bound(maj3, 1)], 1, "LOAD", None)
+
+
 class TestSolverStatus:
     @pytest.mark.parametrize("status,error", [(2, Infeasible), (4, SolverFailure)])
     def test_status_maps_to_error(self, monkeypatch, status, error):
@@ -362,6 +370,19 @@ class TestMetrics:
     def test_all_mass_on_one_quorum_loads_its_slowest_member(self, grid):
         sigma = Strategy(grid, [({"c", "d"}, 1)], [({"a", "c"}, 1)])
         assert sigma.load_at(1) == Fraction(1, 100)
+
+    def test_a_read_fraction_outside_the_unit_interval_is_rejected(self, maj3):
+        # reads a*b at write_cap 100: -1 would give a load of -49/50, and
+        # -1/99 a load of 0, a division by zero in the capacity curve
+        qs = QuorumSystem([Node(x, read_cap=1, write_cap=100) for x in "ab"], reads="a*b")
+        sigma = find_strategy(qs, 1)
+        for fr in (-1, Fraction(-1, 99)):
+            with pytest.raises(DomainError, match=f"read fraction {fr} is outside"):
+                sigma.load_at(fr)
+            with pytest.raises(DomainError, match=f"read fraction {fr} is outside"):
+                capacity_curve(sigma, [fr])
+        with pytest.raises(DomainError, match="read fraction 2 is outside"):
+            find_strategy(maj3, Fraction(1, 2)).load_at(2)
 
     def test_strategy_validation(self, maj3):
         with pytest.raises(DomainError):

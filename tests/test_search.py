@@ -177,6 +177,8 @@ class TestSearch:
                 SearchOptions(timeout=timeout)
         with pytest.raises(DomainError):
             SearchOptions(f=-1)
+        with pytest.raises(DomainError, match="objective must be load, latency or network"):
+            SearchOptions(objective="fast")
 
 
 @st.composite

@@ -108,6 +108,26 @@ def unread_private_attributes(checked: list[str], others: list[str]) -> list[str
     return sorted(private - read)
 
 
+def stdout_writers(sources: dict[str, str]) -> list[str]:
+    """The functions of the named ``sources``, as ``module.function``, that
+    refer to ``sys.stdout`` or call ``print`` without ``file=``, sorted. A
+    function holds what the functions defined in it hold."""
+    found = set()
+    for module, source in sources.items():
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                stdout = (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                          and isinstance(node.value, ast.Name) and node.value.id == "sys")
+                printed = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                           and node.func.id == "print"
+                           and all(k.arg != "file" for k in node.keywords))
+                if stdout or printed:
+                    found.add(f"{module}.{function.name}")
+    return sorted(found)
+
+
 def code_lines(source: str) -> int:
     """The lines of ``source`` that hold a token other than a comment, a
     newline or an indent, outside the docstring of the module, a class or a
@@ -228,6 +248,32 @@ def test_unread_private_attributes_are_found():
     assert unread_private_attributes([module], []) == ["_count", "_frozen", "_kept", "_spare"]
     # a write outside the checked modules is not checked
     assert unread_private_attributes([reader], [module]) == []
+
+
+def test_only_the_cli_writer_writes_stdout():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert stdout_writers(sources) == ["cli._emit"]
+
+
+def test_stdout_writers_are_found():
+    source = (
+        "import sys\n"
+        "def emit(doc):\n"
+        "    sys.stdout.write(doc)\n"
+        "def shout(doc):\n"
+        "    print(doc)\n"
+        "def redirect(doc):\n"
+        "    print(doc, file=sys.stdout)\n"
+        "def warn(doc):\n"
+        "    print(doc, file=sys.stderr)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return sys.stdout\n"
+        "    return inner\n"
+        "sys.stdout.flush()\n"
+    )
+    assert stdout_writers({"m": source}) == [
+        "m.emit", "m.inner", "m.outer", "m.redirect", "m.shout"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
