@@ -1,18 +1,27 @@
 """The one HiGHS call and its status mapping.
 
 :func:`quorumopt.optimize.find_strategy` builds its LP as dense arrays and
-solves it here. This is the only module that touches HiGHS. It drives the
-binding that scipy ships (``scipy.optimize._highspy._core``), which is
-private to scipy, with the options ``scipy.optimize.linprog(method="highs")``
-sets, but without that wrapper's per-call option checks, input cleaning and
-result packaging. :func:`linprog` stays the seam between :func:`solve` and
-HiGHS, with scipy's status codes, so that tests and tracers can replace or
-wrap it. It departs from scipy in one place: a model that HiGHS refuses,
-at ``passModel`` (a coefficient of magnitude 1e15 or more) or as
+solves it here. This is the only module that touches HiGHS, as
+``tests/test_source.py`` checks. It drives the binding that scipy ships
+(``scipy.optimize._highspy._core``), which is private to scipy, with the
+options ``scipy.optimize.linprog(method="highs")`` sets, but without that
+wrapper's per-call option checks, input cleaning and result packaging.
+:func:`linprog` stays the seam between :func:`solve` and HiGHS, with
+scipy's status codes, so that tests and tracers can replace or wrap it. It
+departs from scipy in one place: a model that HiGHS refuses, at
+``passModel`` (a coefficient of magnitude 1e15 or more) or as
 ``kModelError``, is a solver failure (status 4) here, where scipy reports
 it as infeasible (status 2); status 2 means that HiGHS proved the model
 infeasible. Required accuracy: feasibility violation <= 1e-9, objective gap
 <= 1e-6.
+
+Each solve runs on a fresh HiGHS instance, freed when the solve returns,
+and hands back HiGHS's final basis. Given the basis of an earlier LP of
+the same shape, as :func:`quorumopt.optimize.capacity_curve` hands each
+point the previous point's, a solve is warm: HiGHS skips presolve and
+starts the simplex from that basis. A warm solve that does not end optimal
+with a checked x is solved again cold, so no status depends on the warm
+start. A solve without a basis is the cold one described above.
 
 Importing this module loads the binding's extension file by itself and
 registers it in ``sys.modules`` under its own name, without importing
@@ -94,18 +103,24 @@ def _highs_options() -> HighsOptions:
 _HIGHS_OPTIONS = _highs_options()
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, basis=None):
     """Minimize c.x subject to A_ub.x <= b_ub, A_eq.x = b_eq and ``bounds``
     with HiGHS, configured by ``_HIGHS_OPTIONS``. Every argument is a float
     array; ``bounds`` is (n, 2), with ``np.inf`` for no bound.
 
     Returns an object with ``status`` (scipy's codes: 0 optimal, 2
     infeasible, 4 any other failure), ``x`` (None unless HiGHS found an
-    optimum), ``nit`` (simplex iterations) and ``message``. Status 2 is
+    optimum), ``nit`` (simplex iterations), ``message`` and ``basis``
+    (HiGHS's basis at the optimum, None when x is). Status 2 is
     only HiGHS's proof of infeasibility; a model it refuses is status 4,
     where scipy gives 2. An optimal x that misses a bound or a row by more
     than ``_CHECK_TOL`` is reported as status 4, as scipy's linprog
     reports it.
+
+    ``basis``, a basis that HiGHS returned for an LP of the same shape,
+    starts the simplex there and skips presolve. A warm solve that does not
+    end optimal with a checked x is solved again cold, so the status never
+    depends on it; ``nit`` then counts both runs.
     """
     a = np.vstack((A_ub, A_eq))
     # column-major with ascending rows in each column, as csc_array(a) stores it
@@ -125,10 +140,25 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
     lp.row_lower_ = np.concatenate((np.full(len(b_ub), -kHighsInf), b_eq))
     lp.row_upper_ = np.concatenate((b_ub, b_eq))
 
+    result = _run(lp, basis, a, b_ub, b_eq, bounds)
+    if basis is not None and result.status != 0:
+        cold = _run(lp, None, a, b_ub, b_eq, bounds)
+        cold.nit += result.nit
+        return cold
+    return result
+
+
+def _run(lp: HighsLp, basis, a, b_ub, b_eq, bounds) -> SimpleNamespace:
+    """One HiGHS run of ``lp``, whose rows are ``a``, from ``basis`` unless
+    it is None, on an instance that is freed on return; see
+    :func:`linprog`."""
     highs = _Highs()
     highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(lp) == HighsStatus.kError:
-        return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model")
+        return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model",
+                               basis=None)
+    if basis is not None:
+        highs.setBasis(basis)  # a basis of another shape is refused, and the run starts cold
     highs.run()  # a failed run leaves a model status other than kOptimal
     model = highs.getModelStatus()
     info = highs.getInfo()
@@ -139,7 +169,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
     )
     if model != HighsModelStatus.kOptimal:
         status = 2 if model == HighsModelStatus.kInfeasible else 4
-        return SimpleNamespace(status=status, x=None, nit=nit, message=message)
+        return SimpleNamespace(status=status, x=None, nit=nit, message=message, basis=None)
 
     x = np.array(highs.getSolution().col_value)
     row = a @ x
@@ -153,20 +183,22 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds):
     )
     if misses:
         message += f", but x misses a bound or row by more than {_CHECK_TOL:.1e}"
-    return SimpleNamespace(status=4 if misses else 0, x=x, nit=nit, message=message)
+    return SimpleNamespace(status=4 if misses else 0, x=x, nit=nit, message=message,
+                           basis=highs.getBasis())
 
 
-def solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> np.ndarray:
+def solve(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=None):
     """Optimal x of: minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq,
     and ``bounds``, an (n, 2) float array of each variable's lower and upper
-    bound, ``np.inf`` for none.
+    bound, ``np.inf`` for none; and HiGHS's optimal basis, which starts the
+    solve of a later LP of the same shape as ``basis`` (see :func:`linprog`).
 
     Raises Infeasible when HiGHS proves the constraints unsatisfiable and
     SolverFailure for any other solver failure, a refused model included.
     """
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, basis=basis)
     if result.status == 2:
         raise Infeasible("constraints are unsatisfiable")
     if result.status != 0:
         raise SolverFailure(f"LP solve failed: {result.message}")
-    return result.x
+    return result.x, result.basis

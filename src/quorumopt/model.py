@@ -66,7 +66,8 @@ def as_fraction(value: Rational) -> Fraction:
 @dataclass(frozen=True)
 class Node:
     """A replica with read/write capacities (ops per second) and a latency
-    (seconds). Defaults of 1 give the classical probability-based load."""
+    (seconds). Defaults of 1 give the classical probability-based load.
+    Hashed once, as the dataclass would hash it on every call."""
 
     name: str
     read_cap: Fraction = Fraction(1)
@@ -81,6 +82,11 @@ class Node:
             if value <= 0:
                 raise DomainError(f"{field} of node {self.name!r} must be positive")
             object.__setattr__(self, field, value)
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.read_cap, self.write_cap, self.latency)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def read_fraction(value: Rational) -> Fraction:
@@ -122,6 +128,7 @@ class Workload:
         if abs(total - 1) > _PROB_SUM_TOL:
             raise DomainError(f"workload probabilities sum to {total}, not 1")
         self._points = dict(sorted(converted.items()))
+        self._hash = hash(tuple(self._points.items()))
 
     @classmethod
     def coerce(cls, value: "Workload" | Rational | Mapping[Rational, Rational]) -> "Workload":
@@ -158,7 +165,7 @@ class Workload:
         return isinstance(other, Workload) and self._points == other._points
 
     def __hash__(self) -> int:
-        return hash(tuple(self._points.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{fr}: {p}" for fr, p in self._points.items())

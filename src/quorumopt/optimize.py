@@ -38,7 +38,7 @@ import numpy as np
 
 from . import expr as _expr
 from . import lp
-from .errors import DomainError
+from .errors import DomainError, Infeasible, SolverFailure
 from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction, read_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
@@ -314,12 +314,20 @@ def find_strategy(
     unmasked into name sets, for the returned Strategy.
 
     Raises Infeasible when no strategy satisfies the constraints and
-    NoResilientQuorum when a side has no f-resilient quorum at all.
+    NoResilientQuorum when a side has no f-resilient quorum at all. When
+    HiGHS ends neither optimal nor infeasible under some limit,
+    :func:`_limit_excess` decides: Infeasible if the limits are out of reach
+    by more than ``_BOUND_MARGIN``, else SolverFailure.
     """
-    w = Workload.coerce(workload)
-    objective = _objective(objective)
-    constraints = constraints or Constraints()
+    return _optimal(qs, Workload.coerce(workload), _objective(objective),
+                    constraints or Constraints(), f, None)[0]
 
+
+def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: Constraints,
+             f: int, basis):
+    """:func:`find_strategy`'s strategy, with HiGHS's optimal basis, solved
+    from ``basis``, that of an earlier LP of the same shape, or cold if it
+    is None."""
     pools = {side: qs.quorum_masks(side, f) for side in ("read", "write")}
     columns = [(side, m) for side, pool in pools.items() for m in pool]
     is_write = np.repeat([0, 1], [len(pool) for pool in pools.values()])
@@ -363,14 +371,39 @@ def find_strategy(
     bounds = np.zeros((nq + nl, 2))
     bounds[:, 1] = np.repeat([1.0, np.inf], [nq, nl])
 
-    x = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds)
+    try:
+        x, basis = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds, basis)
+    except SolverFailure:
+        if limits and _limit_excess(a_ub, b_ub, nload, a_eq, bounds) > _BOUND_MARGIN:
+            raise Infeasible("constraints are unsatisfiable") from None
+        raise
     dist = {side: [] for side in pools}
     for (s, mask), p in zip(columns, x):
         p = min(float(p), 1.0)  # solver round-off can spill past 1
         if p > 1e-9:
             (quorum,) = _expr.unmask([mask], qs.side_names(s))
             dist[s].append((quorum, Fraction(p)))
-    return Strategy(qs, *dist.values(), f=f)
+    return Strategy(qs, *dist.values(), f=f), basis
+
+
+def _limit_excess(a_ub: np.ndarray, b_ub: np.ndarray, nload: int, a_eq: np.ndarray,
+                  bounds: np.ndarray) -> float:
+    """The least s >= 0 such that some strategy passes no limit by more than
+    the factor 1 + s, from the phase-1 LP of :func:`find_strategy`'s LP,
+    whose rows past ``nload`` are its limits: each limit row is divided by
+    its limit and takes -s, the load rows and the equalities stay, and s is
+    minimized. That LP always has an optimum; if HiGHS does not find it,
+    0, which decides nothing."""
+    scale = np.ones(len(b_ub))
+    scale[nload:] = b_ub[nload:]
+    slack = np.zeros((len(b_ub), 1))
+    slack[nload:] = -1.0
+    c = np.zeros(a_ub.shape[1] + 1)
+    c[-1] = 1.0
+    result = lp.linprog(c, A_ub=np.hstack((a_ub / scale[:, None], slack)), b_ub=b_ub / scale,
+                        A_eq=np.hstack((a_eq, np.zeros((len(a_eq), 1)))), b_eq=np.ones(len(a_eq)),
+                        bounds=np.vstack((bounds, [0.0, np.inf])))
+    return result.x[-1] if result.status == 0 else 0.0
 
 
 def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
@@ -539,15 +572,22 @@ def capacity_curve(
     """Capacity at each read fraction.
 
     For a fixed strategy this evaluates 1/load at each point; for a quorum
-    system it re-optimizes a load-optimal strategy per point.
+    system it re-optimizes a load-optimal strategy per point. Each point's LP
+    differs from the previous one only in its load coefficients, so it is
+    warm-started from the previous point's optimal basis; a warm solve that
+    fails is solved again cold (:func:`lp.linprog`). Either way each point
+    gets its optimal capacity, so what the curve prints does not depend on
+    the warm start or on the fallback.
     """
     rows = []
+    basis = None
     for fr in fractions:
         fr = as_fraction(fr)
         if isinstance(target, Strategy):
             cap = 1 / target.load_at(fr)
         else:
-            sigma = find_strategy(target, fr, Objective.LOAD, f=f)
+            sigma, basis = _optimal(target, Workload.coerce(fr), Objective.LOAD, Constraints(),
+                                    f, basis)
             cap = sigma.capacity(fr)
         rows.append((fr, cap))
     return rows

@@ -15,7 +15,13 @@ from quorumopt import lp
 from quorumopt.cli import main
 from quorumopt.errors import Infeasible, NoResilientQuorum, SolverFailure
 from quorumopt.model import Node, QuorumSystem
-from quorumopt.optimize import Constraints, Objective, find_strategy, uniform_strategy
+from quorumopt.optimize import (
+    Constraints,
+    Objective,
+    capacity_curve,
+    find_strategy,
+    uniform_strategy,
+)
 
 DATA = Path(__file__).parent / "data"
 # What lp.solve asks of HiGHS, in the form scipy's linprog takes.
@@ -40,10 +46,20 @@ def record(monkeypatch) -> list:
 
 
 def assert_agrees_with_scipy(seen, atol=0.0):
-    """Each recorded result has scipy's status and iteration count and, when
-    optimal, an x within ``atol`` of scipy's (bit-identical at 0)."""
+    """Each recorded result of a cold solve has scipy's status and iteration
+    count and, when optimal, an x within ``atol`` of scipy's (bit-identical
+    at 0). A warm solve, one handed a basis, takes another simplex path than
+    scipy's cold one: it has scipy's status and, when optimal, its objective
+    within 1e-9 relative."""
     for c, kwargs, got in seen:
+        kwargs = dict(kwargs)
+        basis = kwargs.pop("basis", None)
         want = scipy_linprog(c, **kwargs, method="highs", options=SCIPY_OPTIONS)
+        if basis is not None:
+            assert got.status == want.status
+            if want.x is not None:
+                assert c @ got.x == pytest.approx(want.fun, rel=1e-9, abs=0)
+            continue
         assert (got.status, got.nit) == (want.status, want.nit)
         assert (got.x is None) == (want.x is None)
         if want.x is not None:
@@ -154,6 +170,75 @@ class TestPostSolveCheck:
         assert captured.err.count("\n") == 1
 
 
+class _FailsWarm:
+    """A HiGHS instance that, once handed a basis, fails its run: it reports
+    model status Unknown, or an optimal x with 1e-3 added to x[0]."""
+
+    def __init__(self, highs, failure):
+        self._highs, self._failure, self._warm = highs, failure, False
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def setBasis(self, basis):
+        self._warm = True
+        return self._highs.setBasis(basis)
+
+    def getModelStatus(self):
+        if self._warm and self._failure == "status":
+            return lp.HighsModelStatus.kUnknown
+        return self._highs.getModelStatus()
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        if self._warm and self._failure == "x":
+            solution.col_value = [solution.col_value[0] + 1e-3] + list(solution.col_value[1:])
+        return solution
+
+
+# minimize x0 + 2*x1 subject to x0 - x1 <= 0, x0 + x1 = 1, both in [0, 1]
+SMALL = dict(A_ub=np.array([[1.0, -1.0]]), b_ub=np.array([0.0]), A_eq=np.array([[1.0, 1.0]]),
+             b_eq=np.array([1.0]), bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
+SMALL_COST = np.array([1.0, 2.0])
+
+
+class TestWarmStart:
+    @pytest.fixture(params=["status", "x"])
+    def fails_warm(self, request, monkeypatch):
+        binding = lp._Highs
+        monkeypatch.setattr(lp, "_Highs", lambda: _FailsWarm(binding(), request.param))
+
+    def test_a_warm_solve_from_the_optimal_basis_takes_no_iteration(self):
+        cold = lp.linprog(SMALL_COST, **SMALL)
+        warm = lp.linprog(SMALL_COST, **SMALL, basis=cold.basis)
+        assert (warm.status, warm.nit) == (0, 0)
+        assert warm.x.tolist() == cold.x.tolist() == [0.5, 0.5]
+
+    def test_a_basis_of_another_shape_gives_the_cold_solve(self):
+        other = lp.linprog(np.array([1.0]), A_ub=np.zeros((0, 1)), b_ub=np.zeros(0),
+                           A_eq=np.array([[1.0]]), b_eq=np.array([1.0]),
+                           bounds=np.array([[0.0, 1.0]]))
+        cold = lp.linprog(SMALL_COST, **SMALL)
+        warm = lp.linprog(SMALL_COST, **SMALL, basis=other.basis)
+        assert (warm.status, warm.nit, warm.x.tolist()) == (cold.status, cold.nit, cold.x.tolist())
+
+    def test_a_failed_warm_solve_is_solved_again_cold(self, fails_warm):
+        cold = lp.linprog(SMALL_COST, **SMALL)
+        warm = lp.linprog(SMALL_COST, **SMALL, basis=cold.basis)
+        # the warm run, from the optimal basis, took no iteration
+        assert (warm.status, warm.nit, warm.x.tolist()) == (0, cold.nit, cold.x.tolist())
+
+    def test_a_curve_whose_warm_solves_fail_gives_the_cold_answer(self, fails_warm,
+                                                                   monkeypatch):
+        qs = QuorumSystem([Node(x, read_cap=c, write_cap=c // 2) for x, c in
+                           zip("abcd", (200, 200, 100, 100))], reads="choose(2, [a, b, c, d])")
+        grid = [Fraction(i, 8) for i in range(9)]
+        seen = record(monkeypatch)
+        rows = capacity_curve(qs, grid)
+        assert sum(kwargs["basis"] is not None for _, kwargs, _ in seen) == len(grid) - 1
+        assert rows == [(fr, find_strategy(qs, fr).capacity(fr)) for fr in grid]
+
+
 class TestInfiniteBound:
     def test_inf_upper_bound_reaches_highs_as_unbounded(self, monkeypatch):
         models = []
@@ -172,7 +257,7 @@ class TestInfiniteBound:
 
         monkeypatch.setattr(lp, "_Highs", Recording)
         # minimize L subject to L >= 1e15: L is free above 0
-        x = lp.solve(
+        x, _ = lp.solve(
             np.array([1.0]),
             np.array([[-1.0]]),
             np.array([-1e15]),

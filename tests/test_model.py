@@ -66,6 +66,15 @@ class TestNode:
         with pytest.raises(DomainError):
             Node("")
 
+    def test_equal_nodes_hash_equal(self):
+        # the hash, worked out once, is the dataclass's hash of the fields
+        n = Node("a", read_cap=2, write_cap="0.5", latency=1.5)
+        same = Node("a", read_cap=Fraction(2), write_cap=Fraction(1, 2), latency="3/2")
+        assert n == same and hash(n) == hash(same)
+        assert hash(n) == hash(("a", Fraction(2), Fraction(1, 2), Fraction(3, 2)))
+        assert n != Node("a", read_cap=2, write_cap="0.5", latency=1)
+        assert len({n, same, Node("b")}) == 2
+
 
 class TestWorkload:
     def test_scalar_is_single_point(self):
@@ -117,6 +126,15 @@ class TestWorkload:
 
     def test_repr_prints_exact_fractions(self):
         assert repr(Workload({"0.5": 1})) == "Workload({1/2: 1})"
+
+    def test_equal_workloads_hash_equal(self):
+        w = Workload({"0.5": "1/4", 0.9: 0.75})
+        same = Workload.from_weights({Fraction(9, 10): 3, "1/2": 1})
+        assert w == same and hash(w) == hash(same)
+        assert hash(w) == hash(((Fraction(1, 2), Fraction(1, 4)), (Fraction(9, 10), Fraction(3, 4))))
+        assert Workload.coerce(Fraction(1, 2)) == Workload({"0.5": 1})
+        assert hash(Workload.coerce(Fraction(1, 2))) == hash(Workload({"0.5": 1}))
+        assert w != Workload({"0.5": "3/4", 0.9: 0.25})
 
 
 class TestQuorumSystem:

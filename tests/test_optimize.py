@@ -311,6 +311,59 @@ class TestFindStrategy:
         assert len(calls) == 2
 
 
+def recorded_statuses(monkeypatch) -> list[int]:
+    """Make lp.linprog record the status of every result it returns."""
+    statuses, real = [], lp.linprog
+
+    def record(c, **kwargs):
+        result = real(c, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(lp, "linprog", record)
+    return statuses
+
+
+class TestUnclassifiedFailure:
+    """An LP that HiGHS ends neither optimal nor infeasible under a limit is
+    decided by its phase-1 LP."""
+
+    @pytest.mark.parametrize("reads", ["((b + e)*c + a)*d", "(a*(b + e) + c)*d",
+                                       "(a*(d + e) + c)*b"])
+    def test_a_limit_far_out_of_reach_is_infeasible(self, monkeypatch, reads):
+        # HiGHS ends each LP with model status Unknown; the phase-1 LP shows
+        # the capacity limit out of reach by 6-8%
+        config = load_config(str(Path(__file__).parent / "data" / "case_study_search.json"))
+        qs = QuorumSystem(config.nodes, reads=reads)
+        statuses = recorded_statuses(monkeypatch)
+        with pytest.raises(Infeasible):
+            find_strategy(qs, config.workload, "latency", Constraints(capacity_limit=4000))
+        assert statuses == [4, 0]
+
+    def test_a_limit_within_reach_keeps_the_solver_failure(self, monkeypatch, grid):
+        statuses = recorded_statuses(monkeypatch)
+        record, calls = lp.linprog, []
+        failed = SimpleNamespace(status=4, message="stub", x=None, nit=0, basis=None)
+
+        def first_fails(c, **kwargs):
+            # the first LP fails; its phase-1 LP is solved for real
+            calls.append(c)
+            return record(c, **kwargs) if len(calls) > 1 else failed
+
+        monkeypatch.setattr(lp, "linprog", first_fails)
+        with pytest.raises(SolverFailure, match="stub"):
+            find_strategy(grid, 1, "load", Constraints(capacity_limit=100))
+        assert statuses == [0]
+
+    def test_no_phase_one_lp_without_a_limit(self, monkeypatch, grid):
+        calls = []
+        failed = SimpleNamespace(status=4, message="stub", x=None, nit=0, basis=None)
+        monkeypatch.setattr(lp, "linprog", lambda c, **kw: calls.append(c) or failed)
+        with pytest.raises(SolverFailure, match="stub"):
+            find_strategy(grid, 1, "latency")
+        assert len(calls) == 1
+
+
 def test_an_unknown_objective_is_a_domain_error(maj3):
     message = "objective must be load, latency or network, got 'LOAD'"
     with pytest.raises(DomainError, match=message):
@@ -674,6 +727,32 @@ class TestCapacityCurve:
     def test_every_capacity_positive(self, grid):
         rows = capacity_curve(grid, [Fraction(i, 4) for i in range(5)])
         assert all(cap > 0 for _, cap in rows)
+
+    @given(expressions(), st.integers(2, 20), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_warm_curve_matches_cold_solves(self, e, points, data):
+        caps = st.sampled_from([50, 100, 200, 1000])
+        universe = [Node(x, read_cap=data.draw(caps), write_cap=data.draw(caps))
+                    for x in sorted(e.names())]
+        qs = QuorumSystem(universe, reads=e)
+        grid = [Fraction(i, points - 1) for i in range(points)]
+        for fr, cap in capacity_curve(qs, grid):
+            cold = find_strategy(qs, fr).capacity(fr)
+            assert abs(cap - cold) <= cold * Fraction(1, 10**9)
+
+    def test_each_point_starts_from_the_previous_basis(self, monkeypatch):
+        qs = QuorumSystem(plain("abcdefg"), reads="choose(4, [a, b, c, d, e, f, g])")
+        seen, real = [], lp.linprog
+
+        def record(c, **kwargs):
+            result = real(c, **kwargs)
+            seen.append((kwargs["basis"], result))
+            return result
+
+        monkeypatch.setattr(lp, "linprog", record)
+        capacity_curve(qs, [Fraction(i, 10) for i in range(11)])
+        assert seen[0][0] is None
+        assert [basis for basis, _ in seen[1:]] == [result.basis for _, result in seen[:-1]]
 
 
 class TestThroughputBreakdown:

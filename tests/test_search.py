@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from bounds import can_beat
 from exprgen import duplicate_free_expressions
-from quorumopt.cli import load_config
+from quorumopt import lp
+from quorumopt.cli import load_config, main
 from quorumopt.errors import DomainError, Infeasible, NoFeasibleCandidate, NoResilientQuorum
 from quorumopt.expr import parse
 from quorumopt.model import Node, QuorumSystem, Workload
@@ -126,6 +128,25 @@ class TestSearch:
         assert 1 / load >= 150 - eps
         assert network <= 2 + eps
         assert latency == result.metric_value
+
+    def test_six_node_capacity_limited_search_passes_unclassified_lps(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # Some candidate LPs of this search end with HiGHS status Unknown;
+        # their phase-1 LPs show each out of reach of the limit, and the
+        # search skips it as infeasible.
+        results, real = [], lp.linprog
+        monkeypatch.setattr(lp, "linprog",
+                            lambda c, **kw: results.append(real(c, **kw)) or results[-1])
+        config = json.loads((DATA / "case_study_search.json").read_text())
+        config["nodes"].append({"name": "f", "read_cap": 2000, "write_cap": 1000,
+                                "latency_s": 2})
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(config))
+        code = main(["search", str(path), "--optimize", "latency", "--capacity-limit", "3500"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["candidates_examined"] == 13684
+        assert 4 in [result.status for result in results]
 
     def test_search_result_is_at_least_as_good_as_hand_candidates(self):
         nodes = hetero_nodes()

@@ -128,6 +128,34 @@ def stdout_writers(sources: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+def highs_importers(sources: dict[str, str]) -> list[str]:
+    """The named ``sources`` that import ``scipy.optimize`` or a module under
+    it, such as the HiGHS binding ``scipy.optimize._highspy._core``: by an
+    import statement, ``from scipy import optimize``, or a call of
+    ``import_module`` or ``__import__`` on a string, sorted."""
+
+    def optimize(name) -> bool:
+        return isinstance(name, str) and (name == "scipy.optimize"
+                                          or name.startswith("scipy.optimize."))
+
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                named = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                named = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                    node.func.id if isinstance(node.func, ast.Name) else None)
+                named = [node.args[0].value] if called in ("import_module", "__import__") else []
+            else:
+                continue
+            if any(map(optimize, named)):
+                found.add(module)
+    return sorted(found)
+
+
 def code_lines(source: str) -> int:
     """The lines of ``source`` that hold a token other than a comment, a
     newline or an indent, outside the docstring of the module, a class or a
@@ -274,6 +302,27 @@ def test_stdout_writers_are_found():
     )
     assert stdout_writers({"m": source}) == [
         "m.emit", "m.inner", "m.outer", "m.redirect", "m.shout"]
+
+
+def test_only_lp_touches_highs():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert highs_importers(sources) == ["lp"]
+
+
+def test_highs_importers_are_found():
+    sources = {
+        "plain": "import scipy.optimize\n",
+        "binding": "from scipy.optimize._highspy._core import _Highs\n",
+        "package": "from scipy import optimize as opt\n",
+        "dynamic": "import importlib\nhighs = importlib.import_module('scipy.optimize._highspy')\n",
+        "builtin": "linprog = __import__('scipy.optimize').optimize.linprog\n",
+        "nested": "def solve():\n    from scipy.optimize import linprog\n    return linprog\n",
+        "other_scipy": "import scipy.sparse\nfrom scipy import linalg\n",
+        "relative": "from . import lp\nfrom .lp import solve\n",
+        "lookalike": "import scipy.optimizers\nimport_module = print\nimport_module(1)\n",
+    }
+    assert highs_importers(sources) == ["binding", "builtin", "dynamic", "nested", "package",
+                                        "plain"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
