@@ -198,8 +198,9 @@ class QuorumSystem:
     first use and cached in canonical order as int bitmasks over its names
     (:meth:`quorum_masks` for a side), and its smallest quorum size
     (:meth:`_least_size`). In a derived system the two sides are each
-    other's duals; otherwise a side's dual is one more family, whose
-    expression is built on first use. The name sets are unmasked from the
+    other's duals; otherwise a side's dual is one more family. An
+    expression that was not given, a derived system's missing side or a
+    side's dual, is built on first use. The name sets are unmasked from the
     masks on each call. A side's fault tolerance is its dual's smallest
     quorum less one; the walk of a given side that repeats no name finds
     the smallest quorum of the side and of its dual, so neither enumerates.
@@ -234,8 +235,6 @@ class QuorumSystem:
             self._names[dual] = self._names[side]
             if sizes is not None:
                 self._least[side], self._least[dual] = sizes
-        reads = writes.dual() if reads is None else reads
-        writes = reads.dual() if writes is None else writes
         read_names, write_names = self._names["read"], self._names["write"]
         unknown = sorted(set(read_names + write_names).difference(names))
         if unknown:
@@ -244,7 +243,9 @@ class QuorumSystem:
         _expr.check_enumeration_bound(max(len(read_names), len(write_names)))
         self._universe = tuple(universe)
         self._nodes = {n.name: n for n in universe}
-        self._exprs = {"read": reads, "write": writes}
+        # The given sides; the other families are built on first use.
+        self._exprs = {side: e for side, e in (("read", reads), ("write", writes))
+                       if e is not None}
         self._masks: dict[tuple[str, int], tuple[int, ...]] = {}
         missed = [] if derived else [
             w for w in self.write_minimal if reads.evaluate(self._nodes.keys() - w)]
@@ -258,11 +259,11 @@ class QuorumSystem:
 
     @property
     def reads(self) -> _expr.Expression:
-        return self._exprs["read"]
+        return self._expression("read")
 
     @property
     def writes(self) -> _expr.Expression:
-        return self._exprs["write"]
+        return self._expression("write")
 
     @property
     def read_minimal(self) -> list[frozenset[str]]:
@@ -293,7 +294,7 @@ class QuorumSystem:
         """The expression of ``side``, which must be "read" or "write"."""
         if side not in ("read", "write"):
             raise DomainError(f"side must be 'read' or 'write', got {side!r}")
-        return self._exprs[side]
+        return self._expression(side)
 
     def side_names(self, side: str) -> tuple[str, ...]:
         """The sorted names of ``side``, the first in the top bit of its masks."""
@@ -320,13 +321,18 @@ class QuorumSystem:
                 raise DomainError(f"f must be nonnegative, got {f}")
             if f > 0 and self._fault_tolerance(family) < f:
                 raise NoResilientQuorum(f"no {family} quorum survives every removal of {f} nodes")
-            if family not in self._exprs:  # a side's dual, built on first use
-                self._exprs[family] = self._exprs[self._dual_of[family]].dual()
             self._masks[family, f] = (
-                _expr._masks(self._exprs[family], self._names[family]) if f == 0
+                _expr._masks(self._expression(family), self._names[family]) if f == 0
                 else _expr.minimal_transversals(
                     self._family(self._dual_of[family]), len(self._names[family]), f))
         return self._masks[family, f]
+
+    def _expression(self, family: str) -> _expr.Expression:
+        """The expression of a family: a given side, or the dual of its dual
+        family's expression, built on first use and kept."""
+        if family not in self._exprs:
+            self._exprs[family] = self._exprs[self._dual_of[family]].dual()
+        return self._exprs[family]
 
     # -- fault tolerance -----------------------------------------------------
 

@@ -22,6 +22,22 @@ that float rounding alone sets apart, keep the first in emission order and
 runs are reproducible, under a candidate budget too. The winner's metric is
 reported exact.
 
+Candidates come in groups that the query cannot tell apart. A node's type
+is what the query reads of it: its read and write capacities under the
+load objective or a capacity limit, its latency under the latency
+objective or a latency limit, and nothing else, so under the network
+objective with no capacity limit all nodes are of one type. A candidate's
+group key is its tree printed with each name replaced by its type and the
+children of each node sorted; two candidates share it iff a renaming of
+the nodes that keeps every type maps one onto the other. Their LPs are
+then one LP up to the order of rows and columns, with equal optima, so
+their scores differ by the solver's rounding alone, far inside the tie
+band: a later member of a group could only tie its first member. So only
+the first member of each group in emission order goes on to the floor
+test, the bounds and the LP; a later one is examined and decided as a tie
+of the first, which keeps the first. When no two nodes share a type, every
+group has one member and no key is computed.
+
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
 cheapest quorum, less one). Each candidate at or above it then gets a
@@ -39,18 +55,19 @@ tolerance on distribution sums and for float rounding, and for a limit
 also for the solver's tolerance on its row. So the winner, its strategy
 and its metric are the ones the search without the bounds finds.
 
-Candidates are taken ``_BLOCK`` at a time, and each one's quorum system is
-built once. A block's tree bounds are worked out once per candidate, and
-one load-bound ascent (:func:`~quorumopt.optimize.ascend`) runs over all of
-its candidates that the tree bounds leave in play against the incumbent the
-block started with; a candidate leaves the ascent once it is ruled out
-against that incumbent. The candidates that the gate passed are then
-decided in emission order against the incumbent of the moment. This
-decides as a search that takes one candidate at a time does: the incumbent
-only improves and an ascent's running maximum only grows, so a candidate
-ruled out against the block's first incumbent is ruled out against any
-later one, and a candidate that took every ascent step is decided on the
-bound that the one-at-a-time ascent ends with.
+Each candidate taken has its quorum system built once, a later member of
+a group too. The first members are taken ``_BLOCK`` at a time. A block's
+tree bounds are worked out once per candidate, and one load-bound ascent
+(:func:`~quorumopt.optimize.ascend`) runs over all of its candidates that
+the tree bounds leave in play against the incumbent the block started
+with; a candidate leaves the ascent once it is ruled out against that
+incumbent. The candidates that the gate passed are then decided in
+emission order against the incumbent of the moment. This decides as a
+search that takes one candidate at a time does: the incumbent only
+improves and an ascent's running maximum only grows, so a candidate ruled
+out against the block's first incumbent is ruled out against any later
+one, and a candidate that took every ascent step is decided on the bound
+that the one-at-a-time ascent ends with.
 """
 
 from __future__ import annotations
@@ -61,7 +78,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import expr as _expr
 from .errors import DomainError, Infeasible, NoFeasibleCandidate
@@ -168,18 +185,46 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
             for entries in itertools.product(*options):
                 if max(i for i, _, _ in entries) != d - 1:
                     continue
-                children = [e for _, _, e in sorted(entries, key=lambda t: t[1])]
-                # flat: k = 1 (Or) takes no Or child, k = m (And) no And child
+                children = tuple(e for _, _, e in sorted(entries, key=lambda t: t[1]))
+                # flat: k = 1 (Or) takes no Or child, k = m (And) no And child,
+                # so each node is built as it stands, with nothing to splice
+                m = len(children)
                 lo = 1 + any(isinstance(c, _expr.Or) for c in children)
-                hi = len(children) - any(isinstance(c, _expr.And) for c in children)
+                hi = m - any(isinstance(c, _expr.And) for c in children)
                 for k in range(lo, hi + 1):
-                    e = _expr.choose(k, children)
+                    e = (_expr.Or(children) if k == 1 else _expr.And(children) if k == m
+                         else _expr.Choose(k, children))
                     results.append((str(e), e))
         return results
 
-    for d in range(len(names)):
-        for _, e in sorted(exact_depth(names, d), key=lambda pair: pair[0]):
-            yield e
+    try:
+        for d in range(len(names)):
+            for _, e in sorted(exact_depth(names, d), key=lambda pair: pair[0]):
+                yield e
+    finally:
+        # exact_depth refers to itself, so only the cyclic collector would
+        # free its subtrees once the stream is done with.
+        exact_depth.cache_clear()
+
+
+def _group_key(universe: Sequence[Node], objective: Objective,
+               constraints: Constraints) -> Callable[[_expr.Expression], str] | None:
+    """The group key of a candidate, by the rules of the module docstring,
+    or None when no two nodes share a type."""
+    caps = objective is Objective.LOAD or constraints.capacity_limit is not None
+    lat = objective is Objective.LATENCY or constraints.latency_limit is not None
+    kinds = [((n.read_cap, n.write_cap) if caps else ()) + ((n.latency,) if lat else ())
+             for n in universe]
+    if len(set(kinds)) == len(kinds):
+        return None
+    types = {n.name: str(kinds.index(kind)) for n, kind in zip(universe, kinds)}
+
+    def key(e: _expr.Expression) -> str:
+        if isinstance(e, _expr.Var):
+            return types[e.name]
+        return f"{_expr.threshold(e)}({','.join(sorted(key(c) for c in e.children))})"
+
+    return key
 
 
 def _metric(strategy: Strategy, workload: Workload, objective: Objective) -> Fraction:
@@ -216,8 +261,11 @@ def search(
 
     The result holds the winner's quorum system, its strategy, its metric
     in exact ``Fraction`` arithmetic (``metric_value``), and
-    ``candidates_examined``, which counts every candidate taken, skipped
-    ones included. The budget counts candidates the same way. The budget
+    ``candidates_examined``, which counts every candidate taken: those
+    below the floor, those that the bounds rule out, and the later members
+    of a group, which are decided as ties of its first member without a
+    bound or an LP, are all examined, and each has its quorum system
+    built. The budget counts candidates the same way. The budget
     and the timeout are checked before each candidate is taken, so a budget
     stops the stream exactly; a block once taken is decided in full, so a
     search can run past its timeout by the bounds and LPs of one block. On
@@ -236,12 +284,16 @@ def search(
     maximize = objective is Objective.LOAD  # capacity: higher is better
     band = float(1 + _TIE if maximize else 1 - _TIE)
 
+    group_key = _group_key(universe, objective, constraints)
+    groups: set[str] = set()
+
     start = time.monotonic()
     best: Strategy | None = None
     bar: float | None = None  # what a challenger must beat: the best score moved by the band
     examined = 0
 
     def reached() -> Iterator[QuorumSystem]:
+        """The quorum system of each first member of a group taken."""
         nonlocal examined
         for reads in enumerate_candidates(names):
             if options.budget is not None and examined >= options.budget:
@@ -249,7 +301,15 @@ def search(
             if options.timeout is not None and time.monotonic() - start >= options.timeout:
                 return
             examined += 1
-            yield QuorumSystem(universe, reads=reads)
+            # Built for a later member of a group too: perfbench's traced
+            # mode checks one quorum system per candidate examined.
+            qs = QuorumSystem(universe, reads=reads)
+            if group_key is not None:
+                key = group_key(reads)
+                if key in groups:
+                    continue
+                groups.add(key)
+            yield qs
 
     systems = reached()
     while block := list(itertools.islice(systems, _BLOCK)):

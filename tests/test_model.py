@@ -17,7 +17,7 @@ from quorumopt.errors import (
     UnknownNode,
 )
 from quorumopt import expr as expr_module
-from quorumopt.expr import Var, and_, choose, majority, minimal_transversals, parse
+from quorumopt.expr import Expression, Var, and_, choose, majority, minimal_transversals, parse
 from quorumopt.model import Node, QuorumSystem, Workload, as_fraction
 from quorumopt.optimize import Objective, _least_cost
 from quorumopt.oracle import (
@@ -143,6 +143,18 @@ class TestQuorumSystem:
         assert truth_table(qs.writes, "abc") == truth_table(qs.reads.dual(), "abc")
         # majority is self-dual
         assert truth_table(qs.writes, "abc") == truth_table(qs.reads, "abc")
+
+    @pytest.mark.parametrize("given_as", ["reads", "writes"])
+    def test_a_derived_side_is_built_once_on_first_use(self, given_as, monkeypatch):
+        duals, dual = [], Expression.dual
+        monkeypatch.setattr(Expression, "dual", lambda e: duals.append(e) or dual(e))
+        e = parse("choose(2, [a, b*c, d + e])")
+        qs = QuorumSystem(nodes("abcde"), **{given_as: e})
+        assert qs.fault_tolerance() == 1
+        assert duals == []
+        missing = "write" if given_as == "reads" else "read"
+        assert qs.side(missing) == qs.side(missing) == dual(e)
+        assert [d for d in duals if d is e] == [e]
 
     def test_writes_only(self):
         qs = QuorumSystem(nodes("ab"), writes="a*b")

@@ -234,6 +234,53 @@ def outcome(nodes, w, options):
             r.metric_value, r.candidates_examined)
 
 
+def node_types(nodes, options):
+    """Each node's type under ``options``: the attributes of it that the
+    query reads."""
+    caps = options.objective is Objective.LOAD or options.constraints.capacity_limit is not None
+    lat = options.objective is Objective.LATENCY or options.constraints.latency_limit is not None
+    return [((n.read_cap, n.write_cap) if caps else ()) + ((n.latency,) if lat else ())
+            for n in nodes]
+
+
+def first_members(nodes, options, candidates):
+    """The candidates that no earlier one maps onto by a renaming of the
+    nodes that keeps each node's type: the first member of each group, found
+    by brute force over the truth tables of every such renaming."""
+    names = [n.name for n in nodes]
+    types, n = node_types(nodes, options), len(nodes)
+    renamings = [p for p in itertools.permutations(range(n))
+                 if all(types[p[j]] == types[j] for j in range(n))]
+    moves = [[sum(1 << p[j] for j in range(n) if i >> j & 1) for i in range(1 << n)]
+             for p in renamings]
+    seen, firsts = set(), []
+    for e in candidates:
+        t = truth_table(e, names)
+        key = min(sum(1 << move[i] for i in range(1 << n) if t >> i & 1) for move in moves)
+        if key not in seen:
+            seen.add(key)
+            firsts.append(e)
+    return firsts
+
+
+def meets_floor(nodes, e, floor):
+    qs = QuorumSystem(nodes, reads=e)
+    return min(exhaustive_fault_tolerance(qs, side) for side in ("read", "write")) >= floor
+
+
+def recorded_solves(monkeypatch):
+    """Replace the search's find_strategy by one that records the reads of
+    each quorum system that it is handed."""
+    reached = []
+
+    def recording(qs, *args, **kwargs):
+        reached.append(str(qs.reads))
+        return find_strategy(qs, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "find_strategy", recording)
+    return reached
+
+
 def counted_solves(monkeypatch):
     """Replace the search's find_strategy by one that records each call's
     outcome: "solved", or the name of the error it raised."""
@@ -297,40 +344,41 @@ class TestBoundPruning:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_can_beat_is_the_only_prune(self, case, monkeypatch):
-        # With Bound.may_beat always True, every candidate that meets the
-        # floor reaches find_strategy: no tree or limit bound prunes outside it.
+        # With Bound.may_beat always True, the first member of every group
+        # that meets the floor reaches find_strategy: no tree or limit bound
+        # prunes outside it. a and b share a type, and so do c and d.
         nodes = hetero_nodes()
         options = dict(self.CASES[case])
         options["constraints"] = Constraints(
             capacity_limit=100, latency_limit=3, network_limit=Fraction(5, 2)
         )
+        options = SearchOptions(**options)
         monkeypatch.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
-        solves = counted_solves(monkeypatch)
-        examined = outcome(nodes, Fraction(1, 2), SearchOptions(**options))
-        floor = max(options.get("min_fault_tolerance", 0), options.get("f", 0))
-        expected = [
-            e for e in enumerate_candidates("abcd")
-            if min(exhaustive_fault_tolerance(QuorumSystem(nodes, reads=e), side)
-                   for side in ("read", "write")) >= floor
-        ]
+        reached = recorded_solves(monkeypatch)
+        examined = outcome(nodes, Fraction(1, 2), options)
+        floor = max(options.min_fault_tolerance, options.f)
+        expected = [str(e) for e in first_members(nodes, options, enumerate_candidates("abcd"))
+                    if meets_floor(nodes, e, floor)]
         assert examined is None or examined[-1] == 74
-        assert len(solves) == len(expected)
+        assert reached == expected
 
     def test_case_study_lp_count_is_pinned(self, monkeypatch):
         # A lost or weakened bound changes no output, only this count;
-        # without the bound, all 293 candidates that meet the floor are solved.
+        # without the bound, the first members of the 67 groups that meet
+        # the floor are solved.
         config = load_config(str(DATA / "case_study_search.json"))
         solves = counted_solves(monkeypatch)
         result = search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
         assert result.candidates_examined == 885
-        assert len(solves) == 21
+        assert len(solves) == 10
 
     def test_case_study_enumerates_quorums_only_above_the_floor(self, monkeypatch):
-        # The floor is decided on the expression tree: only the 293 of 885
-        # candidates that meet it have their minimal quorums enumerated,
-        # reads and writes once each.
+        # The floor is decided on the expression tree: of the 293 of 885
+        # candidates that meet it, only the first members of their 67 groups
+        # have their minimal quorums enumerated, reads and writes once each.
         config = load_config(str(DATA / "case_study_search.json"))
         names = [n.name for n in config.nodes]
+        options = SearchOptions(min_fault_tolerance=1)
         enumerated = []
         masks = expr_module._masks
 
@@ -339,14 +387,12 @@ class TestBoundPruning:
             return masks(e, *args)
 
         monkeypatch.setattr(expr_module, "_masks", counting)
-        search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
-        above = [
-            e for e in enumerate_candidates(names)
-            if min(exhaustive_fault_tolerance(QuorumSystem(config.nodes, reads=e), side)
-                   for side in ("read", "write")) >= 1
-        ]
+        search(config.nodes, config.workload, options)
+        above = [e for e in enumerate_candidates(names) if meets_floor(config.nodes, e, 1)]
         assert len(above) == 293
-        assert sorted(enumerated) == sorted(str(s) for e in above for s in (e, e.dual()))
+        firsts = first_members(config.nodes, options, above)
+        assert len(firsts) == 67
+        assert sorted(enumerated) == sorted(str(s) for e in firsts for s in (e, e.dual()))
 
     @pytest.mark.parametrize("flags,lps", [
         (dict(objective="network", f=1), 2),
@@ -376,14 +422,15 @@ class TestBoundPruning:
 
 def reference_solves(nodes, w, options):
     """The candidates that a search taking one candidate at a time hands to
-    find_strategy: can_beat on each, against the incumbent of the moment
-    moved by the tie band, each solved metric being exact, up to the
-    budget. Also the stream positions where the incumbent improved."""
+    find_strategy: can_beat on the first member of each group, against the
+    incumbent of the moment moved by the tie band, each solved metric being
+    exact, up to the budget. Also each improvement of the incumbent: its
+    position among the first members, and its reads."""
     tie = search_module._TIE
     band = 1 + tie if options.objective is Objective.LOAD else 1 - tie
     bar, solved, improved = None, [], []
-    stream = enumerate_candidates([n.name for n in nodes])
-    for i, reads in enumerate(itertools.islice(stream, options.budget)):
+    stream = itertools.islice(enumerate_candidates([n.name for n in nodes]), options.budget)
+    for i, reads in enumerate(first_members(nodes, options, stream)):
         qs = QuorumSystem(nodes, reads=reads)
         if qs.fault_tolerance() < options.min_fault_tolerance:
             continue
@@ -397,40 +444,137 @@ def reference_solves(nodes, w, options):
         value = search_module._metric(sigma, w, options.objective)
         if bar is None or (value > bar if options.objective is Objective.LOAD else value < bar):
             bar = value * band
-            improved.append(i)
+            improved.append((i, str(reads)))
     return solved, improved
 
 
 class TestBlocks:
     def test_same_lps_as_one_candidate_at_a_time(self, monkeypatch):
         config = load_config(str(DATA / "case_study_search.json"))
-        # A five-node universe whose load search improves twice inside its
-        # second block, whose ascent ran against an older incumbent.
-        caps = [(200, 50), (100, 100), (200, 50), (25, Fraction(25, 4)), (200, 50)]
-        hetero = [Node(x, read_cap=r, write_cap=wc) for x, (r, wc) in zip("abcde", caps)]
+        # Five-node universes with one node type shared by a, c and e, and by
+        # a and e. The second one's load search improves twice inside its
+        # second block of first members, whose ascent ran against an older
+        # incumbent; the first one's 273 first members leave that block 17.
         hetero_w = Workload.from_weights(
             {Fraction(1, 10): 1, Fraction(1, 2): 2, Fraction(9, 10): 1})
         runs = [
             (config.nodes, config.workload, SearchOptions(min_fault_tolerance=1)),
             (config.nodes, config.workload,
              SearchOptions(objective="latency", constraints=Constraints(capacity_limit=3000))),
-            (hetero, hetero_w, SearchOptions()),
         ]
+        for c in [(200, 50), (100, 50)]:
+            caps = [(200, 50), (100, 100), c, (25, Fraction(25, 4)), (200, 50)]
+            hetero = [Node(x, read_cap=r, write_cap=wc) for x, (r, wc) in zip("abcde", caps)]
+            runs.append((hetero, hetero_w, SearchOptions()))
         block = search_module._BLOCK
         for nodes, w, options in runs:
             expected, improved = reference_solves(nodes, w, options)
-            reached = []
-
-            def recording(qs, *args, **kwargs):
-                reached.append(str(qs.reads))
-                return find_strategy(qs, *args, **kwargs)
-
             with monkeypatch.context() as m:
-                m.setattr(search_module, "find_strategy", recording)
+                reached = recorded_solves(m)
                 search(nodes, w, options)
             assert reached == expected
-            if nodes is hetero:
-                assert any(i > block and i % block for i in improved), improved
+        assert [i for i, _ in improved if i > block and i % block] == [374, 394]
+
+
+@st.composite
+def typed_universes(draw):
+    """Four or five nodes of at most three kinds, so that some share a type."""
+    kind = st.tuples(st.sampled_from([25, 50, 100, 200]),
+                     st.sampled_from([Fraction(1, 2), 1]), st.sampled_from([1, 2, 5]))
+    kinds = draw(st.lists(kind, min_size=1, max_size=3))
+    names = "abcde"[: draw(st.integers(4, 5))]
+    picks = [draw(st.sampled_from(kinds)) for _ in names]
+    return [Node(x, read_cap=cap, write_cap=cap * ratio, latency=latency)
+            for x, (cap, ratio, latency) in zip(names, picks)]
+
+
+def unbounded_outcome(nodes, w, options):
+    """What :func:`outcome` reports, by a loop with no groups and no bounds:
+    each candidate taken, up to the budget, that meets the floor has its LP
+    solved, and replaces the best so far only if its exact metric beats that
+    by more than the tie band."""
+    objective = options.objective
+    maximize = objective is Objective.LOAD
+    band = 1 + search_module._TIE if maximize else 1 - search_module._TIE
+    metric = {Objective.LOAD: Strategy.capacity, Objective.LATENCY: Strategy.latency,
+              Objective.NETWORK: Strategy.network_load}[objective]
+    floor = max(options.min_fault_tolerance, options.f)
+    best, bar, examined = None, None, 0
+    stream = enumerate_candidates([n.name for n in nodes])
+    for reads in itertools.islice(stream, options.budget):
+        examined += 1
+        qs = QuorumSystem(nodes, reads=reads)
+        if qs.fault_tolerance() < floor:
+            continue
+        try:
+            sigma = find_strategy(qs, w, objective, options.constraints, f=options.f)
+        except Infeasible:
+            continue
+        value = metric(sigma, w)
+        if bar is None or (value > bar if maximize else value < bar):
+            best, bar = sigma, value * band
+    if best is None:
+        return None
+    return (str(best.qs.reads), str(best.qs.writes), best.read_dist, best.write_dist,
+            metric(best, w), examined)
+
+
+class TestGroups:
+    # A limit is a factor of the reference system's optimum, as in
+    # TestBoundPruning.
+    CASES = {
+        "load-floor": (dict(min_fault_tolerance=1), None),
+        "latency-capacity": (dict(objective="latency"),
+                             ("capacity_limit", "load", [Fraction(1, 2), Fraction(9, 10), 1])),
+        "load-latency-limit": (dict(), ("latency_limit", "latency", [1, Fraction(11, 10), 2])),
+        "network-f1": (dict(objective="network", f=1), None),
+        "load-budget": (dict(), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @given(nodes=typed_universes(), w=multi_point_workloads(), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_same_result_as_solving_every_candidate(self, case, nodes, w, data):
+        options, limit = self.CASES[case]
+        options = dict(options)
+        if case == "load-budget":
+            options["budget"] = data.draw(st.integers(1, 120))
+        elif len(nodes) == 5:
+            options["budget"] = 100
+        if limit is not None:
+            name, metric, factors = limit
+            names = ", ".join(n.name for n in nodes)
+            sigma = find_strategy(QuorumSystem(nodes, reads=f"choose(2, [{names}])"), w, metric)
+            best = {"load": 1 / sigma.load(w), "latency": sigma.latency(w)}[metric]
+            factor = data.draw(st.sampled_from(factors))
+            options["constraints"] = Constraints(**{name: best * factor})
+        options = SearchOptions(**options)
+        assert outcome(nodes, w, options) == unbounded_outcome(nodes, w, options)
+
+    @pytest.mark.parametrize("flags", [dict(min_fault_tolerance=1), dict(objective="network"),
+                                       dict(budget=300)], ids=["floor", "network", "budget"])
+    def test_one_quorum_system_per_candidate_examined(self, monkeypatch, flags):
+        # A later member of a group is decided without its quorum system, yet
+        # it is built: perfbench's traced mode checks that a search builds
+        # one quorum system per candidate examined.
+        config = load_config(str(DATA / "case_study_search.json"))
+        built, init = [], QuorumSystem.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuorumSystem, "__init__", counting)
+        result = search(config.nodes, config.workload, SearchOptions(**flags))
+        assert len(built) == result.candidates_examined
+
+    def test_no_key_without_a_shared_type(self):
+        nodes = [Node(x, read_cap=i + 1, latency=5 - i) for i, x in enumerate("abcd")]
+        for objective in Objective:
+            for constraints in (Constraints(), Constraints(capacity_limit=1, latency_limit=9)):
+                key = search_module._group_key(nodes, objective, constraints)
+                shared = objective is Objective.NETWORK and constraints == Constraints()
+                assert (key is not None) == shared
 
 
 class TestTieBand:
@@ -443,18 +587,12 @@ class TestTieBand:
         # on the winner.
         options = SearchOptions(objective=objective, budget=120)
         expected, improved = reference_solves(nodes, w, options)
-        reached = []
-
-        def recording(qs, *args, **kwargs):
-            reached.append(str(qs.reads))
-            return find_strategy(qs, *args, **kwargs)
-
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(search_module, "find_strategy", recording)
+            reached = recorded_solves(m)
             result = search(nodes, w, options)
         assert reached == expected
-        winner = list(enumerate_candidates([n.name for n in nodes]))[improved[-1]]
-        assert str(result.qs.reads) == str(winner)
+        _, winner = improved[-1]
+        assert str(result.qs.reads) == winner
         sigma = find_strategy(QuorumSystem(nodes, reads=winner), w, objective)
         assert result.metric_value == search_module._metric(sigma, w, Objective(objective))
 
