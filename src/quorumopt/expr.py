@@ -12,11 +12,10 @@ least ``k`` of its children are true.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +42,8 @@ NESTING_BOUND = 100
 # past 67 of them it is refused here.
 _DEPTH_BOUND = 2 * NESTING_BOUND + 2
 
+T = TypeVar("T")
+
 
 class Expression:
     """Base class; concrete nodes are Var, and Or, And, and Choose, which hold
@@ -62,9 +63,9 @@ class Expression:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def evaluate(self, alive: AbstractSet[str]) -> bool:
-        """True iff ``alive`` is a quorum of this expression: for a composite
-        node, iff at least :func:`threshold` of its children hold."""
-        return sum(c.evaluate(alive) for c in self.children) >= threshold(self)
+        """True iff ``alive`` is a quorum of this expression: a variable iff
+        ``alive`` holds it, a node that takes k children iff k of them hold."""
+        return fold(self, alive.__contains__, lambda held, k: sum(held) >= k)
 
     def dual(self) -> "Expression":
         """Swap and/or (thresholds flip k to n-k+1).
@@ -86,7 +87,7 @@ class Expression:
 
     def leaves(self) -> tuple[str, ...]:
         """Leaf names in syntactic order, with repetitions."""
-        return tuple(itertools.chain.from_iterable(c.leaves() for c in self.children))
+        return fold(self, lambda x: (x,), lambda parts, k: sum(parts, ()))
 
     def names(self) -> frozenset[str]:
         return frozenset(self.leaves())
@@ -111,14 +112,8 @@ class Var(Expression):
                 f"variable name {self.name!r} is not an identifier {_NAME.pattern}"
             )
 
-    def evaluate(self, alive: AbstractSet[str]) -> bool:
-        return self.name in alive
-
     def dual(self) -> Expression:
         return self
-
-    def leaves(self) -> tuple[str, ...]:
-        return (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -181,6 +176,26 @@ class Choose(Expression):
     def __str__(self) -> str:
         inner = ", ".join(str(c) for c in self.children)
         return f"choose({self.k}, [{inner}])"
+
+
+def fold(e: Expression, leaf: Callable[[str], T], take: Callable[[list[T], int], T]) -> T:
+    """The bottom-up value of e: ``leaf(name)`` at a variable, and
+    ``take(values, k)`` at a node that takes k of its children, ``values``
+    being the children's values in order. Every pass over the tree is a
+    fold, so the k-of-m rule is written here once; only the checks and the
+    printing of a node and :meth:`Expression.dual`, which keeps a hand-built
+    choose(1) or choose(m) as it is, read the node's kind."""
+    if isinstance(e, Var):
+        return leaf(e.name)
+    return take([fold(c, leaf, take) for c in e.children], threshold(e))
+
+
+def threshold(e: Expression) -> int:
+    """How many children of a composite node must be true: k for choose(k),
+    1 for Or, all of them for And."""
+    if isinstance(e, Choose):
+        return e.k
+    return 1 if isinstance(e, Or) else len(e.children)
 
 
 def or_(*exprs: Expression) -> Expression:
@@ -362,9 +377,12 @@ def canonical(e: Expression) -> Expression:
     choose(n, es) is and), and children sorted by their printed form.
     parse(str(canonical(e))) == canonical(e).
     """
-    if isinstance(e, Var):
-        return e
-    node = choose(threshold(e), [canonical(c) for c in e.children])
+    return fold(e, Var, _sorted_node)
+
+
+def _sorted_node(children: list[Expression], k: int) -> Expression:
+    """choose(k, children) with its children sorted by printed form."""
+    node = choose(k, children)
     return replace(node, children=sorted(node.children, key=str))
 
 
@@ -433,7 +451,8 @@ def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
 def _masks(e: Expression, names: Sequence[str]) -> tuple[int, ...]:
     """The minimal sets of e as masks over ``names``, which must hold every
     name of e (else KeyError), in the canonical order of :func:`minimal_sets`."""
-    return _canonical(_family(e, _bits(names))[0])
+    bit = _bits(names)
+    return _canonical(fold(e, lambda x: ([bit[x]], bit[x]), _family)[0])
 
 
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
@@ -441,20 +460,18 @@ def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda mask: (mask.bit_count(), -mask)))
 
 
-def _family(e: Expression, bit: dict[str, int]) -> tuple[list[int], int]:
-    """The minimal sets of e as masks, and the mask of the names e uses."""
-    if isinstance(e, Var):
-        return [bit[e.name]], bit[e.name]
+def _family(values: list[tuple[list[int], int]], k: int) -> tuple[list[int], int]:
+    """The minimal sets, as masks, of a node that takes k of its children,
+    and the mask of the names it uses, from each child's: the unions of one
+    minimal set from each of k children."""
     families = []
     used = 0
     shared = False  # whether two children use a common name
-    for c in e.children:
-        family, names = _family(c, bit)
+    for family, names in values:
         families.append(family)
         shared = shared or bool(used & names)
         used |= names
     n = len(families)
-    k = threshold(e)
     # picked[j]: unions of one set from each of j children so far, if k is reachable
     picked = [[0]] + [[] for _ in range(k)]
     for i, family in enumerate(families):
@@ -494,42 +511,29 @@ def _minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-def threshold(e: Expression) -> int:
-    """How many children of a composite node must be true: k for choose(k),
-    1 for Or, all of them for And."""
-    if isinstance(e, Choose):
-        return e.k
-    return 1 if isinstance(e, Or) else len(e.children)
-
-
 # ---------------------------------------------------------------------------
 # Cheapest and fastest quorums
 # ---------------------------------------------------------------------------
 
 
 def _survey(e: Expression) -> tuple[tuple[str, ...], tuple[int, int] | None]:
-    """From one walk of the tree: the sorted names of e and, if no name
-    repeats, the smallest quorum sizes of e and of its dual, from the tree
-    pass of :func:`_smallest`; else None, as a repeated name may be counted
+    """From one fold over the tree: the sorted names of e and, if no name
+    repeats, the smallest quorum sizes of e and of its dual
+    (:func:`_least_sizes`); else None, as a repeated name may be counted
     twice."""
     leaves: list[str] = []
-    sizes = _smallest(e, leaves)
+    sizes = fold(e, lambda x: leaves.append(x) or (1, 1), _least_sizes)
     names = tuple(sorted(set(leaves)))
     return names, sizes if len(names) == len(leaves) else None
 
 
-def _smallest(e: Expression, leaves: list[str]) -> tuple[int, int]:
-    """The smallest quorum sizes of e and of its dual, if no name repeats;
-    appends each leaf's name to ``leaves``. One pass over the tree: 1 for a
-    variable, and for a node that takes k children, the sum of the k
-    smallest child values, since children of a read-once tree share no
-    node. The dual of a node that takes k of m children takes m - k + 1 of
-    their duals."""
-    if isinstance(e, Var):
-        leaves.append(e.name)
-        return 1, 1
-    sizes, duals = zip(*[_smallest(c, leaves) for c in e.children])
-    k = threshold(e)
+def _least_sizes(values: list[tuple[int, int]], k: int) -> tuple[int, int]:
+    """The smallest quorum sizes of a node that takes k of its m children
+    and of its dual, from its children's, a variable's being 1 and 1: the
+    sum of the k smallest sizes, since children of a read-once tree share
+    no node, and of the m - k + 1 smallest of their duals', as the dual
+    takes m - k + 1 of their duals."""
+    sizes, duals = zip(*values)
     return sum(sorted(sizes)[:k]), sum(sorted(duals)[: len(duals) - k + 1])
 
 
@@ -540,10 +544,8 @@ def min_quorum_latency(
     e: the latency of its fastest quorum, each quorum taking as long as its
     slowest node.
 
-    One pass over the tree, exact for every expression: a variable's own
+    One fold over the tree, exact for every expression: a variable's own
     latency, and for a node that takes k children, the k-th smallest child
     value, because whether a child holds on the nodes of latency at most t
     depends on t alone."""
-    if isinstance(e, Var):
-        return latency[e.name]
-    return sorted(min_quorum_latency(c, latency) for c in e.children)[threshold(e) - 1]
+    return fold(e, latency.__getitem__, lambda values, k: sorted(values)[k - 1])

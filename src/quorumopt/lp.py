@@ -1,8 +1,10 @@
 """The one HiGHS call and its status mapping.
 
-:func:`quorumopt.optimize.find_strategy` builds its LP as dense arrays and
-solves it here. This is the only module that touches HiGHS, as
-``tests/test_source.py`` checks. It drives the binding that scipy ships
+``quorumopt.optimize._optimal`` builds the strategy LP as dense arrays and
+solves it here with :func:`solve`; ``quorumopt.optimize._limit_excess``
+builds the phase-1 LP of one under limits and hands it to :func:`linprog`.
+This is the only module that touches HiGHS, as ``tests/test_source.py``
+checks. It drives the binding that scipy ships
 (``scipy.optimize._highspy._core``), which is private to scipy, with the
 options ``scipy.optimize.linprog(method="highs")`` sets, but without that
 wrapper's per-call option checks, input cleaning and result packaging.

@@ -241,14 +241,8 @@ def _quorum_metric(
     rank = {v: i for i, v in enumerate(values)}
     ranks = {n.name: np.where(bits, rank[n.latency], len(values))
              for n, bits in zip(qs.universe, held) if n.name in names}
-
-    def fastest(e: _expr.Expression) -> np.ndarray:
-        if isinstance(e, _expr.Var):
-            return ranks[e.name]
-        k = _expr.threshold(e)
-        return np.partition([fastest(c) for c in e.children], k - 1, axis=0)[k - 1]
-
-    return fastest(qs.side(side)), values
+    return _expr.fold(qs.side(side), ranks.__getitem__,
+                      lambda rows, k: np.partition(rows, k - 1, axis=0)[k - 1]), values
 
 
 def _stacked(systems: list[QuorumSystem], side: str, f: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Heuristic exhaustive search over duplicate-free read expressions.
+"""Exhaustive search over duplicate-free read expressions.
 
 Candidate read expressions are built from or/and/choose with every node
 variable appearing exactly once, enumerated in nondecreasing syntax-tree
@@ -169,42 +169,41 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
         )
     if len(set(names)) != len(names):
         raise DomainError("node names must be unique")
-
-    @functools.cache
-    def exact_depth(block: tuple[str, ...], d: int) -> list[tuple[str, _expr.Expression]]:
-        """The formulas of depth exactly d over ``block``, each with its
-        printed form."""
-        if d == 0:
-            return [(block[0], _expr.Var(block[0]))] if len(block) == 1 else []
-        results = []
-        for blocks in _set_partitions(block):
-            if len(blocks) < 2:
-                continue
-            options = [[(i, *pair) for i in range(d) for pair in exact_depth(b, i)]
-                       for b in blocks]
-            for entries in itertools.product(*options):
-                if max(i for i, _, _ in entries) != d - 1:
-                    continue
-                children = tuple(e for _, _, e in sorted(entries, key=lambda t: t[1]))
-                # flat: k = 1 (Or) takes no Or child, k = m (And) no And child,
-                # so each node is built as it stands, with nothing to splice
-                m = len(children)
-                lo = 1 + any(isinstance(c, _expr.Or) for c in children)
-                hi = m - any(isinstance(c, _expr.And) for c in children)
-                for k in range(lo, hi + 1):
-                    e = (_expr.Or(children) if k == 1 else _expr.And(children) if k == m
-                         else _expr.Choose(k, children))
-                    results.append((str(e), e))
-        return results
-
     try:
         for d in range(len(names)):
-            for _, e in sorted(exact_depth(names, d), key=lambda pair: pair[0]):
+            for _, e in sorted(_exact_depth(names, d), key=lambda pair: pair[0]):
                 yield e
     finally:
-        # exact_depth refers to itself, so only the cyclic collector would
-        # free its subtrees once the stream is done with.
-        exact_depth.cache_clear()
+        # Free the shared subtrees once the stream is done with.
+        _exact_depth.cache_clear()
+
+
+@functools.cache
+def _exact_depth(block: tuple[str, ...], d: int) -> list[tuple[str, _expr.Expression]]:
+    """The formulas of depth exactly d over ``block``, each with its printed
+    form; :func:`enumerate_candidates` builds each candidate from them."""
+    if d == 0:
+        return [(block[0], _expr.Var(block[0]))] if len(block) == 1 else []
+    results = []
+    for blocks in _set_partitions(block):
+        if len(blocks) < 2:
+            continue
+        options = [[(i, *pair) for i in range(d) for pair in _exact_depth(b, i)]
+                   for b in blocks]
+        for entries in itertools.product(*options):
+            if max(i for i, _, _ in entries) != d - 1:
+                continue
+            children = tuple(e for _, _, e in sorted(entries, key=lambda t: t[1]))
+            # flat: k = 1 (Or) takes no Or child, k = m (And) no And child,
+            # so each node is built as it stands, with nothing to splice
+            m = len(children)
+            lo = 1 + any(isinstance(c, _expr.Or) for c in children)
+            hi = m - any(isinstance(c, _expr.And) for c in children)
+            for k in range(lo, hi + 1):
+                e = (_expr.Or(children) if k == 1 else _expr.And(children) if k == m
+                     else _expr.Choose(k, children))
+                results.append((str(e), e))
+    return results
 
 
 def _group_key(universe: Sequence[Node], objective: Objective,
@@ -218,13 +217,12 @@ def _group_key(universe: Sequence[Node], objective: Objective,
     if len(set(kinds)) == len(kinds):
         return None
     types = {n.name: str(kinds.index(kind)) for n, kind in zip(universe, kinds)}
+    return functools.partial(_expr.fold, leaf=types.__getitem__, take=_sorted_key)
 
-    def key(e: _expr.Expression) -> str:
-        if isinstance(e, _expr.Var):
-            return types[e.name]
-        return f"{_expr.threshold(e)}({','.join(sorted(key(c) for c in e.children))})"
 
-    return key
+def _sorted_key(keys: list[str], k: int) -> str:
+    """The group key of a node that takes k of the children with ``keys``."""
+    return f"{k}({','.join(sorted(keys))})"
 
 
 def _metric(strategy: Strategy, workload: Workload, objective: Objective) -> Fraction:

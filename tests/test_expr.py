@@ -20,11 +20,13 @@ from quorumopt.expr import (
     and_,
     canonical,
     choose,
+    fold,
     majority,
     minimal_sets,
     minimal_transversals,
     or_,
     parse,
+    threshold,
     to_masks,
     unmask,
 )
@@ -123,6 +125,28 @@ class TestParse:
 
     def test_choose_as_plain_variable_name(self):
         assert parse("choose + majority") == Or((Var("choose"), Var("majority")))
+
+
+def spelled_out(e):
+    """Each variable as its name and each composite node as its threshold
+    and its children's values, by a recursion of its own."""
+    if isinstance(e, Var):
+        return e.name
+    return threshold(e), tuple(spelled_out(c) for c in e.children)
+
+
+class TestFold:
+    @given(expressions())
+    @settings(max_examples=200)
+    def test_each_node_takes_its_children_values_in_order_and_its_threshold(self, e):
+        assert fold(e, lambda x: x, lambda vs, k: (k, tuple(vs))) == spelled_out(e)
+
+    def test_a_hand_built_choose_keeps_its_threshold(self):
+        assert fold(Choose(1, (a, b)), str.upper, lambda vs, k: (k, vs)) == (1, ["A", "B"])
+        assert fold(Choose(3, (c, b, a)), str.upper, lambda vs, k: (k, vs)) == (3, ["C", "B", "A"])
+
+    def test_a_bare_variable_is_its_leaf_value(self):
+        assert fold(a, lambda x: [x], None) == ["a"]
 
 
 class TestEvaluate:

@@ -156,6 +156,48 @@ def highs_importers(sources: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+def k_of_m_readers(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The functions of the named ``sources``, as ``module.function``, that
+    refer to ``threshold``, as a name or an attribute, and the sources that
+    read an attribute ``children``, each sorted. A function holds what the
+    functions defined in it hold."""
+
+    def threshold(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "threshold"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "threshold")
+
+    callers, readers = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(threshold, ast.walk(node))):
+                    callers.add(f"{module}.{node.name}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "children"
+                  and isinstance(node.ctx, ast.Load)):
+                readers.add(module)
+    return sorted(callers), sorted(readers)
+
+
+def self_referring_closures(sources: dict[str, str]) -> list[str]:
+    """The functions of the named ``sources``, as ``module.function``, that
+    are defined inside another function and refer to their own name, sorted.
+    Such a function holds itself in a closure cell, a reference cycle that
+    only the cyclic collector frees."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        nested = [inner for outer in ast.walk(tree) if isinstance(outer, functions)
+                  for inner in ast.walk(outer) if inner is not outer
+                  and isinstance(inner, functions)]
+        for function in nested:
+            if any(isinstance(n, ast.Name) and n.id == function.name
+                   for n in ast.walk(function)):
+                found.add(f"{module}.{function.name}")
+    return sorted(found)
+
+
 def code_lines(source: str) -> int:
     """The lines of ``source`` that hold a token other than a comment, a
     newline or an indent, outside the docstring of the module, a class or a
@@ -323,6 +365,76 @@ def test_highs_importers_are_found():
     }
     assert highs_importers(sources) == ["binding", "builtin", "dynamic", "nested", "package",
                                         "plain"]
+
+
+def test_only_the_fold_reads_the_k_of_m_rule():
+    # Every pass over an expression tree is one expr.fold, so the k-of-m
+    # rule, threshold over a node's children, is written once.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert k_of_m_readers(sources) == (["expr.fold"], ["expr"])
+
+
+def test_k_of_m_readers_are_found():
+    sources = {
+        "expr": (
+            "def threshold(e):\n"
+            "    return e.k\n"
+            "def fold(e, leaf, take):\n"
+            "    return take([fold(c, leaf, take) for c in e.children], threshold(e))\n"
+        ),
+        "search": (
+            "from . import expr\n"
+            "def key(e):\n"
+            "    return expr.threshold(e)\n"
+            "def size(e):\n"
+            "    return len(e.children)\n"
+        ),
+        "model": (
+            "from .expr import threshold\n"
+            "def outer(e):\n"
+            "    def inner():\n"
+            "        return threshold(e)\n"
+            "    return inner\n"
+            "def build(node, children):\n"
+            "    node.children = children\n"
+            "    return node\n"
+        ),
+    }
+    # writing children, as build does, is not reading them
+    assert k_of_m_readers(sources) == (
+        ["expr.fold", "model.inner", "model.outer", "search.key"], ["expr", "search"])
+
+
+def test_no_nested_function_refers_to_itself():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert self_referring_closures(sources) == []
+
+
+def test_self_referring_closures_are_found():
+    source = (
+        "import functools\n"
+        "def walk(e):\n"
+        "    def go(x):\n"
+        "        return [go(c) for c in x]\n"
+        "    return go(e)\n"
+        "def cached():\n"
+        "    @functools.cache\n"
+        "    def depth(n):\n"
+        "        return depth(n - 1) if n else 0\n"
+        "    return depth\n"
+        "def flat(e):\n"
+        "    def leaf(x):\n"
+        "        return flat(x)\n"
+        "    return leaf\n"
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        def count(t):\n"
+        "            return 1 + sum(count(c) for c in t.kids)\n"
+        "        return count(self), self.size\n"
+    )
+    assert self_referring_closures({"m": source}) == ["m.count", "m.depth", "m.go"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
