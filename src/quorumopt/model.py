@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, Mapping, Sequence, Union
 
+import numpy as np
+
 from . import expr as _expr
 from .errors import DomainError, IntersectionViolation, NoResilientQuorum, UnknownNode
 
@@ -190,8 +192,8 @@ class QuorumSystem:
 
     If only one side is given, the other is its dual: the optimal complement,
     which always intersects it. If both are given, construction checks that
-    the nodes outside each minimal write quorum hold no read quorum, one
-    tree evaluation per write quorum.
+    the nodes outside each minimal write quorum hold no read quorum, in one
+    tree pass over the masks of every minimal write quorum.
 
     A family is a side or a side's dual, and each fact is kept once per
     family: its names, its minimal (f-resilient) quorums, enumerated on
@@ -247,11 +249,25 @@ class QuorumSystem:
         self._exprs = {side: e for side, e in (("read", reads), ("write", writes))
                        if e is not None}
         self._masks: dict[tuple[str, int], tuple[int, ...]] = {}
-        missed = [] if derived else [
-            w for w in self.write_minimal if reads.evaluate(self._nodes.keys() - w)]
-        if missed:  # report the first disjoint pair in read-major order
+        if not derived:
+            self._check_intersection()
+
+    def _check_intersection(self) -> None:
+        """Raise IntersectionViolation, naming the first disjoint pair in
+        read-major order, if the reads hold on the complement of a minimal
+        write quorum: one tree pass over every write mask at once, where a
+        read name outside the write names is never in a write quorum."""
+        names, masks = self._names["write"], self._family("write")
+        outside = 1 - _expr.mask_bits(np.array(masks, dtype=np.int64), len(names))
+        alive = dict(zip(names, outside))
+        everywhere = np.ones(len(masks), dtype=np.int64)
+        missed = np.flatnonzero(_expr.fold(self._exprs["read"],
+                                           lambda x: alive.get(x, everywhere),
+                                           lambda values, k: np.sum(values, axis=0) >= k))
+        if missed.size:
+            writes = _expr.unmask([masks[i] for i in missed], names)
             raise IntersectionViolation(*next(
-                (r, w) for r in self.read_minimal for w in missed if not r & w))
+                (r, w) for r in self.read_minimal for w in writes if not r & w))
 
     @property
     def universe(self) -> tuple[Node, ...]:

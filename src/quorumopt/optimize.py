@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -122,6 +122,7 @@ class Strategy:
         self._f = f
         self._dist = {"read": self._normalize(read_dist, "read"),
                       "write": self._normalize(write_dist, "write")}
+        self._loads: dict[Fraction, Fraction] = {}
 
     def _normalize(self, dist, side: str) -> tuple[tuple[frozenset[str], Fraction], ...]:
         e = self._qs.side(side)
@@ -188,9 +189,12 @@ class Strategy:
                 for n in self._qs.universe if n.name in mass}
 
     def load_at(self, fr: Rational) -> Fraction:
-        """Per-fraction load: utilization of the busiest node."""
+        """Per-fraction load: utilization of the busiest node, worked out once
+        per read fraction, as :meth:`load` and :meth:`capacity` both ask."""
         fr = read_fraction(fr)
-        return max(fr * r + (1 - fr) * w for r, w in self._unit_load.values())
+        if fr not in self._loads:
+            self._loads[fr] = max(fr * r + (1 - fr) * w for r, w in self._unit_load.values())
+        return self._loads[fr]
 
     # -- workload-level metrics ----------------------------------------------
 
@@ -224,11 +228,11 @@ class Strategy:
 
 
 def _quorum_metric(
-    qs: QuorumSystem, kind: Objective, side: str, held: np.ndarray
+    qs: QuorumSystem, kind: Objective, side: str, held: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, list[Fraction] | range]:
-    """The latency or node count of each quorum of ``side`` that a column of
-    ``held[node, quorum]`` gives, nodes in universe order (:func:`_stacked`),
-    as indices into a list of exact values.
+    """The latency or node count of each quorum of ``side``, whose membership
+    ``held[name][quorum]`` gives for each of the side's names, as indices
+    into a list of exact values.
 
     Latency is :func:`quorum_latency` on every quorum in one tree pass: a
     variable gives its latency's rank among the side's distinct latencies
@@ -236,11 +240,10 @@ def _quorum_metric(
     takes k children the k-th smallest child rank."""
     names = qs.side_names(side)
     if kind is Objective.NETWORK:
-        return held.sum(axis=0).astype(int), range(len(names) + 1)
+        return sum(held[x] for x in names).astype(int), range(len(names) + 1)
     values = sorted({qs.node(x).latency for x in names})
     rank = {v: i for i, v in enumerate(values)}
-    ranks = {n.name: np.where(bits, rank[n.latency], len(values))
-             for n, bits in zip(qs.universe, held) if n.name in names}
+    ranks = {x: np.where(held[x], rank[qs.node(x).latency], len(values)) for x in names}
     return _expr.fold(qs.side(side), ranks.__getitem__,
                       lambda rows, k: np.partition(rows, k - 1, axis=0)[k - 1]), values
 
@@ -337,7 +340,8 @@ def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: C
             return np.array([0.0] * nq + [float(p) for _, p in points])
         parts = []
         for s in pools:
-            index, values = _quorum_metric(qs, kind, s, held[s])
+            rows = {n.name: row for n, row in zip(qs.universe, held[s])}
+            index, values = _quorum_metric(qs, kind, s, rows)
             parts.append(np.array([float(share[s] * v) for v in values])[index])
         return np.concatenate(parts + [np.zeros(nl)])
 
@@ -404,11 +408,14 @@ def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
     """The least latency or node count of a minimal f-resilient quorum of
     ``side``. The node count is :meth:`QuorumSystem._least_size`. The
     latency, for f = 0, is computed on the expression tree; else priced by
-    :func:`_quorum_metric` over the side's membership matrix."""
+    :func:`_quorum_metric` from the side's cached masks, unpacked over the
+    side's names alone."""
     if kind is Objective.NETWORK:
         return float(qs._least_size(side, f))
     if f > 0:
-        index, values = _quorum_metric(qs, kind, side, _stacked([qs], side, f)[0])
+        names = qs.side_names(side)
+        bits = _expr.mask_bits(np.array(qs.quorum_masks(side, f), dtype=np.int64), len(names))
+        index, values = _quorum_metric(qs, kind, side, dict(zip(names, bits)))
         return float(values[index.min()])
     latency = {n.name: float(n.latency) for n in qs.universe}
     return _expr.min_quorum_latency(qs.side(side), latency)

@@ -45,6 +45,14 @@ def record(monkeypatch) -> list:
     return seen
 
 
+def patch_highs(monkeypatch, make):
+    """Make ``make()`` the HiGHS instance of the solves of this test. The kept
+    instance is set aside first, so that the next solve makes one with
+    ``make``, and it is back in place when the test ends."""
+    monkeypatch.setattr(lp, "_kept", None)
+    monkeypatch.setattr(lp, "_Highs", make)
+
+
 def assert_agrees_with_scipy(seen, atol=0.0):
     """Each recorded result of a cold solve has scipy's status and iteration
     count and, when optimal, an x within ``atol`` of scipy's (bit-identical
@@ -147,7 +155,7 @@ class TestPostSolveCheck:
     @pytest.fixture
     def perturbed(self, monkeypatch):
         binding = lp._Highs
-        monkeypatch.setattr(lp, "_Highs", lambda: _Perturbed(binding()))
+        patch_highs(monkeypatch, lambda: _Perturbed(binding()))
 
     def test_row_missed_by_1e_3_is_a_solver_failure(self, perturbed):
         # x[0] and x[1] must sum to 1; the perturbed optimum sums to 1.001
@@ -171,14 +179,19 @@ class TestPostSolveCheck:
 
 
 class _FailsWarm:
-    """A HiGHS instance that, once handed a basis, fails its run: it reports
-    model status Unknown, or an optimal x with 1e-3 added to x[0]."""
+    """A HiGHS instance that, once handed a basis, fails its run of that
+    model: it reports model status Unknown, or an optimal x with 1e-3 added
+    to x[0]."""
 
     def __init__(self, highs, failure):
         self._highs, self._failure, self._warm = highs, failure, False
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
+
+    def passModel(self, model):
+        self._warm = False
+        return self._highs.passModel(model)
 
     def setBasis(self, basis):
         self._warm = True
@@ -206,7 +219,7 @@ class TestWarmStart:
     @pytest.fixture(params=["status", "x"])
     def fails_warm(self, request, monkeypatch):
         binding = lp._Highs
-        monkeypatch.setattr(lp, "_Highs", lambda: _FailsWarm(binding(), request.param))
+        patch_highs(monkeypatch, lambda: _FailsWarm(binding(), request.param))
 
     def test_a_warm_solve_from_the_optimal_basis_takes_no_iteration(self):
         cold = lp.linprog(SMALL_COST, **SMALL)
@@ -255,7 +268,7 @@ class TestInfiniteBound:
                 models.append(model)
                 return self._highs.passModel(model)
 
-        monkeypatch.setattr(lp, "_Highs", Recording)
+        patch_highs(monkeypatch, Recording)
         # minimize L subject to L >= 1e15: L is free above 0
         x, _ = lp.solve(
             np.array([1.0]),
@@ -282,3 +295,80 @@ def test_a_refused_model_is_a_solver_failure():
     assert scipy_linprog(np.array([1.0]), **args, method="highs").status == 2
     with pytest.raises(SolverFailure, match="HiGHS rejected the model"):
         lp.solve(np.array([1.0]), *args.values())
+
+
+def _random_lp(rng, rows, cols):
+    """minimize c.x subject to a.x <= b with x in [0, 1]: feasible at 0 and
+    bounded, with a dense a."""
+    a = rng.random((rows, cols))
+    return -rng.random(cols), dict(A_ub=a, b_ub=a.sum(axis=1) / 4, A_eq=np.zeros((0, cols)),
+                                   b_eq=np.zeros(0), bounds=np.tile([0.0, 1.0], (cols, 1)))
+
+
+def _statuses(basis):
+    return None if basis is None else ([int(s) for s in basis.col_status],
+                                       [int(s) for s in basis.row_status])
+
+
+def test_the_kept_instance_solves_as_a_fresh_one(monkeypatch):
+    # the strategy LPs of three fixtures, under limits, and of a curve, whose
+    # points after the first start from the previous point's basis
+    seen = record(monkeypatch)
+    for name in ("majority3", "case_study", "hetero_grid"):
+        for argv in fixture_commands(DATA / f"{name}.json")[:5]:
+            main([str(a) for a in argv])
+    monkeypatch.undo()
+    produced = {id(result.basis): i for i, (_, _, result) in enumerate(seen)
+                if result.basis is not None}
+    fixtures = [(c, {k: v for k, v in kwargs.items() if k != "basis"},
+                 produced.get(id(kwargs.get("basis")))) for c, kwargs, _ in seen]
+    assert any(start is not None for _, _, start in fixtures)
+
+    one_column = dict(A_ub=np.zeros((0, 1)), b_ub=np.zeros(0), A_eq=np.array([[1.0]]),
+                      b_eq=np.array([1.0]), bounds=np.array([[0.0, 1.0]]))
+    infeasible = dict(SMALL, b_eq=np.array([3.0]))
+    rng = np.random.default_rng(5)
+    large_c, large = _random_lp(rng, 60, 100)
+    small_c, small = _random_lp(rng, 12, 30)
+    # (c, arguments, the index of the LP whose basis starts the solve)
+    sequence = [
+        (SMALL_COST, SMALL, None),
+        (SMALL_COST, infeasible, None),
+        (np.array([1.0]), dict(one_column, A_ub=np.array([[1e15]]), b_ub=np.array([1.0])), None),
+        (np.array([1.0]), one_column, None),
+        (SMALL_COST, SMALL, 3),  # a basis of another shape: the run starts cold
+        (SMALL_COST, infeasible, 0),  # the warm run ends infeasible and is run again cold
+        (SMALL_COST, SMALL, 0),
+    ]
+    sequence += [(c, kwargs, None if start is None else start + len(sequence))
+                 for c, kwargs, start in fixtures]
+    sequence += [(large_c, large, None), (small_c, small, None), (SMALL_COST, SMALL, 0)]
+    sequence += [(c, kwargs, None) for c, kwargs, _ in fixtures[:5]]
+
+    kept, fresh, instances = [], [], []
+    for c, kwargs, start in sequence:
+        kept.append(lp.linprog(c, **kwargs, basis=None if start is None else kept[start].basis))
+        instances.append(lp._kept)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_kept", None)
+            fresh.append(lp.linprog(c, **kwargs,
+                                    basis=None if start is None else fresh[start].basis))
+    assert [r.status for r in kept[:7]] == [0, 2, 4, 0, 0, 2, 0]
+    assert (kept[4].nit, kept[6].nit) == (kept[0].nit, 0)
+    assert kept[5].nit > kept[1].nit
+    for got, want in zip(kept, fresh):
+        assert (got.status, got.nit, got.message) == (want.status, want.nit, want.message)
+        assert (got.x is None) == (want.x is None)
+        if want.x is not None:
+            assert got.x.tobytes() == want.x.tobytes()
+        assert _statuses(got.basis) == _statuses(want.basis)
+    # one instance solves LP after LP, and a model above the bound drops it
+    sizes = [np.count_nonzero(kwargs["A_ub"]) + np.count_nonzero(kwargs["A_eq"])
+             for _, kwargs, _ in sequence]
+    assert [size > lp._KEEP_NNZ for size in sizes].count(True) == 1
+    for i, size in enumerate(sizes):
+        if size > lp._KEEP_NNZ:
+            assert instances[i] is None
+        else:
+            assert instances[i] is not None
+            assert i == 0 or instances[i - 1] is None or instances[i - 1] is instances[i]

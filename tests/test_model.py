@@ -257,6 +257,22 @@ class TestIntersectionCheck:
             with pytest.raises(IntersectionViolation) as err:
                 QuorumSystem(universe, reads=reads, writes=writes)
             assert (err.value.read_quorum, err.value.write_quorum) == disjoint
+            assert str(err.value) == str(IntersectionViolation(*disjoint))
+
+    def test_intersecting_sides_unmask_no_write_quorum(self, monkeypatch):
+        # the check reads the write masks; name sets are made only to report
+        # a violation
+        unmasked = []
+        unmask = expr_module.unmask
+        monkeypatch.setattr(expr_module, "unmask", lambda masks, names: unmasked.append(
+            names) or unmask(masks, names))
+        QuorumSystem(nodes("abcdef"), reads="choose(2, [a, b, c, d])",
+                     writes="choose(3, [a, b, c, d]) * (e + f)")
+        assert unmasked == []
+        with pytest.raises(IntersectionViolation, match=r"read quorum \{a, b\} does not "
+                           r"intersect write quorum \{c, d, e\}"):
+            QuorumSystem(nodes("abcdef"), reads="choose(2, [a, b, c, d])",
+                         writes="choose(2, [a, b, c, d]) * (e + f)")
 
     def test_reports_the_first_disjoint_pair_in_read_major_order(self):
         with pytest.raises(IntersectionViolation) as err:

@@ -476,6 +476,34 @@ class TestMetrics:
         assert sigma.load(Workload({fr: 1})) == sigma.load(fr)
         assert sigma.capacity(Workload({fr: 1})) == sigma.capacity(fr)
 
+    @given(expressions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_load_is_worked_out_once_and_exactly(self, e, data):
+        caps = st.sampled_from([1, 3, Fraction(1, 2), 100])
+        qs = QuorumSystem([Node(x, read_cap=data.draw(caps), write_cap=data.draw(caps))
+                           for x in sorted(e.names())], reads=e)
+        dists = []
+        for side in ("read", "write"):
+            pool = qs.minimal_quorums(side)
+            weights = data.draw(st.lists(st.integers(1, 5), min_size=len(pool),
+                                         max_size=len(pool)))
+            dists.append([(q, Fraction(w, sum(weights))) for q, w in zip(pool, weights)])
+        sigma = Strategy(qs, *dists)
+        fractions = st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), "0.9", 1])
+        points = data.draw(st.lists(fractions, min_size=1, max_size=4,
+                                    unique_by=lambda fr: Fraction(fr)))
+        w = Workload.from_weights({fr: i + 1 for i, fr in enumerate(points)})
+        # twice over, the second time from the loads the first worked out:
+        # against a strategy that has worked out none and against the oracle
+        loads = {fr: strategy_metric_recompute(sigma, fr)[0] for fr, _ in w.items()}
+        for _ in range(2):
+            assert sigma.capacity(w) == Strategy(qs, *dists).capacity(w) == sum(
+                p / loads[fr] for fr, p in w.items())
+            assert sigma.load(w) == Strategy(qs, *dists).load(w) == sum(
+                p * loads[fr] for fr, p in w.items())
+            for fr, _ in w.items():
+                assert sigma.load_at(fr) == Strategy(qs, *dists).load_at(fr) == loads[fr]
+
 
 class TestOptimalityInvariants:
     def test_lp_unbeaten_by_random_strategies(self, skew_workload):
@@ -648,32 +676,31 @@ class TestLeastCost:
     @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
     @settings(max_examples=100, deadline=None)
     def test_resilient_quorums_are_priced_from_their_masks(self, e, data):
-        # The f > 0 bounds read the side's own membership matrix: one
-        # unpadded _stacked row, never a batch.
+        # The f > 0 bounds unpack the side's cached masks over its own names:
+        # no membership matrix over the universe (_stacked) is built.
         latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
         qs = QuorumSystem([Node(x, latency=data.draw(latencies)) for x in sorted(e.names())],
                           reads=e)
-        stacked = optimize_module._stacked
 
-        def single(systems, side, f):
-            assert systems == [qs] and f == 1
-            return stacked(systems, side, f)
+        def unused(systems, side, f):
+            raise AssertionError("_least_cost built a membership matrix over the universe")
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(optimize_module, "_stacked", single)
-            for side in ("read", "write"):
-                pool = exhaustive_resilient(qs, side, 1)
-                expected = {
-                    Objective.LATENCY: min((_subquorum_latency(qs, side, q) for q in pool),
-                                           default=None),
-                    Objective.NETWORK: min(map(len, pool), default=None),
-                }
-                for kind, least in expected.items():
-                    if least is None:
-                        with pytest.raises(NoResilientQuorum):
-                            optimize_module._least_cost(qs, kind, side, 1)
-                    else:
-                        assert optimize_module._least_cost(qs, kind, side, 1) == float(least)
+            m.setattr(optimize_module, "_stacked", unused)
+            for f in (1, 2):
+                for side in ("read", "write"):
+                    pool = exhaustive_resilient(qs, side, f)
+                    expected = {
+                        Objective.LATENCY: min((_subquorum_latency(qs, side, q) for q in pool),
+                                               default=None),
+                        Objective.NETWORK: min(map(len, pool), default=None),
+                    }
+                    for kind, least in expected.items():
+                        if least is None:
+                            with pytest.raises(NoResilientQuorum):
+                                optimize_module._least_cost(qs, kind, side, f)
+                        else:
+                            assert optimize_module._least_cost(qs, kind, side, f) == float(least)
 
 
 class TestBlockAscent:

@@ -156,6 +156,27 @@ def highs_importers(sources: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+def highs_constructors(sources: dict[str, str]) -> list[str]:
+    """Where the named ``sources`` call ``_Highs``, as a name or an
+    attribute, as ``module.function`` or ``module`` at module level, once
+    per call, sorted. A call belongs to the innermost function that holds
+    it."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {tree: module}
+        for node in ast.walk(tree):  # a node before its children
+            for child in ast.iter_child_nodes(node):
+                owner[child] = (f"{module}.{node.name}" if isinstance(node, functions)
+                                else owner[node])
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "_Highs"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "_Highs"):
+                found.append(owner[node])
+    return sorted(found)
+
+
 def k_of_m_readers(sources: dict[str, str]) -> tuple[list[str], list[str]]:
     """The functions of the named ``sources``, as ``module.function``, that
     refer to ``threshold``, as a name or an attribute, and the sources that
@@ -365,6 +386,33 @@ def test_highs_importers_are_found():
     }
     assert highs_importers(sources) == ["binding", "builtin", "dynamic", "nested", "package",
                                         "plain"]
+
+
+def test_one_site_makes_a_highs_instance():
+    # Every solve runs on the one instance that lp._instance keeps, so a
+    # second call of _Highs would bring back an instance per solve.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert highs_constructors(sources) == ["lp._instance"]
+
+
+def test_highs_constructors_are_found():
+    sources = {
+        "lp": (
+            "from scipy.optimize._highspy._core import _Highs\n"
+            "from scipy.optimize._highspy import _core\n"
+            "DEFAULT = _Highs()\n"
+            "def instance():\n"
+            "    return _Highs()\n"
+            "def run(lp):\n"
+            "    def fresh():\n"
+            "        return _core._Highs()\n"
+            "    highs = fresh()\n"
+            "    return highs.run(), _Highs(), _Highs\n"
+        ),
+        "other": "from .lp import _Highs\nmake = _Highs\n",
+    }
+    # naming _Highs without calling it, as ``make = _Highs`` does, makes none
+    assert highs_constructors(sources) == ["lp", "lp.fresh", "lp.instance", "lp.run"]
 
 
 def test_only_the_fold_reads_the_k_of_m_rule():
