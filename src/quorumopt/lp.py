@@ -18,7 +18,7 @@ infeasible. Required accuracy: feasibility violation <= 1e-9, objective gap
 <= 1e-6.
 
 Every solve runs on one kept HiGHS instance, configured once: a solve
-clears its solver state and passes it the next model, and hands back
+passes it the next model, which clears its solver state, and hands back
 HiGHS's final basis; the x, status, iteration count and basis are those of
 a solve on a fresh instance. A model of more than ``_KEEP_NNZ`` nonzeros
 drops the instance when its solve returns, and the next solve makes a new
@@ -182,7 +182,6 @@ def _run(lp: HighsLp, basis, a, b_ub, b_eq, bounds) -> SimpleNamespace:
     """One HiGHS run of ``lp``, whose rows are ``a``, from ``basis`` unless
     it is None, on the kept instance; see :func:`linprog`."""
     highs = _instance()
-    highs.clearSolver()
     if highs.passModel(lp) == HighsStatus.kError:
         return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model",
                                basis=None)

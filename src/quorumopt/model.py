@@ -331,10 +331,12 @@ class QuorumSystem:
         """The minimal f-resilient quorums of a family, a side or a side's
         dual, as masks over its names, enumerated once and cached: at f = 0
         from its expression, else by :func:`expr.minimal_transversals` from
-        the minimal quorums of its dual."""
+        the minimal quorums of its dual. An f that is no int, or a bool,
+        raises DomainError before the cache is read, where True would find
+        the entry of 1."""
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+            raise DomainError(f"f must be a nonnegative integer, got {f!r}")
         if (family, f) not in self._masks:
-            if f < 0:
-                raise DomainError(f"f must be nonnegative, got {f}")
             if f > 0 and self._fault_tolerance(family) < f:
                 raise NoResilientQuorum(f"no {family} quorum survives every removal of {f} nodes")
             self._masks[family, f] = (

@@ -23,6 +23,12 @@ variable per workload point. Restricting support to minimal quorums loses
 nothing: every metric is monotone in quorum size. Metrics of the returned
 strategy are recomputed in exact rational arithmetic; floats live only
 inside the solver.
+
+This module holds strategies, their exact metrics and the LP, and no bound
+on what an LP could reach: the search's screen (:mod:`quorumopt.search`)
+owns those, and reads from here the tables that the LP is built from,
+:func:`_stacked`, :func:`_unit_loads` and :func:`_quorum_metric`, and the
+margin ``_BOUND_MARGIN``.
 """
 
 from __future__ import annotations
@@ -42,11 +48,10 @@ from .errors import DomainError, Infeasible, SolverFailure
 from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction, read_fraction
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
-# Bound's margin, the distribution-sum tolerance doubled to cover float
-# rounding in its bounds, and its ascent steps on the node weights.
+# How far an LP strategy's metric may pass a bound on it: the
+# distribution-sum tolerance doubled to cover float rounding. The search's
+# bounds and _limit_excess allow for it.
 _BOUND_MARGIN = 2 * _DIST_SUM_TOL
-_BELOW, _ABOVE = float(1 - _BOUND_MARGIN), float(1 + _BOUND_MARGIN)
-_ASCENT_STEPS = 40
 
 
 class Objective(str, enum.Enum):
@@ -136,7 +141,7 @@ class Strategy:
                 raise DomainError(f"probability {prob} is outside [0, 1]")
             if not e.evaluate(quorum):
                 raise DomainError(f"{set(quorum)} is not a {side} quorum")
-            # is_resilient raises DomainError for a negative f
+            # is_resilient raises DomainError for a negative f, or one that is no int
             if self._f != 0 and not self._qs.is_resilient(side, quorum, self._f):
                 raise DomainError(
                     f"{set(quorum)} is not {self._f}-resilient on the {side} side"
@@ -402,167 +407,6 @@ def _limit_excess(a_ub: np.ndarray, b_ub: np.ndarray, nload: int, a_eq: np.ndarr
                         A_eq=np.hstack((a_eq, np.zeros((len(a_eq), 1)))), b_eq=np.ones(len(a_eq)),
                         bounds=np.vstack((bounds, [0.0, np.inf])))
     return result.x[-1] if result.status == 0 else 0.0
-
-
-def _least_cost(qs: QuorumSystem, kind: Objective, side: str, f: int) -> float:
-    """The least latency or node count of a minimal f-resilient quorum of
-    ``side``. The node count is :meth:`QuorumSystem._least_size`. The
-    latency, for f = 0, is computed on the expression tree; else priced by
-    :func:`_quorum_metric` from the side's cached masks, unpacked over the
-    side's names alone."""
-    if kind is Objective.NETWORK:
-        return float(qs._least_size(side, f))
-    if f > 0:
-        names = qs.side_names(side)
-        bits = _expr.mask_bits(np.array(qs.quorum_masks(side, f), dtype=np.int64), len(names))
-        index, values = _quorum_metric(qs, kind, side, dict(zip(names, bits)))
-        return float(values[index.min()])
-    latency = {n.name: float(n.latency) for n in qs.universe}
-    return _expr.min_quorum_latency(qs.side(side), latency)
-
-
-class Bound:
-    """What can be known of one quorum system's strategies without solving
-    its LP: lower bounds on their latency and network load over the minimal
-    f-resilient quorums, each worked out once on first use, and ``load``,
-    the per-point load bound that :func:`ascend` leaves, or None before it
-    runs. :meth:`may_beat` decides on them.
-
-    Latency and network load are at least :meth:`cost`; for f = 0 each
-    side's least latency is one pass over its expression tree, and its
-    least node count the other side's fault tolerance plus one, so no
-    quorum of a read-once side is enumerated. For load, at read fraction
-    fr and for any node weights mu >= 0 summing to 1, the busiest node
-    carries at least the mu-average node load, which is at least
-    ``lb_fr(mu) = fr*min_R sum_{x in R}
-    mu_x/read_cap(x) + (1-fr)*min_W sum_{x in W} mu_x/write_cap(x)`` (LP
-    duality; Naor & Wool 1998). So capacity is at most ``sum_fr p_fr /
-    lb_fr`` and expected load at least ``sum_fr p_fr * lb_fr``, which a
-    capacity limit c bounds by 1/c. mu starts proportional to each node's
-    capacity at fr and takes up to ``_ASCENT_STEPS`` multiplicative-weights
-    steps toward the nodes of the cheapest quorums (Arora, Hazan & Kale
-    2012), keeping the largest lb_fr seen. :func:`ascend` runs these steps
-    for a batch of systems at once, and a row leaves the batch as soon as
-    it is ruled out, so the ascent stops early for a system out of reach.
-
-    An LP strategy's distributions may each sum to 1 within
-    ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
-    factor, so a value is out of reach only when the bound misses it by the
-    factor ``_BOUND_MARGIN``. A limit is a row of the LP, which HiGHS meets
-    only within ``lp.FEASIBILITY_TOL`` (tol): a returned strategy's latency
-    or network load may pass its limit by tol, and its expected load may
-    pass 1/c by 2*tol, tol on the limit row and tol on the node-load rows
-    that define each L_f. So a limit is out of reach only when a latency or
-    network bound is above ``(limit + tol)*(1 + _BOUND_MARGIN)``, or the
-    expected-load bound above ``(1/c + 2*tol)*(1 + _BOUND_MARGIN)``.
-    """
-
-    def __init__(self, qs: QuorumSystem, workload: WorkloadLike, f: int = 0):
-        w = Workload.coerce(workload)
-        self.qs = qs
-        self.f = f
-        self.load: np.ndarray | None = None
-        self.prob = np.array([float(p) for _, p in w.items()])
-        self._ef = float(w.mean_read_fraction)
-        self._cost: dict[Objective, float] = {}
-
-    def cost(self, kind: Objective) -> float:
-        """Least expected latency or network load: ``E[f]*min_R size(R) +
-        (1-E[f])*min_W size(W)``, size being the quorum latency or node
-        count."""
-        if kind not in self._cost:
-            self._cost[kind] = (self._ef * _least_cost(self.qs, kind, "read", self.f)
-                                + (1 - self._ef) * _least_cost(self.qs, kind, "write", self.f))
-        return self._cost[kind]
-
-    def may_beat(self, objective: Objective, value: float | None,
-                 constraints: Constraints) -> bool:
-        """False only when no strategy over the minimal f-resilient quorums
-        both meets ``constraints`` and strictly beats ``value``: a capacity
-        above it for the load objective, a latency or network load below it
-        otherwise; None is beaten by any strategy that meets them. Decided
-        on the latency and network bounds, cheapest first, and, once
-        :func:`ascend` has set ``load``, on the load bound. The system must
-        have an f-resilient quorum on each side."""
-        if value is not None and objective is not Objective.LOAD:
-            if self.cost(objective) * _BELOW >= value:
-                return False
-        for kind, limit in ((Objective.LATENCY, constraints.latency_limit),
-                            (Objective.NETWORK, constraints.network_limit)):
-            if limit is not None and self.cost(kind) > (float(limit) + lp.FEASIBILITY_TOL) * _ABOVE:
-                return False
-        return self.load is None or not _out_of_reach(self.load, self.prob, objective, value,
-                                                      constraints)
-
-
-def _out_of_reach(load: np.ndarray, prob: np.ndarray, objective: Objective,
-                  value: float | None, constraints: Constraints) -> np.ndarray:
-    """Per row of per-point load bounds: whether, for the load objective,
-    capacity is at most ``value``, or expected load is above the capacity
-    limit's, each by the margins that :class:`Bound` sets out."""
-    out = np.zeros(load.shape[:-1], dtype=bool)
-    if value is not None and objective is Objective.LOAD:
-        out |= (prob * (1 / load)).sum(axis=-1) <= value * _BELOW
-    if constraints.capacity_limit is not None:
-        max_load = (1 / float(constraints.capacity_limit) + 2 * lp.FEASIBILITY_TOL) * _ABOVE
-        out |= (prob * load).sum(axis=-1) > max_load
-    return out
-
-
-def ascend(
-    bounds: list[Bound],
-    workload: WorkloadLike,
-    objective: Union[Objective, str],
-    value: float | None,
-    constraints: Constraints | None = None,
-) -> None:
-    """Set each bound's ``load`` by one multiplicative-weights ascent over
-    all of them at once; see :class:`Bound` for the bound. The bounds must
-    be of quorum systems over one universe, for this workload and one f, and
-    no system may be below f in fault tolerance. Does nothing unless the
-    load objective or a capacity limit asks for it.
-
-    The rows' node weights, quorum costs and membership are stacked along a
-    first axis, and every operation acts on each row alone, so a row gets
-    the bound of a batch of one, up to the rounding of the matrix product.
-    Membership is padded with all-ones quorums (:func:`_stacked`), which
-    changes no row's least cost or cheapest quorum. A row leaves the batch
-    as soon as it is out of reach against ``value`` or the capacity limit,
-    keeping the running maximum that showed it; the others take all
-    ``_ASCENT_STEPS`` steps. As the running maximum only grows, a row that
-    left is also out of reach against any value that beats ``value``.
-    """
-    objective = _objective(objective)
-    constraints = constraints or Constraints()
-    if not bounds or objective is not Objective.LOAD and constraints.capacity_limit is None:
-        return
-    w = Workload.coerce(workload)
-    prob = bounds[0].prob
-    # read and write pairs: unit[point, node] and member[row, node, quorum]
-    unit = tuple(_unit_loads(bounds[0].qs.universe, w).T)
-    systems, f = [b.qs for b in bounds], bounds[0].f
-    member = [_stacked(systems, side, f) for side in ("read", "write")]
-    rows = np.arange(len(bounds))
-    mu = np.tile(1 / (unit[0] + unit[1]), (len(bounds), 1, 1))
-    best = np.zeros((len(bounds), len(prob)))
-    for step in range(_ASCENT_STEPS + 1):
-        mu /= mu.sum(axis=2, keepdims=True)
-        # cost[row, point, quorum]: the mu-weighted load of the quorum's nodes
-        cost = [(mu * u) @ m for u, m in zip(unit, member)]
-        np.maximum(best, cost[0].min(axis=2) + cost[1].min(axis=2), out=best)
-        done = _out_of_reach(best, prob, objective, value, constraints) | (step == _ASCENT_STEPS)
-        for i in np.flatnonzero(done):
-            bounds[rows[i]].load = best[i].copy()
-        if done.all():
-            return
-        if done.any():
-            keep = ~done
-            rows, mu, best = rows[keep], mu[keep], best[keep]
-            member, cost = [m[keep] for m in member], [c[keep] for c in cost]
-        pick = np.arange(len(rows))[:, None]
-        # [row, point, node]: membership of each point's cheapest quorum
-        gain = np.add(*[u * m[pick, :, c.argmin(axis=2)] for u, m, c in zip(unit, member, cost)])
-        mu *= np.exp(gain / gain.max(axis=2, keepdims=True) / math.sqrt(step + 1))
 
 
 def capacity_curve(

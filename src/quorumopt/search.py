@@ -40,34 +40,38 @@ group has one member and no key is computed.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
-cheapest quorum, less one). Each candidate at or above it then gets a
-:class:`~quorumopt.optimize.Bound`, cheap bounds on what any of its
-strategies can reach, and one gate,
-:meth:`~quorumopt.optimize.Bound.may_beat`, decides on them, cheapest first:
-the latency or network objective and the latency and network limits from
-tree passes, then, once it is set, the load bound that enumerates the
-minimal quorums. The gate is asked whether a candidate can beat the best so
-far moved by the tie band, which is what it must beat to replace it. Its
-LP is skipped when a bound shows that it cannot, or cannot meet a requested
-limit; so exact ties are skipped without an LP. Each bound holds for every
+cheapest quorum, less one). Every bound of the search then lives in one
+:class:`_Screen`, which :func:`search` builds once from the universe, the
+workload, the objective, the limits and f, and which holds what every
+candidate would otherwise re-derive: the workload's probabilities and
+E[f], the table of node loads per unit of reads and of writes, each node's
+latency as a float, and the thresholds of the limits. It bounds what any
+strategy of a candidate can reach: tree costs, the least latency and
+network load, from passes over each side's expression, and per-point load
+bounds, from an ascent over the minimal quorums. One predicate,
+:meth:`_Screen.out_of_reach`, decides on them whether a candidate can
+beat the best so far moved by the tie band, which is what it must beat to
+replace it, and meet every requested limit. Its LP is skipped when it
+cannot; so exact ties are skipped without an LP. Each bound holds for every
 strategy the LP could return, allowing by ``_BOUND_MARGIN`` for the
 tolerance on distribution sums and for float rounding, and for a limit
 also for the solver's tolerance on its row. So the winner, its strategy
-and its metric are the ones the search without the bounds finds.
+and its metric are the ones the search without the screen finds.
 
 Each candidate taken has its quorum system built once, a later member of
-a group too. The first members are taken ``_BLOCK`` at a time. A block's
-tree bounds are worked out once per candidate, and one load-bound ascent
-(:func:`~quorumopt.optimize.ascend`) runs over all of its candidates that
-the tree bounds leave in play against the incumbent the block started
-with; a candidate leaves the ascent once it is ruled out against that
-incumbent. The candidates that the gate passed are then decided in
-emission order against the incumbent of the moment. This decides as a
-search that takes one candidate at a time does: the incumbent only
-improves and an ascent's running maximum only grows, so a candidate ruled
-out against the block's first incumbent is ruled out against any later
-one, and a candidate that took every ascent step is decided on the bound
-that the one-at-a-time ascent ends with.
+a group too. The first members are taken ``_BLOCK`` at a time and screened
+as arrays. A [candidate, kind] array of tree costs drops those that the
+predicate rules out against the incumbent the block started with; one
+load-bound ascent (:meth:`_Screen.ascend`) over the rest gives a
+[candidate, point] array of load bounds, a candidate leaving the ascent
+once the predicate rules it out against that incumbent; and the
+candidates left are then decided in emission order, by the predicate
+against the incumbent of the moment. This decides as a search that takes
+one candidate at a time does: the incumbent only improves and an ascent's
+running maximum only grows, so a candidate ruled out against the block's
+first incumbent is ruled out against any later one, and a candidate that
+took every ascent step is decided on the bound that the one-at-a-time
+ascent ends with.
 """
 
 from __future__ import annotations
@@ -80,17 +84,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
+import numpy as np
+
 from . import expr as _expr
+from . import lp
 from .errors import DomainError, Infeasible, NoFeasibleCandidate
 from .model import Node, QuorumSystem, Workload, WorkloadLike
 from .optimize import (
     _BOUND_MARGIN,
-    Bound,
     Constraints,
     Objective,
     Strategy,
     _objective,
-    ascend,
+    _quorum_metric,
+    _stacked,
+    _unit_loads,
     find_strategy,
 )
 
@@ -103,6 +111,9 @@ _BLOCK = 256
 # bounds' margin, so a bound prunes a candidate that can at best tie; far
 # above the float rounding of a score (about 1e-15), which cannot flip it.
 _TIE = 2 * _BOUND_MARGIN
+# The screen's margin as factors, and its ascent steps on the node weights.
+_BELOW, _ABOVE = float(1 - _BOUND_MARGIN), float(1 + _BOUND_MARGIN)
+_ASCENT_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -116,14 +127,14 @@ class SearchOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "objective", _objective(self.objective))
-        if self.min_fault_tolerance < 0:
-            raise DomainError("min_fault_tolerance must be nonnegative")
-        if self.f < 0:
-            raise DomainError(f"f must be nonnegative, got {self.f}")
+        for name, least in (("min_fault_tolerance", 0), ("f", 0), ("budget", 1)):
+            value = getattr(self, name)
+            if value is None and name == "budget":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise DomainError(f"timeout must be positive and finite, got {self.timeout}")
-        if self.budget is not None and self.budget <= 0:
-            raise DomainError("budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,7 +182,10 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
         raise DomainError("node names must be unique")
     try:
         for d in range(len(names)):
-            for _, e in sorted(_exact_depth(names, d), key=lambda pair: pair[0]):
+            # The top level is read once, so it is built uncached: only proper
+            # sub-blocks recur. Unnamed, a depth's list is freed before the
+            # next depth's is built.
+            for _, e in sorted(_exact_depth.__wrapped__(names, d), key=lambda pair: pair[0]):
                 yield e
     finally:
         # Free the shared subtrees once the stream is done with.
@@ -246,6 +260,145 @@ def _score(strategy: Strategy, workload: Workload, objective: Objective) -> floa
     return sum(p / max(fr * r + (1 - fr) * w for r, w in unit) for fr, p in points)
 
 
+class _Screen:
+    """Every bound of one search, on what can be known of a candidate's
+    strategies without solving its LP, and the one predicate that decides
+    on them, :meth:`out_of_reach`. Built once per search; a block of
+    candidates is screened as arrays, with no object per candidate.
+
+    Latency and network load are at least the tree costs of :meth:`costs`;
+    for f = 0 each side's least latency is one pass over its expression
+    tree, and its least node count the other side's fault tolerance plus
+    one, so no quorum of a read-once side is enumerated. For load, at read
+    fraction fr and for any node weights mu >= 0 summing to 1, the busiest
+    node carries at least the mu-average node load, which is at least
+    ``lb_fr(mu) = fr*min_R sum_{x in R} mu_x/read_cap(x) + (1-fr)*min_W
+    sum_{x in W} mu_x/write_cap(x)`` (LP duality; Naor & Wool 1998). So
+    capacity is at most ``sum_fr p_fr / lb_fr`` and expected load at least
+    ``sum_fr p_fr * lb_fr``, which a capacity limit c bounds by 1/c.
+    :meth:`ascend` searches mu.
+
+    An LP strategy's distributions may each sum to 1 within
+    ``_DIST_SUM_TOL``, which moves its metric past a bound by at most that
+    factor, so a value is out of reach only when the bound misses it by the
+    factor ``_BOUND_MARGIN``. A limit is a row of the LP, which HiGHS meets
+    only within ``lp.FEASIBILITY_TOL`` (tol): a returned strategy's latency
+    or network load may pass its limit by tol, and its expected load may
+    pass 1/c by 2*tol, tol on the limit row and tol on the node-load rows
+    that define each L_f. So a limit is out of reach only when a latency or
+    network bound is above its ``ceiling``, ``(limit + tol)*(1 +
+    _BOUND_MARGIN)``, or the expected-load bound above ``max_load``,
+    ``(1/c + 2*tol)*(1 + _BOUND_MARGIN)``.
+    """
+
+    def __init__(self, universe: tuple[Node, ...], w: Workload, objective: Objective,
+                 constraints: Constraints, f: int):
+        self.objective, self.f = objective, f
+        self.prob = np.array([float(p) for _, p in w.items()])
+        self.ef = float(w.mean_read_fraction)
+        # read and write node loads per unit of selection, each [point, node]
+        self.unit = tuple(_unit_loads(universe, w).T)
+        self.latency = {n.name: float(n.latency) for n in universe}
+        limit = {Objective.LATENCY: constraints.latency_limit,
+                 Objective.NETWORK: constraints.network_limit}
+        # the tree costs that the query reads, and each one's limit
+        self.kinds = [kind for kind in limit if kind is objective or limit[kind] is not None]
+        tol = lp.FEASIBILITY_TOL
+        self.ceiling = np.array([math.inf if limit[kind] is None
+                                 else (float(limit[kind]) + tol) * _ABOVE for kind in self.kinds])
+        c = constraints.capacity_limit
+        self.max_load = None if c is None else (1 / float(c) + 2 * tol) * _ABOVE
+
+    def _least_cost(self, qs: QuorumSystem, kind: Objective, side: str) -> float:
+        """The least latency or node count of a minimal f-resilient quorum of
+        ``side``. The node count is :meth:`QuorumSystem._least_size`. The
+        latency, for f = 0, is computed on the expression tree; else priced by
+        :func:`_quorum_metric` from the side's cached masks, unpacked over the
+        side's names alone."""
+        if kind is Objective.NETWORK:
+            return float(qs._least_size(side, self.f))
+        if self.f > 0:
+            names = qs.side_names(side)
+            masks = np.array(qs.quorum_masks(side, self.f), dtype=np.int64)
+            index, values = _quorum_metric(qs, kind, side,
+                                           dict(zip(names, _expr.mask_bits(masks, len(names)))))
+            return float(values[index.min()])
+        return _expr.min_quorum_latency(qs.side(side), self.latency)
+
+    def costs(self, systems: list[QuorumSystem]) -> np.ndarray:
+        """``cost[candidate, kind]``: the least expected latency or network
+        load, ``E[f]*min_R size(R) + (1-E[f])*min_W size(W)``, size being
+        the quorum latency or node count, for each of ``kinds``."""
+        cost = [[self.ef * self._least_cost(qs, kind, "read")
+                 + (1 - self.ef) * self._least_cost(qs, kind, "write") for kind in self.kinds]
+                for qs in systems]
+        return np.array(cost).reshape(len(systems), len(self.kinds))
+
+    def out_of_reach(self, bar: float | None, cost: np.ndarray,
+                     load: np.ndarray | None = None) -> np.ndarray:
+        """Per candidate, whether no strategy both meets the limits and
+        strictly beats ``bar``: a capacity above it for the load objective, a
+        latency or network load below it otherwise; None is beaten by any
+        strategy that meets them. Decided on the tree costs ``cost[...,
+        kind]`` and, if given, the load bounds ``load[..., point]``, with
+        the margins of the class docstring."""
+        out = (cost > self.ceiling).any(axis=-1)
+        if bar is not None and self.objective is not Objective.LOAD:
+            out |= cost[..., self.kinds.index(self.objective)] * _BELOW >= bar
+        if load is not None:
+            if bar is not None and self.objective is Objective.LOAD:
+                out |= (self.prob * (1 / load)).sum(axis=-1) <= bar * _BELOW
+            if self.max_load is not None:
+                out |= (self.prob * load).sum(axis=-1) > self.max_load
+        return out
+
+    def ascend(self, systems: list[QuorumSystem], cost: np.ndarray,
+               bar: float | None) -> np.ndarray:
+        """``load[candidate, point]``: each point's largest ``lb_fr(mu)``
+        seen in one multiplicative-weights ascent over all the systems at
+        once, whose tree costs are ``cost``; zero, the trivial bound, unless
+        the load objective or a capacity limit reads it. The systems must
+        share the search's universe and meet its f.
+
+        mu starts proportional to each node's capacity at fr and takes up to
+        ``_ASCENT_STEPS`` steps toward the nodes of the cheapest quorums
+        (Arora, Hazan & Kale 2012). The rows' node weights, quorum costs and
+        membership are stacked along a first axis, and every operation acts
+        on each row alone, so a row gets the bound of a batch of one, up to
+        the rounding of the matrix product. Membership is padded with
+        all-ones quorums (:func:`_stacked`), which changes no row's least
+        cost or cheapest quorum. A row leaves the batch as soon as
+        :meth:`out_of_reach` rules it out against ``bar``, keeping the
+        running maximum that showed it; the others take every step. As the
+        running maximum only grows, a row that left is also out of reach
+        against any bar that is harder to beat."""
+        load = np.zeros((len(systems), len(self.prob)))
+        if not systems or self.objective is not Objective.LOAD and self.max_load is None:
+            return load
+        member = [_stacked(systems, side, self.f) for side in ("read", "write")]
+        rows = np.arange(len(systems))
+        mu = np.tile(1 / (self.unit[0] + self.unit[1]), (len(systems), 1, 1))
+        best = load.copy()
+        for step in range(_ASCENT_STEPS + 1):
+            mu /= mu.sum(axis=2, keepdims=True)
+            # price[row, point, quorum]: the mu-weighted load of the quorum's nodes
+            price = [(mu * u) @ m for u, m in zip(self.unit, member)]
+            np.maximum(best, price[0].min(axis=2) + price[1].min(axis=2), out=best)
+            done = self.out_of_reach(bar, cost[rows], best) | (step == _ASCENT_STEPS)
+            load[rows[done]] = best[done]
+            if done.all():
+                return load
+            if done.any():
+                keep = ~done
+                rows, mu, best = rows[keep], mu[keep], best[keep]
+                member, price = [m[keep] for m in member], [p[keep] for p in price]
+            pick = np.arange(len(rows))[:, None]
+            # [row, point, node]: membership of each point's cheapest quorum
+            gain = np.add(*[u * m[pick, :, p.argmin(axis=2)]
+                            for u, m, p in zip(self.unit, member, price)])
+            mu *= np.exp(gain / gain.max(axis=2, keepdims=True) / math.sqrt(step + 1))
+
+
 def search(
     universe: Sequence[Node],
     workload: WorkloadLike,
@@ -309,16 +462,19 @@ def search(
                 groups.add(key)
             yield qs
 
+    screen = _Screen(tuple(universe), w, objective, constraints, f)
     systems = reached()
     while block := list(itertools.islice(systems, _BLOCK)):
-        bounds = [Bound(qs, w, f) for qs in block if qs.fault_tolerance() >= floor]
-        bounds = [b for b in bounds if b.may_beat(objective, bar, constraints)]
-        ascend(bounds, w, objective, bar, constraints)
-        for bound in bounds:
-            if not bound.may_beat(objective, bar, constraints):
+        block = [qs for qs in block if qs.fault_tolerance() >= floor]
+        cost = screen.costs(block)
+        kept = ~screen.out_of_reach(bar, cost)
+        block, cost = list(itertools.compress(block, kept)), cost[kept]
+        load = screen.ascend(block, cost, bar)
+        for qs, qs_cost, qs_load in zip(block, cost, load):
+            if screen.out_of_reach(bar, qs_cost, qs_load):
                 continue
             try:
-                sigma = find_strategy(bound.qs, w, objective, constraints, f=f)
+                sigma = find_strategy(qs, w, objective, constraints, f=f)
             except Infeasible:
                 continue
             score = _score(sigma, w, objective)

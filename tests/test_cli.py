@@ -350,8 +350,11 @@ def test_trees_past_the_depth_bound_exit_2(tmp_path, capsys, command):
         ["--timeout", "1e400"],
         ["--f", "-1", "--fault-tolerance", "9"],
         ["--timeout", "-1e400"],
+        ["--f", "1.5"],
+        ["--budget", "2.5"],
     ],
-    ids=["timeout-nan", "timeout-inf", "timeout-1e400", "f-minus-1", "timeout-minus-1e400"],
+    ids=["timeout-nan", "timeout-inf", "timeout-1e400", "f-minus-1", "timeout-minus-1e400",
+         "f-1.5", "budget-2.5"],
 )
 def test_bad_search_options_exit_2_before_any_work(capsys, monkeypatch, flags):
     def no_search(*args, **kwargs):
@@ -359,8 +362,9 @@ def test_bad_search_options_exit_2_before_any_work(capsys, monkeypatch, flags):
 
     monkeypatch.setattr(quorumopt.cli, "search", no_search)
     argv = ["search", str(DATA / "case_study_search.json"), *flags]
-    if flags[-1] == "-1e400":
-        # argparse reads -1e400 as an option, not a value: a usage error
+    if flags[-1] in ("-1e400", "1.5", "2.5"):
+        # argparse reads -1e400 as an option, not a value, and reads --f and
+        # --budget as ints: a usage error
         with pytest.raises(SystemExit) as exc:
             main(argv)
         code = exc.value.code

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds import screen
 from exprgen import duplicate_free_expressions, expressions
 from quorumopt.errors import (
     DomainError,
@@ -19,7 +20,7 @@ from quorumopt.errors import (
 from quorumopt import expr as expr_module
 from quorumopt.expr import Expression, Var, and_, choose, majority, minimal_transversals, parse
 from quorumopt.model import Node, QuorumSystem, Workload, as_fraction
-from quorumopt.optimize import Objective, _least_cost
+from quorumopt.optimize import Objective
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
     exhaustive_minimal_sets,
@@ -31,6 +32,11 @@ from quorumopt.oracle import (
 
 def nodes(names):
     return [Node(x) for x in names]
+
+
+def network_bound(qs, side, f):
+    """The search screen's least node count of a side's f-resilient quorum."""
+    return screen(qs, 1, "network", f)._least_cost(qs, Objective.NETWORK, side)
 
 
 def majority_text(names, form):
@@ -456,6 +462,19 @@ class TestResilientQuorums:
             with pytest.raises(DomainError):
                 pairs.is_resilient("read", quorum, -1)
 
+    @pytest.mark.parametrize("f", [True, False, 1.5, 1.0, "1"])
+    def test_a_resilience_level_that_is_no_int_is_refused(self, f):
+        # Refused before the cache is read: True would find the entry of 1,
+        # and False that of 0.
+        qs = QuorumSystem(nodes("abcde"), reads="choose(3, [a, b, c, d, e])")
+        assert qs.quorum_masks("read", 1) and qs.quorum_masks("read", 0)
+        with pytest.raises(DomainError, match=f"f must be a nonnegative integer, got {f!r}"):
+            qs.quorum_masks("read", f)
+        with pytest.raises(DomainError):
+            qs.resilient_quorums("write", f)
+        with pytest.raises(DomainError):
+            qs.is_resilient("read", {"a", "b", "c", "d"}, f)
+
     def test_spare_universe_nodes_never_join_resilient_quorums(self):
         qs = QuorumSystem(nodes("abcdz"), reads="a*b + c*d")
         assert qs.resilient_quorums("read", 1) == exhaustive_resilient(qs, "read", 1)
@@ -523,7 +542,8 @@ class TestResilientQuorums:
 
 class TestLeastSize:
     """``QuorumSystem._least_size``, the one owner of a side's smallest
-    quorum, and the network bound that ``_least_cost`` reads from it."""
+    quorum, and the search screen's network bound, ``_Screen._least_cost``,
+    that reads it."""
 
     SIDES = {"reads": lambda e: dict(reads=e), "writes": lambda e: dict(writes=e),
              "both": lambda e: dict(reads=e, writes=e.dual())}
@@ -545,11 +565,11 @@ class TestLeastSize:
                     with pytest.raises(NoResilientQuorum):
                         qs._least_size(side, f)
                     with pytest.raises(NoResilientQuorum):
-                        _least_cost(qs, Objective.NETWORK, side, f)
+                        network_bound(qs, side, f)
                     continue
                 least = min(map(len, pool))
                 assert qs._least_size(side, f) == least
-                cost = _least_cost(qs, Objective.NETWORK, side, f)
+                cost = network_bound(qs, side, f)
                 assert type(cost) is float and cost == least
 
     @pytest.mark.parametrize("given_as", SIDES)
@@ -560,7 +580,7 @@ class TestLeastSize:
         qs = QuorumSystem(nodes("abcdef"), **self.SIDES[given_as](e))
         side = "write" if given_as == "writes" else "read"
         assert qs._least_size(side) == 3
-        assert _least_cost(qs, Objective.NETWORK, side, 0) == 3.0
+        assert network_bound(qs, side, 0) == 3.0
 
     # given both sides, each walk prices its side and the side's dual
     @pytest.mark.parametrize("given_as", ["reads", "both"])

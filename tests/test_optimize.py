@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bounds import can_beat
+from bounds import can_beat, screen, search_module
 from exprgen import duplicate_free_expressions, expressions
 from quorumopt import expr as _expr
 from quorumopt import lp
-from quorumopt import optimize as optimize_module
 from quorumopt.cli import load_config
 from quorumopt.errors import (
     DomainError,
@@ -27,11 +26,9 @@ from quorumopt.errors import (
 from quorumopt.expr import min_quorum_latency
 from quorumopt.model import Node, QuorumSystem, Workload
 from quorumopt.optimize import (
-    Bound,
     Constraints,
     Objective,
     Strategy,
-    ascend,
     capacity_curve,
     find_strategy,
     quorum_latency,
@@ -44,7 +41,7 @@ from quorumopt.oracle import (
     exhaustive_resilient,
     strategy_metric_recompute,
 )
-from quorumopt.search import enumerate_candidates
+from quorumopt.search import SearchOptions, enumerate_candidates
 
 
 def plain(names):
@@ -364,12 +361,25 @@ class TestUnclassifiedFailure:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("f", [True, 1.5])
+def test_a_resilience_level_that_is_no_int_is_a_domain_error(maj3, f):
+    # find_strategy(maj3, w, f=True) solved the f = 1 LP.
+    with pytest.raises(DomainError, match="f must be a nonnegative integer"):
+        find_strategy(maj3, Fraction(1, 2), f=f)
+    with pytest.raises(DomainError, match="f must be a nonnegative integer"):
+        uniform_strategy(maj3, f=f)
+    with pytest.raises(DomainError, match="f must be a nonnegative integer"):
+        capacity_curve(maj3, [Fraction(1, 2)], f=f)
+    with pytest.raises(DomainError, match="f must be a nonnegative integer"):
+        Strategy(maj3, [({"a", "b", "c"}, 1)], [({"a", "b", "c"}, 1)], f=f)
+
+
 def test_an_unknown_objective_is_a_domain_error(maj3):
     message = "objective must be load, latency or network, got 'LOAD'"
     with pytest.raises(DomainError, match=message):
         find_strategy(maj3, Fraction(1, 2), "LOAD")
     with pytest.raises(DomainError, match=message):
-        ascend([Bound(maj3, 1)], 1, "LOAD", None)
+        SearchOptions(objective="LOAD")
 
 
 class TestSolverStatus:
@@ -677,7 +687,8 @@ class TestLeastCost:
     @settings(max_examples=100, deadline=None)
     def test_resilient_quorums_are_priced_from_their_masks(self, e, data):
         # The f > 0 bounds unpack the side's cached masks over its own names:
-        # no membership matrix over the universe (_stacked) is built.
+        # no membership matrix over the universe (_stacked, as the search
+        # module reads it) is built.
         latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
         qs = QuorumSystem([Node(x, latency=data.draw(latencies)) for x in sorted(e.names())],
                           reads=e)
@@ -686,8 +697,9 @@ class TestLeastCost:
             raise AssertionError("_least_cost built a membership matrix over the universe")
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(optimize_module, "_stacked", unused)
+            m.setattr(search_module, "_stacked", unused)
             for f in (1, 2):
+                least_cost = screen(qs, 1, f=f)._least_cost
                 for side in ("read", "write"):
                     pool = exhaustive_resilient(qs, side, f)
                     expected = {
@@ -698,9 +710,9 @@ class TestLeastCost:
                     for kind, least in expected.items():
                         if least is None:
                             with pytest.raises(NoResilientQuorum):
-                                optimize_module._least_cost(qs, kind, side, f)
+                                least_cost(qs, kind, side)
                         else:
-                            assert optimize_module._least_cost(qs, kind, side, f) == float(least)
+                            assert least_cost(qs, kind, side) == float(least)
 
 
 class TestBlockAscent:
@@ -716,21 +728,20 @@ class TestBlockAscent:
         systems = [qs for qs in systems if qs.fault_tolerance() >= f]
         assert len(systems) == {0: 885, 1: 293}[f]
         assert len({len(qs.quorum_masks("read", f)) for qs in systems}) > 1
-        batch = [Bound(qs, w, f) for qs in systems]
-        ascend(batch, w, "load", None)
-        for b in batch:
-            alone = Bound(b.qs, w, f)
-            ascend([alone], w, "load", None)
-            assert np.allclose(b.load, alone.load, rtol=1e-12, atol=0), b.qs.reads
+        loads = screen(systems[0], w, "load", f)
+        batch = loads.ascend(systems, loads.costs(systems), None)
+        for qs, row in zip(systems, batch):
+            alone = loads.ascend([qs], loads.costs([qs]), None)[0]
+            assert np.allclose(row, alone, rtol=1e-12, atol=0), qs.reads
         # Decisions against a capacity that about half the rows reach, and
         # against a capacity limit, with the batch's bounds and alone.
-        prob = np.array([float(p) for _, p in w.items()])
-        capacity = statistics.median(float(prob @ (1 / b.load)) for b in batch)
+        capacity = statistics.median(float(loads.prob @ (1 / row)) for row in batch)
         for objective, value, limits in (
             ("load", capacity, Constraints()),
             ("network", None, Constraints(capacity_limit=capacity)),
         ):
-            decided = [b.may_beat(Objective(objective), value, limits) for b in batch]
+            query = screen(systems[0], w, objective, f, limits)
+            decided = list(~query.out_of_reach(value, query.costs(systems), batch))
             assert decided == [can_beat(qs, w, objective, value, f, limits) for qs in systems]
             assert 0 < sum(decided) < len(decided)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,27 @@ class TestEnumerateCandidates:
         assert len(printed) == count
         text = "".join(p + "\n" for p in printed)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_only_proper_sub_blocks_enter_the_cache(self, monkeypatch, n):
+        # Every recursive call is on a proper sub-block, so the top level of
+        # each depth is built uncached, and no list of whole candidates is
+        # held until the stream ends. The stream stays the pinned one.
+        raw = search_module._exact_depth.__wrapped__
+        cached_blocks = []
+
+        def recording(block, d):
+            cached_blocks.append(block)
+            return raw(block, d)
+
+        cached = functools.cache(recording)
+        cached.__wrapped__ = raw
+        monkeypatch.setattr(search_module, "_exact_depth", cached)
+        names = tuple("abcdef"[:n])
+        text = "".join(f"{e}\n" for e in enumerate_candidates(names))
+        assert (text.count("\n"), hashlib.sha256(text.encode()).hexdigest()) == PINNED_ORDER[n]
+        assert cached_blocks and all(set(b) < set(names) for b in cached_blocks)
+        assert cached.cache_info().currsize == 0  # freed once the stream is done
 
     def test_single_node(self):
         assert [str(e) for e in enumerate_candidates(["a"])] == ["a"]
@@ -201,6 +223,23 @@ class TestSearch:
         with pytest.raises(DomainError, match="objective must be load, latency or network"):
             SearchOptions(objective="fast")
 
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name in ("min_fault_tolerance", "f", "budget")
+        for value in (1.5, 2.0, True, "2")] + [("min_fault_tolerance", None), ("f", None)])
+    def test_counts_that_are_no_int_are_refused(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer of at least"):
+            SearchOptions(**{name: value})
+
+    def test_a_fractional_f_is_no_search(self):
+        # f = 1.5 used to return choose(3, [a, b, c, d, e]) with exit 0: the
+        # floor took it as 2, the quorums as 1. At f = 1 the answer is
+        # choose(2, [a, b, c, d, e]).
+        five = [Node(x) for x in FIVE]
+        with pytest.raises(DomainError, match="^f must be an integer of at least 0, got 1.5$"):
+            search(five, Fraction(1, 2), SearchOptions(f=1.5))
+        result = search(five, Fraction(1, 2), SearchOptions(f=1))
+        assert str(result.qs.reads) == "choose(2, [a, b, c, d, e])"
+
 
 @st.composite
 def hetero_universes(draw):
@@ -299,6 +338,17 @@ def counted_solves(monkeypatch):
     return outcomes
 
 
+def never_out_of_reach(monkeypatch):
+    """Make the screen's one predicate rule no candidate out: the search
+    then solves the LP of the first member of every group that meets the
+    floor."""
+
+    def nothing(self, bar, cost, load=None):
+        return np.zeros(cost.shape[:-1], dtype=bool)
+
+    monkeypatch.setattr(search_module._Screen, "out_of_reach", nothing)
+
+
 class TestBoundPruning:
     # Five-node searches run under a budget: an unpruned one solves up to
     # 885 LPs. A limit is a factor of the reference system's optimum: a
@@ -338,13 +388,13 @@ class TestBoundPruning:
         options = SearchOptions(**options)
         pruned = outcome(nodes, w, options)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
+            never_out_of_reach(m)
             unpruned = outcome(nodes, w, options)
         assert pruned == unpruned
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_can_beat_is_the_only_prune(self, case, monkeypatch):
-        # With Bound.may_beat always True, the first member of every group
+        # With nothing out of the screen's reach, the first member of every group
         # that meets the floor reaches find_strategy: no tree or limit bound
         # prunes outside it. a and b share a type, and so do c and d.
         nodes = hetero_nodes()
@@ -353,7 +403,7 @@ class TestBoundPruning:
             capacity_limit=100, latency_limit=3, network_limit=Fraction(5, 2)
         )
         options = SearchOptions(**options)
-        monkeypatch.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
+        never_out_of_reach(monkeypatch)
         reached = recorded_solves(monkeypatch)
         examined = outcome(nodes, Fraction(1, 2), options)
         floor = max(options.min_fault_tolerance, options.f)
@@ -474,6 +524,19 @@ class TestBlocks:
                 search(nodes, w, options)
             assert reached == expected
         assert [i for i, _ in improved if i > block and i % block] == [374, 394]
+
+
+    def test_one_screen_per_search(self, monkeypatch):
+        # The workload, objective, limits and f are read once per search,
+        # not once per candidate or block: the case study takes four blocks.
+        config = load_config(str(DATA / "case_study_search.json"))
+        screens = []
+        screen = search_module._Screen
+        monkeypatch.setattr(search_module, "_Screen",
+                            lambda *args: screens.append(args) or screen(*args))
+        result = search(config.nodes, config.workload, SearchOptions())
+        assert result.candidates_examined == 885
+        assert len(screens) == 1
 
 
 @st.composite
@@ -668,7 +731,7 @@ class TestTimeout:
         assert (str(result.qs.reads), result.metric_value) == (
             str(budget.qs.reads), budget.metric_value)
         # The best of those candidates, every LP solved.
-        monkeypatch.setattr(search_module.Bound, "may_beat", lambda *args, **kwargs: True)
+        never_out_of_reach(monkeypatch)
         solved = search(config.nodes, config.workload,
                         SearchOptions(budget=reached, **options))
         assert (str(result.qs.reads), result.metric_value) == (

@@ -82,6 +82,31 @@ def unreferenced_public(checked: list[str], others: list[str]) -> list[str]:
     return sorted(public - referenced - listed)
 
 
+def unread_public_names(owner: str, readers: list[str]) -> list[str]:
+    """The public names that the ``owner`` source defines at module level,
+    by a function, a class or an assignment, that no source of ``readers``
+    lists in its ``__all__`` or refers to, as a name, an attribute or an
+    import, sorted."""
+    defined, read = set(), set()
+    for statement in ast.parse(owner).body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(statement.name)
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    for source in readers:
+        tree = ast.parse(source)
+        read |= exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                read.update(node.name.split("."))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(x for x in defined - read if not x.startswith("_"))
+
+
 def unread_private_attributes(checked: list[str], others: list[str]) -> list[str]:
     """The private attributes, those whose name starts with one underscore,
     that a module of ``checked`` writes on an instance, as ``self._x = ...``
@@ -308,6 +333,44 @@ def test_unreferenced_public_definitions_are_found():
     importer = "from .table import imported as alias\n"
     assert unreferenced_public([module], [importer]) == ["orphan", "recursive"]
     assert unreferenced_public([module], []) == ["imported", "orphan", "recursive"]
+
+
+def test_optimize_defines_nothing_public_that_only_the_search_reads():
+    # optimize.py holds strategies, exact metrics and the LP; a public name
+    # that only search.py reads belongs to the search's screen.
+    readers = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name not in ("optimize.py", "search.py")]
+    assert unread_public_names((PACKAGE / "optimize.py").read_text(), readers) == []
+
+
+def test_public_names_read_by_no_other_layer_are_found():
+    owner = (
+        "import math\n"
+        "LIMIT = 3\n"
+        "STEPS: int = 40\n"
+        "_MARGIN = 1e-6\n"
+        "class Exported:\n"
+        "    def method(self):\n"
+        "        return screen()\n"
+        "class Bound:\n"
+        "    pass\n"
+        "def screen(bounds: list[Bound]):\n"
+        "    return LIMIT\n"
+        "def imported():\n"
+        "    return STEPS\n"
+        "def attribute():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    package = "from .owner import Exported, imported as alias\n__all__ = ['Exported', 'alias']\n"
+    cli = "from . import owner\ndef run():\n    return owner.attribute()\n"
+    # what the owner reads of itself does not count: screen reads Bound
+    assert unread_public_names(owner, [package, cli]) == ["Bound", "LIMIT", "STEPS", "screen"]
+    assert unread_public_names(owner, [package]) == [
+        "Bound", "LIMIT", "STEPS", "attribute", "screen"]
+    assert unread_public_names(owner, ["__all__ = ['LIMIT']\n"]) == [
+        "Bound", "Exported", "STEPS", "attribute", "imported", "screen"]
 
 
 def test_package_reads_every_private_attribute_it_writes():
