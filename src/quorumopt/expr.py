@@ -168,9 +168,10 @@ class Choose(Expression):
 
     def __post_init__(self):
         _check_children(self)
-        if not isinstance(self.k, int) or not 1 <= self.k <= len(self.children):
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(self.children):
             raise DomainError(
-                f"choose threshold must satisfy 1 <= k <= {len(self.children)}, got {self.k}"
+                f"choose threshold must satisfy 1 <= k <= {len(self.children)}, got {k}"
             )
 
     def __str__(self) -> str:

@@ -1,14 +1,15 @@
 """The one HiGHS call and its status mapping.
 
 ``quorumopt.optimize._optimal`` builds the strategy LP as dense arrays and
-solves it here with :func:`solve`; ``quorumopt.optimize._limit_excess``
-builds the phase-1 LP of one under limits and hands it to :func:`linprog`.
-This is the only module that touches HiGHS, as ``tests/test_source.py``
-checks. It drives the binding that scipy ships
-(``scipy.optimize._highspy._core``), which is private to scipy, with the
-options ``scipy.optimize.linprog(method="highs")`` sets, but without that
-wrapper's per-call option checks, input cleaning and result packaging.
-:func:`linprog` stays the seam between :func:`solve` and HiGHS, with
+``quorumopt.optimize._limit_excess`` the phase-1 LP of one under limits;
+each hands its LP to :func:`linprog`, and ``_optimal`` maps the status it
+returns to a strategy, ``Infeasible`` or ``SolverFailure``. This is the
+only module that touches HiGHS, as ``tests/test_source.py`` checks. It
+drives the binding that scipy ships (``scipy.optimize._highspy._core``),
+which is private to scipy, with the options
+``scipy.optimize.linprog(method="highs")`` sets, but without that wrapper's
+per-call option checks, input cleaning and result packaging.
+:func:`linprog` is the one seam between the package and HiGHS, with
 scipy's status codes, so that tests and tracers can replace or wrap it. It
 departs from scipy in one place: a model that HiGHS refuses, at
 ``passModel`` (a coefficient of magnitude 1e15 or more) or as
@@ -85,8 +86,6 @@ from scipy.optimize._highspy._core import (
     kHighsDebugLevelNone,
     simplex_constants,
 )
-
-from .errors import Infeasible, SolverFailure
 
 # Each row and bound of a returned x holds within this, absolutely.
 FEASIBILITY_TOL = 1e-9
@@ -214,19 +213,3 @@ def _run(lp: HighsLp, basis, a, b_ub, b_eq, bounds) -> SimpleNamespace:
     return SimpleNamespace(status=4 if misses else 0, x=x, nit=nit, message=message,
                            basis=highs.getBasis())
 
-
-def solve(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=None):
-    """Optimal x of: minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq,
-    and ``bounds``, an (n, 2) float array of each variable's lower and upper
-    bound, ``np.inf`` for none; and HiGHS's optimal basis, which starts the
-    solve of a later LP of the same shape as ``basis`` (see :func:`linprog`).
-
-    Raises Infeasible when HiGHS proves the constraints unsatisfiable and
-    SolverFailure for any other solver failure, a refused model included.
-    """
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, basis=basis)
-    if result.status == 2:
-        raise Infeasible("constraints are unsatisfiable")
-    if result.status != 0:
-        raise SolverFailure(f"LP solve failed: {result.message}")
-    return result.x, result.basis

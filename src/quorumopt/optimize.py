@@ -24,6 +24,10 @@ nothing: every metric is monotone in quorum size. Metrics of the returned
 strategy are recomputed in exact rational arithmetic; floats live only
 inside the solver.
 
+A query's limits are read once, in :meth:`Constraints.limits`, which
+turns each into the bound on its metric: the LP's limit rows take them,
+and so do the search's thresholds and node types.
+
 This module holds strategies, their exact metrics and the LP, and no bound
 on what an LP could reach: the search's screen (:mod:`quorumopt.search`)
 owns those, and reads from here the tables that the LP is built from,
@@ -89,6 +93,25 @@ class Constraints:
             if value <= 0:
                 raise DomainError(f"{field} must be positive")
             object.__setattr__(self, field, value)
+
+    def limits(self) -> dict[Objective, Fraction]:
+        """Each requested limit as the bound on its metric, in the order of
+        the LP's limit rows: a capacity limit c as 1/c on the expected load,
+        then the latency and network limits as they are. This is the one
+        place that turns a limit into a bound."""
+        capacity = self.capacity_limit
+        bounds = {Objective.LOAD: None if capacity is None else 1 / capacity,
+                  Objective.LATENCY: self.latency_limit,
+                  Objective.NETWORK: self.network_limit}
+        return {kind: bound for kind, bound in bounds.items() if bound is not None}
+
+
+def _constraints(value: Constraints | None) -> Constraints:
+    """``value``, or no limits if it is None; DomainError if it is no
+    Constraints."""
+    if value is not None and not isinstance(value, Constraints):
+        raise DomainError(f"constraints must be a Constraints or None, got {value!r}")
+    return value or Constraints()
 
 
 def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fraction:
@@ -307,7 +330,8 @@ def find_strategy(
     * per node that is in some quorum (universe order), then per read
       fraction (workload order): ``f*rm(x)/read_cap(x) +
       (1-f)*wm(x)/write_cap(x) - L_f <= 0``;
-    * one row per requested limit, in the order capacity, latency, network.
+    * one row per requested limit, in the order of
+      :meth:`Constraints.limits`: capacity, latency, network.
 
     Each metric is one cost vector, used as the objective or as a limit row:
     load is the expected L_f (a capacity limit c bounds it by 1/c), latency
@@ -322,7 +346,7 @@ def find_strategy(
     by more than ``_BOUND_MARGIN``, else SolverFailure.
     """
     return _optimal(qs, Workload.coerce(workload), _objective(objective),
-                    constraints or Constraints(), f, None)[0]
+                    _constraints(constraints), f, None)[0]
 
 
 def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: Constraints,
@@ -350,14 +374,7 @@ def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: C
             parts.append(np.array([float(share[s] * v) for v in values])[index])
         return np.concatenate(parts + [np.zeros(nl)])
 
-    capacity = constraints.capacity_limit
-    limit_of = {
-        Objective.LOAD: None if capacity is None else 1 / capacity,
-        Objective.LATENCY: constraints.latency_limit,
-        Objective.NETWORK: constraints.network_limit,
-    }
-    limits = [(kind, limit) for kind, limit in limit_of.items() if limit is not None]
-
+    limits = constraints.limits()
     member = np.hstack(list(held.values()))  # [node, column]
     used = np.flatnonzero(member.any(axis=1))
     coef = _unit_loads(qs.universe, w)[used]
@@ -366,7 +383,7 @@ def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: C
     a_ub[:nload, :nq] = (coef[:, :, is_write] * member[used, None, :]).reshape(nload, nq)
     a_ub[np.arange(nload), nq + np.arange(nload) % nl] = -1.0
     b_ub = np.zeros(nload + len(limits))
-    for row, (kind, limit) in enumerate(limits, start=nload):
+    for row, (kind, limit) in enumerate(limits.items(), start=nload):
         a_ub[row] = cost(kind)
         b_ub[row] = float(limit)
     a_eq = np.zeros((2, nq + nl))
@@ -374,19 +391,22 @@ def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: C
     bounds = np.zeros((nq + nl, 2))
     bounds[:, 1] = np.repeat([1.0, np.inf], [nq, nl])
 
-    try:
-        x, basis = lp.solve(cost(objective), a_ub, b_ub, a_eq, np.ones(2), bounds, basis)
-    except SolverFailure:
-        if limits and _limit_excess(a_ub, b_ub, nload, a_eq, bounds) > _BOUND_MARGIN:
-            raise Infeasible("constraints are unsatisfiable") from None
-        raise
+    result = lp.linprog(cost(objective), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(2),
+                        bounds=bounds, basis=basis)
+    if result.status != 0:
+        # status 2 is HiGHS's proof of infeasibility; any other failure under
+        # limits is decided by how far the limits are out of reach
+        if result.status == 2 or limits and _limit_excess(
+                a_ub, b_ub, nload, a_eq, bounds) > _BOUND_MARGIN:
+            raise Infeasible("constraints are unsatisfiable")
+        raise SolverFailure(f"LP solve failed: {result.message}")
     dist = {side: [] for side in pools}
-    for (s, mask), p in zip(columns, x):
+    for (s, mask), p in zip(columns, result.x):
         p = min(float(p), 1.0)  # solver round-off can spill past 1
         if p > 1e-9:
             (quorum,) = _expr.unmask([mask], qs.side_names(s))
             dist[s].append((quorum, Fraction(p)))
-    return Strategy(qs, *dist.values(), f=f), basis
+    return Strategy(qs, *dist.values(), f=f), result.basis
 
 
 def _limit_excess(a_ub: np.ndarray, b_ub: np.ndarray, nload: int, a_eq: np.ndarray,

@@ -36,7 +36,8 @@ band: a later member of a group could only tie its first member. So only
 the first member of each group in emission order goes on to the floor
 test, the bounds and the LP; a later one is examined and decided as a tie
 of the first, which keeps the first. When no two nodes share a type, every
-group has one member and no key is computed.
+group has one member and no key is computed. The screen below works out
+the types and the key.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
@@ -45,7 +46,10 @@ cheapest quorum, less one). Every bound of the search then lives in one
 workload, the objective, the limits and f, and which holds what every
 candidate would otherwise re-derive: the workload's probabilities and
 E[f], the table of node loads per unit of reads and of writes, each node's
-latency as a float, and the thresholds of the limits. It bounds what any
+latency as a float, and the thresholds of the limits. It reads the limits
+once, from :meth:`Constraints.limits`, the bounds that the LP's limit rows
+take: the objective and the limited metrics are what the query reads, and
+give the tree costs, the thresholds and the node types. It bounds what any
 strategy of a candidate can reach: tree costs, the least latency and
 network load, from passes over each side's expression, and per-point load
 bounds, from an ascent over the minimal quorums. One predicate,
@@ -82,7 +86,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from numbers import Real
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -95,6 +100,7 @@ from .optimize import (
     Constraints,
     Objective,
     Strategy,
+    _constraints,
     _objective,
     _quorum_metric,
     _stacked,
@@ -127,14 +133,17 @@ class SearchOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "objective", _objective(self.objective))
+        object.__setattr__(self, "constraints", _constraints(self.constraints))
         for name, least in (("min_fault_tolerance", 0), ("f", 0), ("budget", 1)):
             value = getattr(self, name)
             if value is None and name == "budget":
                 continue
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
-        if self.timeout is not None and not 0 < self.timeout < math.inf:
-            raise DomainError(f"timeout must be positive and finite, got {self.timeout}")
+        timeout = self.timeout
+        if timeout is not None and (isinstance(timeout, bool) or not isinstance(timeout, Real)
+                                    or not 0 < timeout < math.inf):
+            raise DomainError(f"timeout must be positive and finite, got {timeout!r}")
 
 
 @dataclass(frozen=True)
@@ -220,20 +229,6 @@ def _exact_depth(block: tuple[str, ...], d: int) -> list[tuple[str, _expr.Expres
     return results
 
 
-def _group_key(universe: Sequence[Node], objective: Objective,
-               constraints: Constraints) -> Callable[[_expr.Expression], str] | None:
-    """The group key of a candidate, by the rules of the module docstring,
-    or None when no two nodes share a type."""
-    caps = objective is Objective.LOAD or constraints.capacity_limit is not None
-    lat = objective is Objective.LATENCY or constraints.latency_limit is not None
-    kinds = [((n.read_cap, n.write_cap) if caps else ()) + ((n.latency,) if lat else ())
-             for n in universe]
-    if len(set(kinds)) == len(kinds):
-        return None
-    types = {n.name: str(kinds.index(kind)) for n, kind in zip(universe, kinds)}
-    return functools.partial(_expr.fold, leaf=types.__getitem__, take=_sorted_key)
-
-
 def _sorted_key(keys: list[str], k: int) -> str:
     """The group key of a node that takes k of the children with ``keys``."""
     return f"{k}({','.join(sorted(keys))})"
@@ -299,15 +294,21 @@ class _Screen:
         # read and write node loads per unit of selection, each [point, node]
         self.unit = tuple(_unit_loads(universe, w).T)
         self.latency = {n.name: float(n.latency) for n in universe}
-        limit = {Objective.LATENCY: constraints.latency_limit,
-                 Objective.NETWORK: constraints.network_limit}
-        # the tree costs that the query reads, and each one's limit
-        self.kinds = [kind for kind in limit if kind is objective or limit[kind] is not None]
+        limits = constraints.limits()
+        reads = {objective, *limits}  # the metrics that the query reads
+        # the tree costs that it reads, and each one's limit
+        self.kinds = [kind for kind in (Objective.LATENCY, Objective.NETWORK) if kind in reads]
         tol = lp.FEASIBILITY_TOL
-        self.ceiling = np.array([math.inf if limit[kind] is None
-                                 else (float(limit[kind]) + tol) * _ABOVE for kind in self.kinds])
-        c = constraints.capacity_limit
-        self.max_load = None if c is None else (1 / float(c) + 2 * tol) * _ABOVE
+        self.ceiling = np.array([(float(limits[kind]) + tol) * _ABOVE if kind in limits
+                                 else math.inf for kind in self.kinds])
+        load = limits.get(Objective.LOAD)
+        self.max_load = None if load is None else (float(load) + 2 * tol) * _ABOVE
+        # the node types, and the group key when two nodes share one
+        types = [((n.read_cap, n.write_cap) if Objective.LOAD in reads else ())
+                 + ((n.latency,) if Objective.LATENCY in reads else ()) for n in universe]
+        type_of = {n.name: str(types.index(t)) for n, t in zip(universe, types)}
+        self.group_key = None if len(set(types)) == len(types) else functools.partial(
+            _expr.fold, leaf=type_of.__getitem__, take=_sorted_key)
 
     def _least_cost(self, qs: QuorumSystem, kind: Objective, side: str) -> float:
         """The least latency or node count of a minimal f-resilient quorum of
@@ -435,7 +436,7 @@ def search(
     maximize = objective is Objective.LOAD  # capacity: higher is better
     band = float(1 + _TIE if maximize else 1 - _TIE)
 
-    group_key = _group_key(universe, objective, constraints)
+    screen = _Screen(tuple(universe), w, objective, constraints, f)
     groups: set[str] = set()
 
     start = time.monotonic()
@@ -455,14 +456,13 @@ def search(
             # Built for a later member of a group too: perfbench's traced
             # mode checks one quorum system per candidate examined.
             qs = QuorumSystem(universe, reads=reads)
-            if group_key is not None:
-                key = group_key(reads)
+            if screen.group_key is not None:
+                key = screen.group_key(reads)
                 if key in groups:
                     continue
                 groups.add(key)
             yield qs
 
-    screen = _Screen(tuple(universe), w, objective, constraints, f)
     systems = reached()
     while block := list(itertools.islice(systems, _BLOCK)):
         block = [qs for qs in block if qs.fault_tolerance() >= floor]

@@ -256,8 +256,9 @@ class TestStructure:
         with pytest.raises(DomainError, match="^Choose child 1 is not an Expression$"):
             choose(2, [a, b, 1])
 
-    @pytest.mark.parametrize("k", [0, 4, -1, 1.0])
+    @pytest.mark.parametrize("k", [0, 4, -1, 1.0, True, False])
     def test_choose_threshold_is_checked_once_built(self, k):
+        # a bool is no threshold: choose(True, ...) would otherwise be an Or
         # choose folds k = 1 and k = 3 only after Choose has checked k.
         for build in (Choose, choose):
             with pytest.raises(DomainError, match=f"1 <= k <= 3, got {k}$"):

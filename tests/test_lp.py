@@ -24,7 +24,7 @@ from quorumopt.optimize import (
 )
 
 DATA = Path(__file__).parent / "data"
-# What lp.solve asks of HiGHS, in the form scipy's linprog takes.
+# What lp.linprog asks of HiGHS, in the form scipy's linprog takes.
 SCIPY_OPTIONS = {
     "primal_feasibility_tolerance": lp.FEASIBILITY_TOL,
     "dual_feasibility_tolerance": lp.FEASIBILITY_TOL,
@@ -159,15 +159,19 @@ class TestPostSolveCheck:
 
     def test_row_missed_by_1e_3_is_a_solver_failure(self, perturbed):
         # x[0] and x[1] must sum to 1; the perturbed optimum sums to 1.001
-        with pytest.raises(SolverFailure, match="misses a bound or row"):
-            lp.solve(
-                np.array([1.0, 1.0]),
-                np.array([[1.0, -1.0]]),
-                np.array([0.0]),
-                np.array([[1.0, 1.0]]),
-                np.array([1.0]),
-                np.array([[0.0, 1.0], [0.0, 1.0]]),
-            )
+        result = lp.linprog(
+            np.array([1.0, 1.0]),
+            A_ub=np.array([[1.0, -1.0]]),
+            b_ub=np.array([0.0]),
+            A_eq=np.array([[1.0, 1.0]]),
+            b_eq=np.array([1.0]),
+            bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        )
+        assert result.status == 4
+        assert "misses a bound or row" in result.message
+        maj3 = QuorumSystem([Node(x) for x in "abc"], reads="choose(2, [a, b, c])")
+        with pytest.raises(SolverFailure, match="^LP solve failed: .*misses a bound or row"):
+            find_strategy(maj3, 1)
 
     def test_cli_exits_3_with_one_line(self, perturbed, capsys):
         code = main(["strategy", str(DATA / "majority3.json")])
@@ -270,15 +274,16 @@ class TestInfiniteBound:
 
         patch_highs(monkeypatch, Recording)
         # minimize L subject to L >= 1e15: L is free above 0
-        x, _ = lp.solve(
+        result = lp.linprog(
             np.array([1.0]),
-            np.array([[-1.0]]),
-            np.array([-1e15]),
-            np.zeros((0, 1)),
-            np.zeros(0),
-            np.array([[0.0, np.inf]]),
+            A_ub=np.array([[-1.0]]),
+            b_ub=np.array([-1e15]),
+            A_eq=np.zeros((0, 1)),
+            b_eq=np.zeros(0),
+            bounds=np.array([[0.0, np.inf]]),
         )
-        assert x.tolist() == [1e15]
+        assert result.status == 0
+        assert result.x.tolist() == [1e15]
         assert models[0].col_upper_ == [lp.kHighsInf]
         assert models[0].col_lower_ == [0.0]
 
@@ -293,8 +298,11 @@ def test_a_refused_model_is_a_solver_failure():
     assert (result.status, result.x, result.nit) == (4, None, 0)
     assert result.message == "HiGHS rejected the model"
     assert scipy_linprog(np.array([1.0]), **args, method="highs").status == 2
-    with pytest.raises(SolverFailure, match="HiGHS rejected the model"):
-        lp.solve(np.array([1.0]), *args.values())
+    # capacities of 1e-20 give node-load coefficients of 1e20
+    tiny = QuorumSystem([Node(x, read_cap="1e-20", write_cap="1e-20") for x in "abc"],
+                        reads="a*b + b*c + a*c")
+    with pytest.raises(SolverFailure, match="^LP solve failed: HiGHS rejected the model$"):
+        find_strategy(tiny, 1)
 
 
 def _random_lp(rng, rows, cols):

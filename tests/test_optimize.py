@@ -1,6 +1,7 @@
 """Strategy optimization: the LP, metrics, and their invariants."""
 
 import itertools
+import math
 import statistics
 from fractions import Fraction
 from pathlib import Path
@@ -382,13 +383,68 @@ def test_an_unknown_objective_is_a_domain_error(maj3):
         SearchOptions(objective="LOAD")
 
 
+def test_constraints_that_are_no_constraints_are_a_domain_error(maj3):
+    # a dict used to end in an AttributeError inside the LP build
+    with pytest.raises(DomainError, match=r"^constraints must be a Constraints or None, "
+                                          r"got \{'capacity_limit': 1\}$"):
+        find_strategy(maj3, 1, "load", {"capacity_limit": 1})
+    sigma = find_strategy(maj3, 1, "load", None)
+    assert (sigma.read_dist, sigma.write_dist) == (find_strategy(maj3, 1).read_dist,
+                                                   find_strategy(maj3, 1).write_dist)
+
+
 class TestSolverStatus:
-    @pytest.mark.parametrize("status,error", [(2, Infeasible), (4, SolverFailure)])
-    def test_status_maps_to_error(self, monkeypatch, status, error):
-        result = SimpleNamespace(status=status, message="stub", x=None, nit=0)
-        monkeypatch.setattr(lp, "linprog", lambda *a, **k: result)
-        with pytest.raises(error):
-            lp.solve([1.0], None, None, [[1.0]], [1.0], [(0.0, 1.0)])
+    @pytest.mark.parametrize("limits", [Constraints(), Constraints(capacity_limit=1)],
+                             ids=["no-limit", "capacity-limit"])
+    @pytest.mark.parametrize("status,error,message", [
+        (2, Infeasible, "^constraints are unsatisfiable$"),
+        (4, SolverFailure, "^LP solve failed: stub$")])
+    def test_status_maps_to_error(self, monkeypatch, maj3, status, error, message, limits):
+        calls = []
+        result = SimpleNamespace(status=status, message="stub", x=None, nit=0, basis=None)
+        monkeypatch.setattr(lp, "linprog", lambda c, **kwargs: calls.append(c) or result)
+        with pytest.raises(error, match=message):
+            find_strategy(maj3, 1, "load", limits)
+        # status 2 is HiGHS's proof; a failure under a limit gets a phase-1
+        # LP, which fails here too and so decides nothing
+        assert len(calls) == (2 if status == 4 and limits.limits() else 1)
+
+
+class TestLimits:
+    def test_each_limit_is_the_bound_on_its_metric_in_row_order(self):
+        limits = Constraints(network_limit=3, latency_limit="1.5", capacity_limit=200).limits()
+        assert list(limits.items()) == [(Objective.LOAD, Fraction(1, 200)),
+                                        (Objective.LATENCY, Fraction(3, 2)),
+                                        (Objective.NETWORK, 3)]
+        assert Constraints().limits() == {}
+        assert Constraints(latency_limit=2).limits() == {Objective.LATENCY: 2}
+
+    @pytest.mark.parametrize("constraints", [
+        Constraints(capacity_limit=150, latency_limit=3, network_limit="5/2"),
+        Constraints(network_limit=3), Constraints()])
+    def test_the_lp_limit_rows_are_the_limits(self, monkeypatch, constraints):
+        seen, real = [], lp.linprog
+        monkeypatch.setattr(lp, "linprog",
+                            lambda c, **kwargs: seen.append(kwargs) or real(c, **kwargs))
+        qs = QuorumSystem(hetero_nodes(latencies=(4, 4, 1, 1)), reads="a*b + c*d")
+        find_strategy(qs, 1, "load", constraints)
+        (kwargs,) = seen
+        limits = constraints.limits()
+        # the node-load rows end in -1 on their L_f column; the limit rows come last
+        assert (kwargs["A_ub"][:, -1] == -1).sum() == len(kwargs["b_ub"]) - len(limits)
+        assert kwargs["b_ub"][len(kwargs["b_ub"]) - len(limits):].tolist() == [
+            float(v) for v in limits.values()]
+
+    def test_the_screen_reads_the_limits(self, maj3):
+        tol, above = lp.FEASIBILITY_TOL, float(1 + search_module._BOUND_MARGIN)
+        one = screen(maj3, 1, "load", constraints=Constraints(capacity_limit=150,
+                                                              network_limit=2))
+        assert one.kinds == [Objective.NETWORK]
+        assert one.ceiling.tolist() == [(2 + tol) * above]
+        assert one.max_load == (float(Fraction(1, 150)) + 2 * tol) * above
+        one = screen(maj3, 1, "latency")
+        assert (one.kinds, one.ceiling.tolist(), one.max_load) == (
+            [Objective.LATENCY], [math.inf], None)
 
 
 class TestNodeLoad:

@@ -223,6 +223,27 @@ class TestSearch:
         with pytest.raises(DomainError, match="objective must be load, latency or network"):
             SearchOptions(objective="fast")
 
+    @pytest.mark.parametrize("timeout", [True, False, "5", 1j, [1]])
+    def test_a_timeout_that_is_no_real_number_is_refused(self, timeout):
+        # True used to be taken as one second, and "5" ended in a TypeError
+        with pytest.raises(DomainError, match="^timeout must be positive and finite, got "):
+            SearchOptions(timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [5, 0.5, Fraction(1, 2)])
+    def test_a_timeout_that_is_a_positive_real_number_is_taken(self, timeout):
+        assert SearchOptions(timeout=timeout).timeout == timeout
+
+    def test_constraints_that_are_no_constraints_are_refused(self):
+        with pytest.raises(DomainError, match=r"^constraints must be a Constraints or None, "
+                                              r"got \{'capacity_limit': 1\}$"):
+            SearchOptions(constraints={"capacity_limit": 1})
+
+    def test_no_constraints_are_no_limits(self):
+        # None used to end in an AttributeError inside search()
+        options = SearchOptions(constraints=None)
+        assert options.constraints == Constraints()
+        assert outcome(hetero_nodes(), 1, options) == outcome(hetero_nodes(), 1, SearchOptions())
+
     @pytest.mark.parametrize("name,value", [
         (name, value) for name in ("min_fault_tolerance", "f", "budget")
         for value in (1.5, 2.0, True, "2")] + [("min_fault_tolerance", None), ("f", None)])
@@ -635,7 +656,8 @@ class TestGroups:
         nodes = [Node(x, read_cap=i + 1, latency=5 - i) for i, x in enumerate("abcd")]
         for objective in Objective:
             for constraints in (Constraints(), Constraints(capacity_limit=1, latency_limit=9)):
-                key = search_module._group_key(nodes, objective, constraints)
+                key = search_module._Screen(tuple(nodes), Workload.coerce(1), objective,
+                                            constraints, 0).group_key
                 shared = objective is Objective.NETWORK and constraints == Constraints()
                 assert (key is not None) == shared
 

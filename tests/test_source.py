@@ -244,6 +244,30 @@ def self_referring_closures(sources: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+LIMIT_FIELDS = ("capacity_limit", "latency_limit", "network_limit")
+
+
+def limit_readers(sources: dict[str, str]) -> list[str]:
+    """Where the named ``sources`` read an attribute of ``LIMIT_FIELDS``, as
+    ``module.Class.function`` qualified by every enclosing class and
+    function, or ``module`` at module level, once per place, sorted."""
+    found = set()
+
+    def visit(node, place: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{place}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in LIMIT_FIELDS
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(place)
+            visit(child, place)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
 def code_lines(source: str) -> int:
     """The lines of ``source`` that hold a token other than a comment, a
     newline or an indent, outside the docstring of the module, a class or a
@@ -546,6 +570,45 @@ def test_self_referring_closures_are_found():
         "        return count(self), self.size\n"
     )
     assert self_referring_closures({"m": source}) == ["m.count", "m.depth", "m.go"]
+
+
+def test_only_constraints_turns_a_limit_into_a_bound():
+    # Constraints.limits() lays out the LP's limit rows, the search screen's
+    # thresholds and the search's node types; a second reader of a limit
+    # field would be a second rule for what a limit bounds.
+    sources = {name: (PACKAGE / f"{name}.py").read_text() for name in ("optimize", "search")}
+    assert [place for place in limit_readers(sources)
+            if not place.startswith("optimize.Constraints.")] == []
+
+
+def test_limit_readers_are_found():
+    sources = {
+        "optimize": (
+            "class Constraints:\n"
+            "    def limits(self):\n"
+            "        return {'load': 1 / self.capacity_limit, 'latency': self.latency_limit}\n"
+            "def optimal(constraints):\n"
+            "    capacity = constraints.capacity_limit\n"
+            "    def rows():\n"
+            "        return [constraints.network_limit]\n"
+            "    return capacity, rows\n"
+            "def built(constraints):\n"
+            "    constraints.latency_limit = 2\n"
+            "    return getattr(constraints, 'network_limit'), constraints.limits()\n"
+        ),
+        "search": (
+            "class Screen:\n"
+            "    def __init__(self, constraints):\n"
+            "        self.max_load = 1 / float(constraints.capacity_limit)\n"
+            "def group_key(options):\n"
+            "    return options.constraints.latency_limit is not None\n"
+            "LIMIT = DEFAULT.network_limit\n"
+        ),
+    }
+    # writing a field, or naming it as a string, is not reading it
+    assert limit_readers(sources) == [
+        "optimize.Constraints.limits", "optimize.optimal", "optimize.optimal.rows", "search",
+        "search.Screen.__init__", "search.group_key"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():

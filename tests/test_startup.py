@@ -48,7 +48,7 @@ def test_a_command_does_not_import_scipy_optimize():
 
 
 # The small LP of test_lp.py, solved through lp.linprog and through
-# scipy.optimize.linprog with the tolerances lp.solve passes HiGHS. The
+# scipy.optimize.linprog with the tolerances lp.linprog passes HiGHS. The
 # binding is bound with "import ... as", which reads sys.modules: a binding
 # that quorumopt loaded is not an attribute of its parent package.
 IMPORT_ORDER = """
