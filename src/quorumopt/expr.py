@@ -360,9 +360,11 @@ def parse(text: str) -> Expression:
 
     Raises ParseError (with position) for malformed input, including more
     than ``NESTING_BOUND`` open parentheses, and DomainError for an
-    out-of-range choose threshold.
+    out-of-range choose threshold or for text that is no str.
     """
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise DomainError(f"expected expression text, got {text!r}")
+    if not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text).parse()
 
@@ -441,12 +443,6 @@ def to_masks(sets: Iterable[Iterable[str]], names: Sequence[str]) -> tuple[int, 
     """The mask of each set, as :func:`unmask` reads it; other names are dropped."""
     bit = _bits(names)
     return tuple(sum(bit.get(x, 0) for x in s) for s in sets)
-
-
-def mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """``bits[i, j]`` is 1 iff ``masks[j]`` holds the i-th of n names, as
-    :func:`unmask` reads it."""
-    return masks >> np.arange(n - 1, -1, -1)[:, None] & 1
 
 
 def _masks(e: Expression, names: Sequence[str]) -> tuple[int, ...]:

@@ -101,7 +101,10 @@ def read_fraction(value: Rational) -> Fraction:
 
 def _by_fraction(points: Mapping[Rational, Rational]) -> dict[Fraction, Fraction]:
     """``points`` with each key and value made exact by :func:`as_fraction`;
-    two keys that name one read fraction are refused."""
+    two keys that name one read fraction are refused, and so is a
+    ``points`` that is no mapping."""
+    if not isinstance(points, Mapping):
+        raise DomainError(f"a workload maps read fractions to numbers, got {points!r}")
     converted: dict[Fraction, Fraction] = {}
     for fr, value in points.items():
         fr = as_fraction(fr)
@@ -119,9 +122,9 @@ class Workload:
     """
 
     def __init__(self, points: Mapping[Rational, Rational]):
-        if not points:
-            raise DomainError("workload needs at least one read fraction")
         converted = _by_fraction(points)
+        if not converted:
+            raise DomainError("workload needs at least one read fraction")
         for fr, p in converted.items():
             read_fraction(fr)
             if not 0 <= p <= 1:
@@ -138,7 +141,7 @@ class Workload:
             return value
         if isinstance(value, Mapping):
             return cls(value)
-        return cls({value: 1})
+        return cls({as_fraction(value): 1})
 
     @classmethod
     def from_weights(cls, weights: Mapping[Rational, Rational]) -> "Workload":
@@ -178,6 +181,15 @@ WorkloadLike = Union[Workload, Rational, Mapping[Rational, Rational]]
 ExprLike = Union[_expr.Expression, str, None]
 
 
+def as_universe(nodes: Sequence[Node]) -> tuple[Node, ...]:
+    """``nodes`` as a tuple; DomainError if one of them is no Node."""
+    nodes = tuple(nodes)
+    for n in nodes:
+        if not isinstance(n, Node):
+            raise DomainError(f"a universe holds Nodes, got {n!r}")
+    return nodes
+
+
 def _coerce_expr(e: ExprLike) -> _expr.Expression | None:
     if e is None or isinstance(e, _expr.Expression):
         return e
@@ -193,7 +205,7 @@ class QuorumSystem:
     If only one side is given, the other is its dual: the optimal complement,
     which always intersects it. If both are given, construction checks that
     the nodes outside each minimal write quorum hold no read quorum, in one
-    tree pass over the masks of every minimal write quorum.
+    tree pass over the membership of every minimal write quorum.
 
     A family is a side or a side's dual, and each fact is kept once per
     family: its names, its minimal (f-resilient) quorums, enumerated on
@@ -202,16 +214,19 @@ class QuorumSystem:
     (:meth:`_least_size`). In a derived system the two sides are each
     other's duals; otherwise a side's dual is one more family. An
     expression that was not given, a derived system's missing side or a
-    side's dual, is built on first use. The name sets are unmasked from the
-    masks on each call. A side's fault tolerance is its dual's smallest
-    quorum less one; the walk of a given side that repeats no name finds
-    the smallest quorum of the side and of its dual, so neither enumerates.
+    side's dual, is built on first use. The masks stay in this module:
+    other modules read a side's quorums as its membership table over the
+    universe (:meth:`members`), cached next to the masks, or as name sets,
+    unmasked from the masks on each call. A side's fault tolerance is its
+    dual's smallest quorum less one; the walk of a given side that repeats
+    no name finds the smallest quorum of the side and of its dual, so
+    neither enumerates.
     A side over more than ``expr.ENUMERATION_BOUND`` names raises
     UniverseTooLarge at construction.
     """
 
     def __init__(self, universe: Sequence[Node], reads: ExprLike = None, writes: ExprLike = None):
-        universe = list(universe)
+        universe = as_universe(universe)
         names = [n.name for n in universe]
         if len(set(names)) != len(names):
             raise DomainError("node names must be unique within a universe")
@@ -243,29 +258,28 @@ class QuorumSystem:
             raise UnknownNode(f"expression names {unknown} are not in the universe")
         # Refuse now what enumerating a side's quorums would refuse on first use.
         _expr.check_enumeration_bound(max(len(read_names), len(write_names)))
-        self._universe = tuple(universe)
+        self._universe = universe
         self._nodes = {n.name: n for n in universe}
         # The given sides; the other families are built on first use.
         self._exprs = {side: e for side, e in (("read", reads), ("write", writes))
                        if e is not None}
         self._masks: dict[tuple[str, int], tuple[int, ...]] = {}
+        self._members: dict[tuple[str, int], np.ndarray] = {}
         if not derived:
             self._check_intersection()
 
     def _check_intersection(self) -> None:
         """Raise IntersectionViolation, naming the first disjoint pair in
         read-major order, if the reads hold on the complement of a minimal
-        write quorum: one tree pass over every write mask at once, where a
-        read name outside the write names is never in a write quorum."""
-        names, masks = self._names["write"], self._family("write")
-        outside = 1 - _expr.mask_bits(np.array(masks, dtype=np.int64), len(names))
-        alive = dict(zip(names, outside))
-        everywhere = np.ones(len(masks), dtype=np.int64)
-        missed = np.flatnonzero(_expr.fold(self._exprs["read"],
-                                           lambda x: alive.get(x, everywhere),
+        write quorum: one tree pass over the negated write table
+        (:meth:`members`), whose row of each universe node says which
+        minimal write quorums leave it out."""
+        outside = dict(zip((n.name for n in self._universe), ~self.members("write")))
+        missed = np.flatnonzero(_expr.fold(self._exprs["read"], outside.__getitem__,
                                            lambda values, k: np.sum(values, axis=0) >= k))
         if missed.size:
-            writes = _expr.unmask([masks[i] for i in missed], names)
+            masks = self._family("write")
+            writes = _expr.unmask([masks[i] for i in missed], self._names["write"])
             raise IntersectionViolation(*next(
                 (r, w) for r in self.read_minimal for w in writes if not r & w))
 
@@ -326,6 +340,22 @@ class QuorumSystem:
         there are some iff f is at most the side's fault tolerance."""
         self.side(side)  # rejects an unknown side
         return self._family(side, f)
+
+    def members(self, side: str, f: int = 0) -> np.ndarray:
+        """``table[node, j]`` is True iff the j-th of ``side``'s minimal
+        f-resilient quorums, in :meth:`quorum_masks` order, holds the node,
+        nodes in universe order; a node outside the side is in none. Built
+        once per (side, f) from the masks and kept, read-only: every caller
+        shares it. This is the form in which a quorum family leaves the
+        model: the LP, the search's screen and the quorum metrics read it."""
+        masks = self.quorum_masks(side, f)
+        if (side, f) not in self._members:
+            bit = _expr._bits(self._names[side])
+            column = np.array([bit.get(n.name, 0) for n in self._universe], dtype=np.int64)
+            table = (column[:, None] & np.array(masks, dtype=np.int64)) != 0
+            table.flags.writeable = False
+            self._members[side, f] = table
+        return self._members[side, f]
 
     def _family(self, family: str, f: int = 0) -> tuple[int, ...]:
         """The minimal f-resilient quorums of a family, a side or a side's

@@ -28,6 +28,11 @@ A query's limits are read once, in :meth:`Constraints.limits`, which
 turns each into the bound on its metric: the LP's limit rows take them,
 and so do the search's thresholds and node types.
 
+A quorum family reaches this module in one form: the membership table
+:meth:`QuorumSystem.members`, cached per side and f, with no bitmask. The
+LP's columns, load rows and costs read it, and so do the search's screen,
+through :func:`_stacked` and :func:`_quorum_metric`.
+
 This module holds strategies, their exact metrics and the LP, and no bound
 on what an LP could reach: the search's screen (:mod:`quorumopt.search`)
 owns those, and reads from here the tables that the LP is built from,
@@ -38,11 +43,12 @@ margin ``_BOUND_MARGIN``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -156,6 +162,8 @@ class Strategy:
         e = self._qs.side(side)
         entries = []
         for quorum, prob in dist:
+            if isinstance(quorum, str):
+                raise DomainError(f"a quorum is a set of node names, got the text {quorum!r}")
             quorum = frozenset(quorum)
             for name in sorted(quorum):
                 self._qs.node(name)  # raises UnknownNode outside the universe
@@ -256,41 +264,38 @@ class Strategy:
 
 
 def _quorum_metric(
-    qs: QuorumSystem, kind: Objective, side: str, held: Mapping[str, np.ndarray]
+    qs: QuorumSystem, kind: Objective, side: str, f: int
 ) -> tuple[np.ndarray, list[Fraction] | range]:
-    """The latency or node count of each quorum of ``side``, whose membership
-    ``held[name][quorum]`` gives for each of the side's names, as indices
-    into a list of exact values.
+    """The latency or node count of each minimal f-resilient quorum of
+    ``side``, in :meth:`QuorumSystem.members` order, as indices into a list
+    of exact values, read off the side's membership table.
 
     Latency is :func:`quorum_latency` on every quorum in one tree pass: a
-    variable gives its latency's rank among the side's distinct latencies
-    where the quorum holds it, else a rank past them all, and a node that
-    takes k children the k-th smallest child rank."""
-    names = qs.side_names(side)
+    variable gives its latency's rank among the universe's distinct
+    latencies where the quorum holds it, else a rank past them all, and a
+    node that takes k children the k-th smallest child rank."""
+    held = qs.members(side, f)
     if kind is Objective.NETWORK:
-        return sum(held[x] for x in names).astype(int), range(len(names) + 1)
-    values = sorted({qs.node(x).latency for x in names})
-    rank = {v: i for i, v in enumerate(values)}
-    ranks = {x: np.where(held[x], rank[qs.node(x).latency], len(values)) for x in names}
+        return held.sum(axis=0), range(len(held) + 1)
+    values = sorted({n.latency for n in qs.universe})
+    rank = np.array([[values.index(n.latency)] for n in qs.universe])
+    ranks = dict(zip((n.name for n in qs.universe), np.where(held, rank, len(values))))
     return _expr.fold(qs.side(side), ranks.__getitem__,
                       lambda rows, k: np.partition(rows, k - 1, axis=0)[k - 1]), values
 
 
 def _stacked(systems: list[QuorumSystem], side: str, f: int) -> np.ndarray:
     """``member[row, node, j]`` is 1 iff the j-th minimal f-resilient quorum
-    of ``side`` of the row's system holds the node, nodes in the universe
-    order of the first system, which every system shares. Rows with fewer
-    quorums are padded with all-ones quorums: one holds every node, so it
-    costs at least as much as any quorum and, coming last, changes neither
-    the least cost nor the first quorum that has it."""
-    masks = [qs.quorum_masks(side, f) for qs in systems]
-    position = {n.name: i for i, n in enumerate(systems[0].universe)}
-    member = np.ones((len(systems), len(position), max(map(len, masks))))
-    for row, (qs, m) in enumerate(zip(systems, masks)):
-        names = qs.side_names(side)
-        held = member[row, :, : len(m)]
-        held[:] = 0.0
-        held[[position[x] for x in names]] = _expr.mask_bits(np.array(m, dtype=np.int64), len(names))
+    of ``side`` of the row's system holds the node: each system's
+    :meth:`QuorumSystem.members` table, nodes in universe order, which every
+    system shares. Rows with fewer quorums are padded with all-ones quorums:
+    one holds every node, so it costs at least as much as any quorum and,
+    coming last, changes neither the least cost nor the first quorum that
+    has it."""
+    tables = [qs.members(side, f) for qs in systems]
+    member = np.ones((len(systems), len(systems[0].universe), max(t.shape[1] for t in tables)))
+    for row, table in zip(member, tables):
+        row[:, : table.shape[1]] = table
     return member
 
 
@@ -323,7 +328,7 @@ def find_strategy(
 
     The LP's columns are the selection probabilities of the minimal
     f-resilient read quorums, then of the write quorums, each in [0, 1] and
-    in :meth:`QuorumSystem.quorum_masks` order, then one load L_f >= 0 per
+    in :meth:`QuorumSystem.members` order, then one load L_f >= 0 per
     read fraction f, in workload order. Its rows:
 
     * two equalities: each side's probabilities sum to 1;
@@ -335,9 +340,11 @@ def find_strategy(
 
     Each metric is one cost vector, used as the objective or as a limit row:
     load is the expected L_f (a capacity limit c bounds it by 1/c), latency
-    and network are the expected quorum latency and quorum size. Only the
-    quorums that the solution selects with probability above 1e-9 are
-    unmasked into name sets, for the returned Strategy.
+    and network are the expected quorum latency and quorum size. The
+    columns, the load rows and the latency and network costs all read each
+    side's :meth:`QuorumSystem.members` table; only the quorums that the
+    solution selects with probability above 1e-9 are read off it into name
+    sets, for the returned Strategy.
 
     Raises Infeasible when no strategy satisfies the constraints and
     NoResilientQuorum when a side has no f-resilient quorum at all. When
@@ -354,28 +361,25 @@ def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: C
     """:func:`find_strategy`'s strategy, with HiGHS's optimal basis, solved
     from ``basis``, that of an earlier LP of the same shape, or cold if it
     is None."""
-    pools = {side: qs.quorum_masks(side, f) for side in ("read", "write")}
-    columns = [(side, m) for side, pool in pools.items() for m in pool]
-    is_write = np.repeat([0, 1], [len(pool) for pool in pools.values()])
+    sides = ("read", "write")
+    tables = [qs.members(side, f) for side in sides]
+    member = np.hstack(tables)  # [node, column]: whether the column's quorum holds the node
+    is_write = np.repeat([0, 1], [t.shape[1] for t in tables])
     points = w.items()
-    nq, nl = len(columns), len(points)
+    nq, nl = member.shape[1], len(points)
     share = _shares(w.mean_read_fraction)
-    # held[side][node, j]: whether the side's j-th quorum holds the node
-    held = {side: _stacked([qs], side, f)[0] for side in pools}
 
     @cache
     def cost(kind: Objective) -> np.ndarray:
         if kind is Objective.LOAD:
             return np.array([0.0] * nq + [float(p) for _, p in points])
         parts = []
-        for s in pools:
-            rows = {n.name: row for n, row in zip(qs.universe, held[s])}
-            index, values = _quorum_metric(qs, kind, s, rows)
+        for s in sides:
+            index, values = _quorum_metric(qs, kind, s, f)
             parts.append(np.array([float(share[s] * v) for v in values])[index])
         return np.concatenate(parts + [np.zeros(nl)])
 
     limits = constraints.limits()
-    member = np.hstack(list(held.values()))  # [node, column]
     used = np.flatnonzero(member.any(axis=1))
     coef = _unit_loads(qs.universe, w)[used]
     nload = len(used) * nl
@@ -400,12 +404,11 @@ def _optimal(qs: QuorumSystem, w: Workload, objective: Objective, constraints: C
                 a_ub, b_ub, nload, a_eq, bounds) > _BOUND_MARGIN:
             raise Infeasible("constraints are unsatisfiable")
         raise SolverFailure(f"LP solve failed: {result.message}")
-    dist = {side: [] for side in pools}
-    for (s, mask), p in zip(columns, result.x):
-        p = min(float(p), 1.0)  # solver round-off can spill past 1
-        if p > 1e-9:
-            (quorum,) = _expr.unmask([mask], qs.side_names(s))
-            dist[s].append((quorum, Fraction(p)))
+    dist = {side: [] for side in sides}
+    for j in np.flatnonzero(result.x[:nq] > 1e-9):
+        p = min(float(result.x[j]), 1.0)  # solver round-off can spill past 1
+        quorum = frozenset(n.name for n in itertools.compress(qs.universe, member[:, j]))
+        dist[sides[is_write[j]]].append((quorum, Fraction(p)))
     return Strategy(qs, *dist.values(), f=f), result.basis
 
 

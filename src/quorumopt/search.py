@@ -94,7 +94,7 @@ import numpy as np
 from . import expr as _expr
 from . import lp
 from .errors import DomainError, Infeasible, NoFeasibleCandidate
-from .model import Node, QuorumSystem, Workload, WorkloadLike
+from .model import Node, QuorumSystem, Workload, WorkloadLike, as_universe
 from .optimize import (
     _BOUND_MARGIN,
     Constraints,
@@ -314,15 +314,12 @@ class _Screen:
         """The least latency or node count of a minimal f-resilient quorum of
         ``side``. The node count is :meth:`QuorumSystem._least_size`. The
         latency, for f = 0, is computed on the expression tree; else priced by
-        :func:`_quorum_metric` from the side's cached masks, unpacked over the
-        side's names alone."""
+        :func:`_quorum_metric` from the side's cached membership table, which
+        the ascent and the candidate's LP read too."""
         if kind is Objective.NETWORK:
             return float(qs._least_size(side, self.f))
         if self.f > 0:
-            names = qs.side_names(side)
-            masks = np.array(qs.quorum_masks(side, self.f), dtype=np.int64)
-            index, values = _quorum_metric(qs, kind, side,
-                                           dict(zip(names, _expr.mask_bits(masks, len(names)))))
+            index, values = _quorum_metric(qs, kind, side, self.f)
             return float(values[index.min()])
         return _expr.min_quorum_latency(qs.side(side), self.latency)
 
@@ -425,10 +422,15 @@ def search(
 
     Raises NoFeasibleCandidate if no candidate taken was feasible,
     SolverFailure if the LP backend fails on one, and DomainError for a
-    universe that is empty, holds more than ``SEARCH_NODE_BOUND`` nodes or
-    repeats a name, or for a workload that is no distribution.
+    universe that is empty, holds more than ``SEARCH_NODE_BOUND`` nodes,
+    holds something other than a Node or repeats a name, for a workload
+    that is no distribution, or for options that are no SearchOptions.
     """
-    options = options or SearchOptions()
+    if options is None:
+        options = SearchOptions()
+    elif not isinstance(options, SearchOptions):
+        raise DomainError(f"options must be a SearchOptions or None, got {options!r}")
+    universe = as_universe(universe)
     w = Workload.coerce(workload)
     names = sorted(node.name for node in universe)
     objective, constraints, f = options.objective, options.constraints, options.f
@@ -436,7 +438,7 @@ def search(
     maximize = objective is Objective.LOAD  # capacity: higher is better
     band = float(1 + _TIE if maximize else 1 - _TIE)
 
-    screen = _Screen(tuple(universe), w, objective, constraints, f)
+    screen = _Screen(universe, w, objective, constraints, f)
     groups: set[str] = set()
 
     start = time.monotonic()

@@ -106,6 +106,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("   ")
 
+    @pytest.mark.parametrize("text", [5, None, ["a"]])
+    def test_text_that_is_no_str_is_refused(self, text):
+        with pytest.raises(DomainError, match="^expected expression text, got "):
+            parse(text)
+
     def test_whitespace_insignificant(self):
         assert parse(" a *b+ c ") == parse("a*b + c")
 

@@ -122,6 +122,15 @@ class TestWorkload:
         with pytest.raises(DomainError, match="^duplicate read fraction 1/2$"):
             build({"0.5": Fraction(1, 4), "1/2": Fraction(1, 4), 0.9: Fraction(1, 2)})
 
+    @pytest.mark.parametrize("build", [Workload, Workload.from_weights])
+    def test_points_that_are_no_mapping_are_refused(self, build):
+        with pytest.raises(DomainError, match=r"maps read fractions to numbers, got \[0\.5\]"):
+            build([0.5])
+
+    def test_coerce_refuses_a_list(self):
+        with pytest.raises(DomainError, match=r"cannot interpret \[0\.5\] as a rational"):
+            Workload.coerce([0.5])
+
     def test_mean(self):
         w = Workload({0: Fraction(1, 2), 1: Fraction(1, 2)})
         assert w.mean_read_fraction == Fraction(1, 2)
@@ -203,6 +212,10 @@ class TestQuorumSystem:
     def test_duplicate_names_rejected(self):
         with pytest.raises(DomainError):
             QuorumSystem([Node("a"), Node("a")], reads="a")
+
+    def test_a_universe_entry_that_is_no_node_is_refused(self):
+        with pytest.raises(DomainError, match="a universe holds Nodes, got 'a'"):
+            QuorumSystem(["a"], reads="a")
 
     def test_some_side_required(self):
         with pytest.raises(DomainError):
@@ -538,6 +551,50 @@ class TestResilientQuorums:
             for s in stronger:
                 # every f-resilient quorum is (f-1)-resilient
                 assert any(w <= s for w in weaker)
+
+
+class TestMembers:
+    """``QuorumSystem.members``, the membership table of a side's minimal
+    f-resilient quorums over the universe, the one form in which a quorum
+    family leaves the model."""
+
+    @given(st.one_of(duplicate_free_expressions(), expressions()), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_exhaustive_oracle(self, e, both_given):
+        # a spare node, and a universe order that is not the sorted names'
+        universe = nodes(["z"] + sorted(e.names(), reverse=True))
+        sides = dict(reads=e, writes=e.dual()) if both_given else dict(reads=e)
+        qs = QuorumSystem(universe, **sides)
+        for side in ("read", "write"):
+            for f in (0, 1):
+                expected = (exhaustive_minimal_sets(qs.side(side)) if f == 0
+                            else exhaustive_resilient(qs, side, f))
+                if not expected:
+                    with pytest.raises(NoResilientQuorum):
+                        qs.members(side, f)
+                    continue
+                table = qs.members(side, f)
+                assert table.dtype == bool
+                assert table.tolist() == [[n.name in q for q in expected] for n in universe]
+                assert qs.resilient_quorums(side, f) == expected  # quorum_masks order
+                outside = [i for i, n in enumerate(universe) if n.name not in qs.side_names(side)]
+                assert not table[outside].any()
+
+    def test_a_second_call_returns_the_cached_table(self):
+        qs = QuorumSystem(nodes("abcde"), reads="choose(2, [a, b*c, d + e])")
+        for side in ("read", "write"):
+            for f in (0, 1):
+                table = qs.members(side, f)
+                assert qs.members(side, f) is table
+                assert not table.flags.writeable
+        assert qs.members("read", 0) is not qs.members("read", 1)
+
+    def test_refuses_what_quorum_masks_refuses(self):
+        qs = QuorumSystem(nodes("ab"), reads="a + b")
+        qs.members("read", 1)  # the entry that True would find
+        for side, f in (("sideways", 0), ("read", -1), ("read", True)):
+            with pytest.raises(DomainError):
+                qs.members(side, f)
 
 
 class TestLeastSize:

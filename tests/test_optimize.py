@@ -31,6 +31,7 @@ from quorumopt.optimize import (
     Objective,
     Strategy,
     capacity_curve,
+    _quorum_metric,
     find_strategy,
     quorum_latency,
     throughput_breakdown,
@@ -135,6 +136,25 @@ class TestQuorumLatency:
                 got = np.asarray(c[:len(columns)])
                 assert got.tobytes() == np.array(costs).tobytes()
                 assert not np.any(c[len(columns):])
+
+    @given(st.one_of(expressions(), duplicate_free_expressions()), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_quorum_metric_matches_each_quorum(self, e, both_given, data):
+        # _quorum_metric reads the side's membership table over a universe
+        # with a spare node and in reverse order of the names
+        latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
+        universe = [Node(x, latency=data.draw(latencies))
+                    for x in ["z"] + sorted(e.names(), reverse=True)]
+        sides = dict(reads=e, writes=e.dual()) if both_given else dict(reads=e)
+        qs = QuorumSystem(universe, **sides)
+        for side in ("read", "write"):
+            for f in range(min(qs.fault_tolerance(), 1) + 1):
+                pool = qs.resilient_quorums(side, f)
+                expected = {Objective.LATENCY: [quorum_latency(qs, side, q) for q in pool],
+                            Objective.NETWORK: [len(q) for q in pool]}
+                for kind, costs in expected.items():
+                    index, values = _quorum_metric(qs, kind, side, f)
+                    assert [values[i] for i in index] == costs
 
     def test_max_over_equal_latencies(self, grid):
         assert quorum_latency(grid, "read", {"c", "d"}) == 1
@@ -512,6 +532,12 @@ class TestMetrics:
             with pytest.raises(DomainError, match=f"probability {p} is outside"):
                 Strategy(maj3, [({"a", "b"}, p)], [({"a", "b"}, 1)])
 
+    def test_a_quorum_given_as_text_is_refused(self):
+        # "ab" used to be read as the set of its characters, {a, b}
+        qs = QuorumSystem(plain("abc"), reads="choose(2, [a, b, c])")
+        with pytest.raises(DomainError, match="^a quorum is a set of node names, got the text"):
+            Strategy(qs, [("ab", 1)], [({"a", "c"}, 1)])
+
     def test_a_quorum_naming_a_node_outside_the_universe_is_rejected(self, maj3):
         # a superset of a quorum, but zzz is no node: it must not count
         # towards the network load nor get a row of its own
@@ -742,15 +768,15 @@ class TestLeastCost:
     @given(st.one_of(expressions(), duplicate_free_expressions()), st.data())
     @settings(max_examples=100, deadline=None)
     def test_resilient_quorums_are_priced_from_their_masks(self, e, data):
-        # The f > 0 bounds unpack the side's cached masks over its own names:
-        # no membership matrix over the universe (_stacked, as the search
-        # module reads it) is built.
+        # The f > 0 bounds price the side's cached membership table
+        # (_quorum_metric) alone: no padded batch of tables (_stacked, as the
+        # search module reads it) is built.
         latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
         qs = QuorumSystem([Node(x, latency=data.draw(latencies)) for x in sorted(e.names())],
                           reads=e)
 
         def unused(systems, side, f):
-            raise AssertionError("_least_cost built a membership matrix over the universe")
+            raise AssertionError("_least_cost built a padded batch of membership tables")
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(search_module, "_stacked", unused)

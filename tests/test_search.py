@@ -233,6 +233,17 @@ class TestSearch:
     def test_a_timeout_that_is_a_positive_real_number_is_taken(self, timeout):
         assert SearchOptions(timeout=timeout).timeout == timeout
 
+    @pytest.mark.parametrize("options", [{}, {"objective": "latency"}])
+    def test_options_that_are_no_search_options_are_refused(self, options):
+        # {} used to run with the defaults, and a nonempty dict ended in an
+        # AttributeError
+        with pytest.raises(DomainError, match=r"^options must be a SearchOptions or None, got "):
+            search(hetero_nodes(), 1, options)
+
+    def test_a_universe_of_names_is_refused(self):
+        with pytest.raises(DomainError, match="a universe holds Nodes, got 'a'"):
+            search(["a", "b"], Fraction(1, 2))
+
     def test_constraints_that_are_no_constraints_are_refused(self):
         with pytest.raises(DomainError, match=r"^constraints must be a Constraints or None, "
                                               r"got \{'capacity_limit': 1\}$"):

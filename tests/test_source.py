@@ -245,27 +245,51 @@ def self_referring_closures(sources: dict[str, str]) -> list[str]:
 
 
 LIMIT_FIELDS = ("capacity_limit", "latency_limit", "network_limit")
+# What a quorum's bitmask is read or made with. The masks stay in model.py,
+# over the layout that expr.py defines; every other module reads a quorum
+# family as QuorumSystem.members, its membership table.
+MASK_NAMES = ("quorum_masks", "_family", "_masks", "unmask", "to_masks", "_bits", "mask_bits")
+MASK_OWNERS = ("model", "expr")
 
 
-def limit_readers(sources: dict[str, str]) -> list[str]:
-    """Where the named ``sources`` read an attribute of ``LIMIT_FIELDS``, as
-    ``module.Class.function`` qualified by every enclosing class and
-    function, or ``module`` at module level, once per place, sorted."""
+def readers(sources: dict[str, str], names: tuple[str, ...]) -> list[str]:
+    """Where the named ``sources`` read one of ``names``, as a name, an
+    attribute or an import, as ``module.Class.function`` qualified by every
+    enclosing class and function, or ``module`` at module level, once per
+    place, sorted. Defining or writing a name, or naming it in a string,
+    is not reading it."""
     found = set()
+
+    def read(node) -> bool:
+        if isinstance(node, ast.alias):
+            return bool(set(node.name.split(".")) & set(names))
+        if isinstance(node, ast.Attribute):
+            return node.attr in names and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load)
 
     def visit(node, place: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{place}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in LIMIT_FIELDS
-                    and isinstance(child.ctx, ast.Load)):
+            if read(child):
                 found.add(place)
             visit(child, place)
 
     for module, source in sources.items():
         visit(ast.parse(source), module)
     return sorted(found)
+
+
+def limit_readers(sources: dict[str, str]) -> list[str]:
+    """Where the named ``sources`` read a field of ``LIMIT_FIELDS``."""
+    return readers(sources, LIMIT_FIELDS)
+
+
+def mask_readers(sources: dict[str, str]) -> list[str]:
+    """Where the named ``sources`` read or make a quorum's bitmask, by a
+    name of ``MASK_NAMES``."""
+    return readers(sources, MASK_NAMES)
 
 
 def code_lines(source: str) -> int:
@@ -609,6 +633,45 @@ def test_limit_readers_are_found():
     assert limit_readers(sources) == [
         "optimize.Constraints.limits", "optimize.optimal", "optimize.optimal.rows", "search",
         "search.Screen.__init__", "search.group_key"]
+
+
+def test_only_the_model_reads_a_quorum_mask():
+    # A quorum family leaves model.py as its membership table,
+    # QuorumSystem.members; a module that reads a mask would know the bit
+    # layout, a second owner of it.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem not in MASK_OWNERS}
+    assert mask_readers(sources) == []
+
+
+def test_mask_readers_are_found():
+    sources = {
+        "optimize": (
+            "from . import expr as _expr\n"
+            "def optimal(qs, f):\n"
+            "    pools = {side: qs.quorum_masks(side, f) for side in ('read', 'write')}\n"
+            "    def quorum(mask, names):\n"
+            "        return _expr.unmask([mask], names)\n"
+            "    return pools, quorum\n"
+            "def table(qs):\n"
+            "    return qs.members('read')\n"
+        ),
+        "search": (
+            "from .expr import mask_bits\n"
+            "class Screen:\n"
+            "    def least(self, qs, side):\n"
+            "        return qs._family(side, self.f)\n"
+            "    def named(self):\n"
+            "        return 'quorum_masks'\n"
+            "def bits(names):\n"
+            "    _bits = {}\n"
+            "    return names\n"
+        ),
+    }
+    # naming a mask reader in a string, or binding a name of it, as named
+    # and bits do, reads no mask
+    assert mask_readers(sources) == [
+        "optimize.optimal", "optimize.optimal.quorum", "search", "search.Screen.least"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
