@@ -439,12 +439,6 @@ def unmask(masks: Iterable[int], names: Sequence[str]) -> list[frozenset[str]]:
     return [frozenset(x for x, b in bits if m & b) for m in masks]
 
 
-def to_masks(sets: Iterable[Iterable[str]], names: Sequence[str]) -> tuple[int, ...]:
-    """The mask of each set, as :func:`unmask` reads it; other names are dropped."""
-    bit = _bits(names)
-    return tuple(sum(bit.get(x, 0) for x in s) for s in sets)
-
-
 def _masks(e: Expression, names: Sequence[str]) -> tuple[int, ...]:
     """The minimal sets of e as masks over ``names``, which must hold every
     name of e (else KeyError), in the canonical order of :func:`minimal_sets`."""

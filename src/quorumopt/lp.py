@@ -15,8 +15,9 @@ departs from scipy in one place: a model that HiGHS refuses, at
 ``passModel`` (a coefficient of magnitude 1e15 or more) or as
 ``kModelError``, is a solver failure (status 4) here, where scipy reports
 it as infeasible (status 2); status 2 means that HiGHS proved the model
-infeasible. Required accuracy: feasibility violation <= 1e-9, objective gap
-<= 1e-6.
+infeasible. A ``MemoryError`` raised while HiGHS takes or solves a model is
+a solver failure too, whose message gives the model's size. Required
+accuracy: feasibility violation <= 1e-9, objective gap <= 1e-6.
 
 Every solve runs on one kept HiGHS instance, configured once: a solve
 passes it the next model, which clears its solver state, and hands back
@@ -126,13 +127,13 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, basis=None):
     array; ``bounds`` is (n, 2), with ``np.inf`` for no bound.
 
     Returns an object with ``status`` (scipy's codes: 0 optimal, 2
-    infeasible, 4 any other failure), ``x`` (None unless HiGHS found an
-    optimum), ``nit`` (simplex iterations), ``message`` and ``basis``
-    (HiGHS's basis at the optimum, None when x is). Status 2 is
-    only HiGHS's proof of infeasibility; a model it refuses is status 4,
-    where scipy gives 2. An optimal x that misses a bound or a row by more
-    than ``_CHECK_TOL`` is reported as status 4, as scipy's linprog
-    reports it.
+    infeasible, 4 any other failure, running out of memory included),
+    ``x`` (None unless HiGHS found an optimum), ``nit`` (simplex
+    iterations), ``message`` and ``basis`` (HiGHS's basis at the optimum,
+    None when x is). Status 2 is only HiGHS's proof of infeasibility; a
+    model it refuses is status 4, where scipy gives 2. An optimal x that
+    misses a bound or a row by more than ``_CHECK_TOL`` is reported as
+    status 4, as scipy's linprog reports it.
 
     ``basis``, a basis that HiGHS returned for an LP of the same shape,
     starts the simplex there and skips presolve. A warm solve that does not
@@ -180,13 +181,20 @@ def _instance() -> _Highs:
 def _run(lp: HighsLp, basis, a, b_ub, b_eq, bounds) -> SimpleNamespace:
     """One HiGHS run of ``lp``, whose rows are ``a``, from ``basis`` unless
     it is None, on the kept instance; see :func:`linprog`."""
+    global _kept
     highs = _instance()
-    if highs.passModel(lp) == HighsStatus.kError:
-        return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model",
-                               basis=None)
-    if basis is not None:
-        highs.setBasis(basis)  # a basis of another shape is refused, and the run starts cold
-    highs.run()  # a failed run leaves a model status other than kOptimal
+    try:
+        if highs.passModel(lp) == HighsStatus.kError:
+            return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model",
+                                   basis=None)
+        if basis is not None:
+            highs.setBasis(basis)  # a basis of another shape is refused, and the run starts cold
+        highs.run()  # a failed run leaves a model status other than kOptimal
+    except MemoryError:
+        _kept = None  # its state is unknown; the next solve makes a new instance
+        message = (f"HiGHS ran out of memory on a model of {len(a)} rows, {a.shape[1]} columns "
+                   f"and {np.count_nonzero(a)} nonzeros")
+        return SimpleNamespace(status=4, x=None, nit=0, message=message, basis=None)
     model = highs.getModelStatus()
     info = highs.getInfo()
     nit = info.simplex_iteration_count

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -223,6 +223,15 @@ class QuorumSystem:
     neither enumerates.
     A side over more than ``expr.ENUMERATION_BOUND`` names raises
     UniverseTooLarge at construction.
+
+    A quorum that a caller gives, to :meth:`is_read_quorum`,
+    :meth:`is_write_quorum` and :meth:`is_resilient` here, and to
+    ``optimize.quorum_latency`` and ``optimize.Strategy``, is any iterable
+    of node names of the universe, read once by :meth:`node_set` into a
+    frozenset. A ``str``, which is no set of names, an ``int`` or another
+    object that is no iterable, and a member that cannot be hashed, such
+    as a list, raise DomainError; a name outside the universe raises
+    UnknownNode.
     """
 
     def __init__(self, universe: Sequence[Node], reads: ExprLike = None, writes: ExprLike = None):
@@ -314,11 +323,29 @@ class QuorumSystem:
 
     # -- membership ---------------------------------------------------------
 
-    def is_read_quorum(self, names: AbstractSet[str]) -> bool:
-        return self.reads.evaluate(names)
+    def node_set(self, quorum: Iterable[str]) -> frozenset[str]:
+        """``quorum`` as the frozenset of its node names: the one reading of
+        a quorum that a caller gives. A ``str``, which would be read as the
+        set of its characters, an object that is no iterable, or a member
+        that cannot be hashed raises DomainError; a name outside the
+        universe raises UnknownNode, for the first such name in sorted
+        order. A name of the universe that is on neither side is kept."""
+        if isinstance(quorum, str):
+            raise DomainError(f"a quorum is a set of node names, got the text {quorum!r}")
+        try:
+            names = frozenset(quorum)
+        except TypeError:  # no iterable, or a member that cannot be hashed
+            raise DomainError(f"a quorum is a set of node names, got {quorum!r}") from None
+        unknown = names.difference(self._nodes)
+        if unknown:
+            raise UnknownNode(f"no node named {min(unknown, key=str)!r}")
+        return names
 
-    def is_write_quorum(self, names: AbstractSet[str]) -> bool:
-        return self.writes.evaluate(names)
+    def is_read_quorum(self, names: Iterable[str]) -> bool:
+        return self.reads.evaluate(self.node_set(names))
+
+    def is_write_quorum(self, names: Iterable[str]) -> bool:
+        return self.writes.evaluate(self.node_set(names))
 
     def side(self, side: str) -> _expr.Expression:
         """The expression of ``side``, which must be "read" or "write"."""
@@ -413,17 +440,19 @@ class QuorumSystem:
 
     # -- resilient quorums ---------------------------------------------------
 
-    def is_resilient(self, side: str, quorum: AbstractSet[str], f: int) -> bool:
+    def is_resilient(self, side: str, quorum: Iterable[str], f: int) -> bool:
         """True iff ``quorum`` stays a quorum of ``side`` after the removal of
         any f of its nodes, so never for f or fewer nodes: iff it holds one
         of the side's minimal f-resilient quorums (:meth:`quorum_masks`),
         which the first call for a (side, f) sweeps for. False for every set
-        past the side's fault tolerance; a negative f raises DomainError."""
+        past the side's fault tolerance; a negative f raises DomainError
+        before the quorum is read (:meth:`node_set`)."""
         try:
             masks = self.quorum_masks(side, f)
         except NoResilientQuorum:
-            return False
-        (s,) = _expr.to_masks([quorum], self._names[side])
+            masks = ()
+        bit = _expr._bits(self._names[side])
+        s = sum(bit.get(x, 0) for x in self.node_set(quorum))
         return any(s & m == m for m in masks)
 
     def resilient_quorums(self, side: str, f: int) -> list[frozenset[str]]:

@@ -125,9 +125,10 @@ def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fracti
 
     Nodes respond in latency order, so the answer is the latency of the
     fastest sub-quorum: :func:`expr.min_quorum_latency` with every node
-    outside ``quorum`` at infinity, exact for every expression.
+    outside ``quorum`` at infinity, exact for every expression. ``quorum``
+    is read by :meth:`QuorumSystem.node_set`.
     """
-    quorum = frozenset(quorum)
+    quorum = qs.node_set(quorum)
     latency = dict.fromkeys(qs.side_names(side), math.inf)
     latency.update((x, qs.node(x).latency) for x in quorum)
     fastest = _expr.min_quorum_latency(qs.side(side), latency)
@@ -143,7 +144,15 @@ def _shares(fr: Fraction) -> dict[str, Fraction]:
 
 class Strategy:
     """Probability distributions over read and write quorums of a quorum
-    system, with exact metric recomputation."""
+    system, with exact metric recomputation.
+
+    Each distribution is an iterable of (quorum, probability) pairs. A
+    quorum is an iterable of node names, read by
+    :meth:`QuorumSystem.node_set`: a ``str``, an ``int`` or a list among
+    its names raises DomainError, and a name outside the universe
+    UnknownNode. It must be a quorum of its side, f-resilient when f > 0,
+    and each side's probabilities must sum to 1 within 1e-6, else
+    DomainError."""
 
     def __init__(
         self,
@@ -162,11 +171,7 @@ class Strategy:
         e = self._qs.side(side)
         entries = []
         for quorum, prob in dist:
-            if isinstance(quorum, str):
-                raise DomainError(f"a quorum is a set of node names, got the text {quorum!r}")
-            quorum = frozenset(quorum)
-            for name in sorted(quorum):
-                self._qs.node(name)  # raises UnknownNode outside the universe
+            quorum = self._qs.node_set(quorum)
             prob = as_fraction(prob)
             if not 0 <= prob <= 1:
                 raise DomainError(f"probability {prob} is outside [0, 1]")

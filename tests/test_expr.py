@@ -16,6 +16,7 @@ from quorumopt.expr import (
     Choose,
     Or,
     Var,
+    _masks,
     _survey,
     and_,
     canonical,
@@ -27,7 +28,6 @@ from quorumopt.expr import (
     or_,
     parse,
     threshold,
-    to_masks,
     unmask,
 )
 from quorumopt.oracle import exhaustive_minimal_sets, truth_table
@@ -386,19 +386,11 @@ class TestMasks:
             assert sizes[0] == min(len(s) for s in exhaustive_minimal_sets(e))
             assert sizes[1] == min(len(s) for s in exhaustive_minimal_sets(e.dual()))
 
-    @given(st.one_of(expressions(), duplicate_free_expressions()))
-    @settings(max_examples=200, deadline=None)
-    def test_masks_round_trip(self, e):
-        names = sorted(e.names())
-        quorums = minimal_sets(e)
-        assert unmask(to_masks(quorums, names), names) == quorums
-        assert to_masks([{"z"} | quorums[0]], names) == to_masks(quorums[:1], names)
-
     @given(st.one_of(expressions(), duplicate_free_expressions()), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_transversals_match_brute_force(self, e, f):
         names = sorted(e.names())
-        family = to_masks(minimal_sets(e), names)
+        family = _masks(e, names)
         got = unmask(minimal_transversals(family, len(names), f), names)
         hits = [
             frozenset(s) for k in range(len(names) + 1)

@@ -256,6 +256,62 @@ class TestWarmStart:
         assert rows == [(fr, find_strategy(qs, fr).capacity(fr)) for fr in grid]
 
 
+class _OutOfMemory:
+    """A HiGHS instance whose ``failing`` method raises MemoryError, as the
+    binding does when HiGHS cannot allocate; no memory is taken."""
+
+    def __init__(self, highs, failing):
+        self._highs, self._failing = highs, failing
+
+    def __getattr__(self, name):
+        if name == self._failing:
+            def fail(*args):
+                raise MemoryError
+            return fail
+        return getattr(self._highs, name)
+
+
+class TestOutOfMemory:
+    @pytest.fixture(params=["passModel", "run"])
+    def out_of_memory(self, request, monkeypatch):
+        """The first instance runs out of memory; those made after it solve."""
+        binding = lp._Highs
+        made = []
+
+        def make():
+            made.append(binding() if made else _OutOfMemory(binding(), request.param))
+            return made[-1]
+
+        patch_highs(monkeypatch, make)
+        return made
+
+    def test_is_a_solver_failure_and_the_next_solve_succeeds(self, out_of_memory):
+        failed = lp.linprog(SMALL_COST, **SMALL)
+        assert (failed.status, failed.x, failed.nit, failed.basis) == (4, None, 0, None)
+        assert failed.message == ("HiGHS ran out of memory on a model of 2 rows, 2 columns "
+                                  "and 4 nonzeros")
+        assert lp._kept is None  # the instance that failed is dropped
+        solved = lp.linprog(SMALL_COST, **SMALL)
+        assert (solved.status, solved.x.tolist()) == (0, [0.5, 0.5])
+        assert len(out_of_memory) == 2
+
+    def test_find_strategy_raises_solver_failure(self, out_of_memory):
+        maj3 = QuorumSystem([Node(x) for x in "abc"], reads="choose(2, [a, b, c])")
+        with pytest.raises(SolverFailure, match="^LP solve failed: HiGHS ran out of memory "
+                                                "on a model of 5 rows, 7 columns and 15 nonzeros$"):
+            find_strategy(maj3, 1)
+        assert abs(find_strategy(maj3, 1).load(1) - Fraction(2, 3)) < Fraction(1, 10**9)
+
+    def test_cli_exits_3_with_one_line(self, out_of_memory, capsys):
+        code = main(["strategy", str(DATA / "majority3.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: LP solve failed: HiGHS ran out of memory")
+        assert captured.err.count("\n") == 1
+        assert main(["strategy", str(DATA / "majority3.json")]) == 0
+
+
 class TestInfiniteBound:
     def test_inf_upper_bound_reaches_highs_as_unbounded(self, monkeypatch):
         models = []

@@ -20,7 +20,7 @@ from quorumopt.errors import (
 from quorumopt import expr as expr_module
 from quorumopt.expr import Expression, Var, and_, choose, majority, minimal_transversals, parse
 from quorumopt.model import Node, QuorumSystem, Workload, as_fraction
-from quorumopt.optimize import Objective
+from quorumopt.optimize import Objective, Strategy, quorum_latency
 from quorumopt.oracle import (
     exhaustive_fault_tolerance,
     exhaustive_minimal_sets,
@@ -551,6 +551,81 @@ class TestResilientQuorums:
             for s in stronger:
                 # every f-resilient quorum is (f-1)-resilient
                 assert any(w <= s for w in weaker)
+
+
+# A bad quorum, the error it raises and that error's message.
+BAD_QUORUMS = [
+    pytest.param("ab", DomainError, r"^a quorum is a set of node names, got the text 'ab'$",
+                 id="str"),
+    pytest.param({"a", "b", "zz"}, UnknownNode, r"^no node named 'zz'$", id="unknown-name"),
+    pytest.param(["a", ["b"]], DomainError,
+                 r"^a quorum is a set of node names, got \['a', \['b'\]\]$", id="list-member"),
+    pytest.param(5, DomainError, r"^a quorum is a set of node names, got 5$", id="int"),
+]
+# Each entry point that reads a caller's quorum, on the read side.
+QUORUM_READERS = {
+    "is_read_quorum": lambda qs, q: qs.is_read_quorum(q),
+    "is_write_quorum": lambda qs, q: qs.is_write_quorum(q),
+    "is_resilient": lambda qs, q: qs.is_resilient("read", q, 0),
+    "quorum_latency": lambda qs, q: quorum_latency(qs, "read", q),
+    "Strategy": lambda qs, q: Strategy(qs, [(q, 1)], [({"a", "b"}, 1)]),
+}
+
+
+class TestNodeSet:
+    """``QuorumSystem.node_set``, the one reader of a caller's quorum, and
+    the entry points that read their quorum through it."""
+
+    @given(st.one_of(duplicate_free_expressions(), expressions()), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_entry_points_match_the_oracle_on_every_subset(self, e, both_given):
+        # y is a write-side name only when both sides are given, z a spare node
+        names = sorted(e.names()) + ["y", "z"]
+        sides = dict(reads=e, writes=e.dual() * Var("y")) if both_given else dict(reads=e)
+        qs = QuorumSystem(nodes(names), **sides)
+        table = {side: truth_table(qs.side(side), names) for side in ("read", "write")}
+        for mask in range(1 << len(names)):
+            s = frozenset(x for j, x in enumerate(names) if mask >> j & 1)
+            assert qs.node_set(sorted(s)) == s
+            assert qs.is_read_quorum(s) == bool(table["read"] >> mask & 1)
+            assert qs.is_write_quorum(list(s)) == bool(table["write"] >> mask & 1)
+            for side in ("read", "write"):
+                for f in (0, 1):
+                    want = _is_f_resilient(qs.side(side), s, f)
+                    assert qs.is_resilient(side, iter(s), f) == want
+
+    @pytest.mark.parametrize("quorum, error, message", BAD_QUORUMS)
+    @pytest.mark.parametrize("reader", QUORUM_READERS.values(), ids=QUORUM_READERS)
+    def test_every_entry_point_refuses_a_bad_quorum(self, reader, quorum, error, message):
+        qs = QuorumSystem(nodes("abc"), reads="choose(2, [a, b, c])")
+        with pytest.raises(error, match=message):
+            reader(qs, quorum)
+
+    @pytest.mark.parametrize("quorum, error, message", BAD_QUORUMS)
+    def test_is_resilient_refuses_a_bad_quorum_at_every_f(self, quorum, error, message):
+        # the 2-of-3 majority tolerates one failure on each side
+        qs = QuorumSystem(nodes("abc"), reads="choose(2, [a, b, c])")
+        for side in ("read", "write"):
+            for f in range(4):
+                with pytest.raises(error, match=message):
+                    qs.is_resilient(side, quorum, f)
+            assert qs.is_resilient(side, {"a", "b", "c"}, 1)
+            assert not qs.is_resilient(side, {"a", "b", "c"}, 2)  # past the fault tolerance
+            # f is read first
+            with pytest.raises(DomainError, match="^f must be a nonnegative integer, got -1$"):
+                qs.is_resilient(side, quorum, -1)
+
+    def test_names_the_first_unknown_name_in_sorted_order(self):
+        qs = QuorumSystem(nodes("abc"), reads="choose(2, [a, b, c])")
+        with pytest.raises(UnknownNode, match="^no node named 'yy'$"):
+            qs.node_set(["zz", "a", "yy"])
+        with pytest.raises(UnknownNode, match="^no node named 5$"):
+            qs.node_set(["zz", 5])
+
+    def test_keeps_a_universe_name_outside_both_sides(self):
+        qs = QuorumSystem(nodes("abcd"), reads="choose(2, [a, b, c])")
+        assert qs.node_set(x for x in "abd") == frozenset("abd")
+        assert qs.is_read_quorum({"a", "b", "d"}) and not qs.is_read_quorum({"a", "d"})
 
 
 class TestMembers:

@@ -248,17 +248,34 @@ LIMIT_FIELDS = ("capacity_limit", "latency_limit", "network_limit")
 # What a quorum's bitmask is read or made with. The masks stay in model.py,
 # over the layout that expr.py defines; every other module reads a quorum
 # family as QuorumSystem.members, its membership table.
-MASK_NAMES = ("quorum_masks", "_family", "_masks", "unmask", "to_masks", "_bits", "mask_bits")
+MASK_NAMES = ("quorum_masks", "_family", "_masks", "unmask", "_bits", "mask_bits")
 MASK_OWNERS = ("model", "expr")
+
+
+def places(sources: dict[str, str], hit) -> list[str]:
+    """Where the named ``sources`` hold a node for which ``hit(node)`` is
+    true, as ``module.Class.function`` qualified by every enclosing class
+    and function, or ``module`` at module level, once per place, sorted."""
+    found = set()
+
+    def visit(node, place: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{place}.{child.name}")
+                continue
+            if hit(child):
+                found.add(place)
+            visit(child, place)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
 
 
 def readers(sources: dict[str, str], names: tuple[str, ...]) -> list[str]:
     """Where the named ``sources`` read one of ``names``, as a name, an
-    attribute or an import, as ``module.Class.function`` qualified by every
-    enclosing class and function, or ``module`` at module level, once per
-    place, sorted. Defining or writing a name, or naming it in a string,
-    is not reading it."""
-    found = set()
+    attribute or an import (see :func:`places`). Defining or writing a
+    name, or naming it in a string, is not reading it."""
 
     def read(node) -> bool:
         if isinstance(node, ast.alias):
@@ -267,18 +284,7 @@ def readers(sources: dict[str, str], names: tuple[str, ...]) -> list[str]:
             return node.attr in names and isinstance(node.ctx, ast.Load)
         return isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load)
 
-    def visit(node, place: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{place}.{child.name}")
-                continue
-            if read(child):
-                found.add(place)
-            visit(child, place)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), module)
-    return sorted(found)
+    return places(sources, read)
 
 
 def limit_readers(sources: dict[str, str]) -> list[str]:
@@ -290,6 +296,22 @@ def mask_readers(sources: dict[str, str]) -> list[str]:
     """Where the named ``sources`` read or make a quorum's bitmask, by a
     name of ``MASK_NAMES``."""
     return readers(sources, MASK_NAMES)
+
+
+def quorum_readers(sources: dict[str, str]) -> list[str]:
+    """The functions of the named ``sources`` (see :func:`places`) that call
+    ``frozenset``, as a name or an attribute, other than ``_optimal``, which
+    names the LP's selected columns, and the functions defined in it. A
+    caller's quorum is read by ``QuorumSystem.node_set`` alone. A call at
+    module level, or an annotation such as ``frozenset[str]``, reads none."""
+
+    def made(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "frozenset"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "frozenset")
+
+    return [place for place in places(sources, made)
+            if "." in place and place.split(".")[1] != "_optimal"]
 
 
 def code_lines(source: str) -> int:
@@ -672,6 +694,42 @@ def test_mask_readers_are_found():
     # and bits do, reads no mask
     assert mask_readers(sources) == [
         "optimize.optimal", "optimize.optimal.quorum", "search", "search.Screen.least"]
+
+
+def test_only_node_set_reads_a_callers_quorum():
+    # QuorumSystem.node_set turns a caller's quorum into a frozenset of
+    # node names; a second reader in optimize.py would be a second rule
+    # for what a quorum is.
+    assert quorum_readers({"optimize": (PACKAGE / "optimize.py").read_text()}) == []
+
+
+def test_quorum_readers_are_found():
+    sources = {
+        "optimize": (
+            "import builtins\n"
+            "EMPTY = frozenset()\n"
+            "def quorum_latency(qs, side, quorum: frozenset[str]) -> frozenset[str]:\n"
+            "    quorum = frozenset(quorum)\n"
+            "    return quorum\n"
+            "class Strategy:\n"
+            "    def _normalize(self, dist) -> tuple[frozenset[str], ...]:\n"
+            "        return tuple(builtins.frozenset(q) for q, _ in dist)\n"
+            "    def named(self, dist) -> list[frozenset[str]]:\n"
+            "        return [self._qs.node_set(q) for q, _ in dist]\n"
+            "def _optimal(qs, member):\n"
+            "    def read_off(column):\n"
+            "        return frozenset(column)\n"
+            "    return frozenset(member), read_off\n"
+            "def outer(quorums):\n"
+            "    def inner(q):\n"
+            "        return frozenset(q)\n"
+            "    return inner\n"
+        ),
+    }
+    # an annotation, a call at module level, and _optimal's own read-off
+    # read no caller's quorum
+    assert quorum_readers(sources) == [
+        "optimize.Strategy._normalize", "optimize.outer.inner", "optimize.quorum_latency"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
