@@ -161,11 +161,7 @@ def _emit(doc: dict | list[dict], table: bool) -> None:
 
 
 def _constraints(args) -> Constraints:
-    return Constraints(
-        capacity_limit=args.capacity_limit,
-        latency_limit=args.latency_limit,
-        network_limit=args.network_limit,
-    )
+    return Constraints(args.capacity_limit, args.latency_limit, args.network_limit)
 
 
 def cmd_analyze(config: Config, args) -> dict:
@@ -194,14 +190,9 @@ def cmd_strategy(config: Config, args) -> dict:
 def cmd_search(config: Config, args) -> dict:
     if config.reads is not None or config.writes is not None:
         raise DomainError("search configs must not fix reads or writes")
-    options = SearchOptions(
-        objective=args.optimize,
-        constraints=_constraints(args),
-        min_fault_tolerance=args.fault_tolerance,
-        f=args.f,
-        timeout=args.timeout,
-        budget=args.budget,
-    )
+    options = SearchOptions(objective=args.optimize, constraints=_constraints(args),
+                            min_fault_tolerance=args.fault_tolerance, f=args.f,
+                            timeout=args.timeout, budget=args.budget)
     result = search(config.nodes, config.workload, options)
     return {
         "reads": str(canonical(result.qs.reads)),

@@ -119,11 +119,20 @@ class Var(Expression):
         return self.name
 
 
+def as_tuple(items: Iterable[T], what: str) -> tuple[T, ...]:
+    """``items`` as a tuple; DomainError, its message led by ``what``, if
+    it is no iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(f"{what}, got {items!r}") from None
+
+
 def _check_children(node: Expression) -> None:
     """Make a composite node's children a tuple, check them, and record the
     node's depth, which may not pass ``_DEPTH_BOUND``: the passes over the
     tree recurse."""
-    children = tuple(node.children)
+    children = as_tuple(node.children, "a node's children are a collection of Expressions")
     object.__setattr__(node, "children", children)
     if len(children) < 2:
         raise DomainError(f"{type(node).__name__} needs at least 2 children, got {len(children)}")
@@ -201,19 +210,19 @@ def threshold(e: Expression) -> int:
 
 def or_(*exprs: Expression) -> Expression:
     """Disjunction; splices nested Or children so a+b+c is one node."""
-    flat = _splice(Or, exprs)
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
+    return _spliced(Or, exprs)
 
 
 def and_(*exprs: Expression) -> Expression:
     """Conjunction; splices nested And children so a*b*c is one node."""
-    flat = _splice(And, exprs)
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
+    return _spliced(And, exprs)
 
 
-def _splice(kind: type, exprs: Iterable[Expression]) -> list[Expression]:
-    """``exprs`` with each ``kind`` node replaced by its children."""
-    return [c for e in exprs for c in (e.children if isinstance(e, kind) else (e,))]
+def _spliced(kind: type, exprs: Iterable[Expression]) -> Expression:
+    """A ``kind`` node over ``exprs``, each ``kind`` node among them replaced
+    by its children; the one expression left, if only one is."""
+    flat = [c for e in exprs for c in (e.children if isinstance(e, kind) else (e,))]
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
 
 
 def choose(k: int, exprs: Sequence[Expression]) -> Expression:
@@ -278,10 +287,8 @@ class _Parser:
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
+    def advance(self) -> None:
         self.i += 1
-        return tok
 
     def expect(self, text: str) -> None:
         kind, value, pos = self.peek()
@@ -316,18 +323,14 @@ class _Parser:
             return e
         if kind == "ident":
             self.advance()
-            if value == "choose" and self.peek()[1] == "(":
+            if value in ("choose", "majority") and self.peek()[1] == "(":
                 self.advance()
-                k = self.parse_int()
-                self.expect(",")
+                if value == "choose":
+                    k = self.parse_int()
+                    self.expect(",")
                 children = self.parse_list()
                 self.expect(")")
-                return choose(k, children)
-            if value == "majority" and self.peek()[1] == "(":
-                self.advance()
-                children = self.parse_list()
-                self.expect(")")
-                return majority(children)
+                return choose(k, children) if value == "choose" else majority(children)
             return Var(value)
         got = "end of input" if kind == "eof" else repr(value)
         raise ParseError(f"expected an expression, found {got}", pos)
@@ -416,8 +419,10 @@ def minimal_sets(
     node's minimal sets are the unions of one minimal set from each of k
     children, built bottom-up without sweeping subsets. A union can be
     non-minimal only where children share a variable; there, non-minimal
-    unions are dropped after every child, so partial families stay antichains."""
-    names = sorted(e.names()) if universe is None else list(universe)
+    unions are dropped after every child, so partial families stay antichains.
+    A ``universe`` that is no collection raises DomainError."""
+    names = (sorted(e.names()) if universe is None
+             else as_tuple(universe, "a universe is a collection of node names"))
     check_enumeration_bound(len(names))
     try:
         masks = _masks(e, names)

@@ -182,8 +182,9 @@ ExprLike = Union[_expr.Expression, str, None]
 
 
 def as_universe(nodes: Sequence[Node]) -> tuple[Node, ...]:
-    """``nodes`` as a tuple; DomainError if one of them is no Node."""
-    nodes = tuple(nodes)
+    """``nodes`` as a tuple; DomainError if it is no collection, or one of
+    them is no Node."""
+    nodes = _expr.as_tuple(nodes, "a universe holds Nodes")
     for n in nodes:
         if not isinstance(n, Node):
             raise DomainError(f"a universe holds Nodes, got {n!r}")
@@ -313,10 +314,14 @@ class QuorumSystem:
         return self.minimal_quorums("write")
 
     def node(self, name: str) -> Node:
+        """The node named ``name``: UnknownNode if the universe has none,
+        DomainError if ``name`` cannot be hashed, such as a list."""
         try:
             return self._nodes[name]
         except KeyError:
             raise UnknownNode(f"no node named {name!r}") from None
+        except TypeError:
+            raise DomainError(f"a node name is a string, got {name!r}") from None
 
     def __repr__(self) -> str:
         return f"QuorumSystem(reads={self.reads}, writes={self.writes})"

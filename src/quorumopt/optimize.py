@@ -30,14 +30,15 @@ and so do the search's thresholds and node types.
 
 A quorum family reaches this module in one form: the membership table
 :meth:`QuorumSystem.members`, cached per side and f, with no bitmask. The
-LP's columns, load rows and costs read it, and so do the search's screen,
-through :func:`_stacked` and :func:`_quorum_metric`.
+LP's columns, load rows and costs read it, and so does the search's
+screen, which stacks the tables of a block of candidates itself and prices
+their quorums through :func:`_quorum_metric`.
 
 This module holds strategies, their exact metrics and the LP, and no bound
 on what an LP could reach: the search's screen (:mod:`quorumopt.search`)
 owns those, and reads from here the tables that the LP is built from,
-:func:`_stacked`, :func:`_unit_loads` and :func:`_quorum_metric`, and the
-margin ``_BOUND_MARGIN``.
+:func:`_unit_loads` and :func:`_quorum_metric`, and the margin
+``_BOUND_MARGIN``.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class Strategy:
     """Probability distributions over read and write quorums of a quorum
     system, with exact metric recomputation.
 
-    Each distribution is an iterable of (quorum, probability) pairs. A
-    quorum is an iterable of node names, read by
+    Each distribution is an iterable of (quorum, probability) pairs, else
+    DomainError. A quorum is an iterable of node names, read by
     :meth:`QuorumSystem.node_set`: a ``str``, an ``int`` or a list among
     its names raises DomainError, and a name outside the universe
     UnknownNode. It must be a quorum of its side, f-resilient when f > 0,
@@ -170,7 +171,12 @@ class Strategy:
     def _normalize(self, dist, side: str) -> tuple[tuple[frozenset[str], Fraction], ...]:
         e = self._qs.side(side)
         entries = []
-        for quorum, prob in dist:
+        pairs = f"a {side} distribution is a collection of (quorum, probability) pairs"
+        for entry in _expr.as_tuple(dist, pairs):
+            try:
+                quorum, prob = entry
+            except (TypeError, ValueError):  # no iterable, or not two items
+                raise DomainError(f"{pairs}, got the entry {entry!r}") from None
             quorum = self._qs.node_set(quorum)
             prob = as_fraction(prob)
             if not 0 <= prob <= 1:
@@ -287,21 +293,6 @@ def _quorum_metric(
     ranks = dict(zip((n.name for n in qs.universe), np.where(held, rank, len(values))))
     return _expr.fold(qs.side(side), ranks.__getitem__,
                       lambda rows, k: np.partition(rows, k - 1, axis=0)[k - 1]), values
-
-
-def _stacked(systems: list[QuorumSystem], side: str, f: int) -> np.ndarray:
-    """``member[row, node, j]`` is 1 iff the j-th minimal f-resilient quorum
-    of ``side`` of the row's system holds the node: each system's
-    :meth:`QuorumSystem.members` table, nodes in universe order, which every
-    system shares. Rows with fewer quorums are padded with all-ones quorums:
-    one holds every node, so it costs at least as much as any quorum and,
-    coming last, changes neither the least cost nor the first quorum that
-    has it."""
-    tables = [qs.members(side, f) for qs in systems]
-    member = np.ones((len(systems), len(systems[0].universe), max(t.shape[1] for t in tables)))
-    for row, table in zip(member, tables):
-        row[:, : table.shape[1]] = table
-    return member
 
 
 @lru_cache(maxsize=64)
@@ -450,11 +441,14 @@ def capacity_curve(
     warm-started from the previous point's optimal basis; a warm solve that
     fails is solved again cold (:func:`lp.linprog`). Either way each point
     gets its optimal capacity, so what the curve prints does not depend on
-    the warm start or on the fallback.
+    the warm start or on the fallback. ``fractions`` that are a ``str``, or
+    no collection, raise DomainError.
     """
+    if isinstance(fractions, str):
+        raise DomainError(f"fractions are read fractions, got the text {fractions!r}")
     rows = []
     basis = None
-    for fr in fractions:
+    for fr in _expr.as_tuple(fractions, "fractions are a collection of read fractions"):
         fr = as_fraction(fr)
         if isinstance(target, Strategy):
             cap = 1 / target.load_at(fr)

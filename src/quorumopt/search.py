@@ -4,7 +4,10 @@ Candidate read expressions are built from or/and/choose with every node
 variable appearing exactly once, enumerated in nondecreasing syntax-tree
 depth. They are flat (no Or child under an Or, no And child under an And)
 with sorted children, which makes each the unique modular decomposition of
-its boolean function, so each function appears once. Write quorums are
+its boolean function, so each function appears once. A stream builds the
+formulas of each proper sub-block of the names once, into a memo of its
+own that it frees when it ends, so streams that run at once share
+nothing. Write quorums are
 always the dual of the candidate reads (searching both sides independently
 would be redundant: the dual is the optimal complement). The fault
 tolerance floor is the larger of ``min_fault_tolerance`` (the CLI's
@@ -32,12 +35,15 @@ children of each node sorted; two candidates share it iff a renaming of
 the nodes that keeps every type maps one onto the other. Their LPs are
 then one LP up to the order of rows and columns, with equal optima, so
 their scores differ by the solver's rounding alone, far inside the tie
-band: a later member of a group could only tie its first member. So only
-the first member of each group in emission order goes on to the floor
-test, the bounds and the LP; a later one is examined and decided as a tie
-of the first, which keeps the first. When no two nodes share a type, every
-group has one member and no key is computed. The screen below works out
-the types and the key.
+band: a later member of a group could only tie its first member. A
+renaming keeps fault tolerance too, so a group lies wholly above or below
+the floor. So each candidate taken is tested against the floor as it is
+taken, and of those that meet it only the first member of each group in
+emission order goes on to the bounds and the LP; a later one is decided as
+a tie of the first, which keeps the first. No key is computed below the
+floor, nor when no two nodes share a type, where every group has one
+member. The screen below works out the types and the key, and keeps the
+keys of the candidates taken.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
@@ -63,7 +69,8 @@ also for the solver's tolerance on its row. So the winner, its strategy
 and its metric are the ones the search without the screen finds.
 
 Each candidate taken has its quorum system built once, a later member of
-a group too. The first members are taken ``_BLOCK`` at a time and screened
+a group and one below the floor too. The first members that meet the floor
+are taken ``_BLOCK`` at a time and screened
 as arrays. A [candidate, kind] array of tree costs drops those that the
 predicate rules out against the incumbent the block started with; one
 load-bound ascent (:meth:`_Screen.ascend`) over the rest gives a
@@ -103,7 +110,6 @@ from .optimize import (
     _constraints,
     _objective,
     _quorum_metric,
-    _stacked,
     _unit_loads,
     find_strategy,
 )
@@ -181,38 +187,47 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
 
     Depth never needs to exceed n-1: every nesting level must split its
     block into at least two sub-blocks.
+
+    ``nodes`` is any collection of names, a ``str`` of one-letter names
+    too; one that is no collection, or a name that is no ``str``, raises
+    DomainError, as do more than ``SEARCH_NODE_BOUND`` names, none, or a
+    repeated one.
     """
-    names = tuple(sorted(nodes))
+    names = _expr.as_tuple(nodes, "search enumerates a collection of node names")
+    for name in names:
+        if not isinstance(name, str):
+            raise DomainError(f"node names must be strings, got {name!r}")
+    names = tuple(sorted(names))
     if not 1 <= len(names) <= SEARCH_NODE_BOUND:
         raise DomainError(
             f"search enumerates 1..{SEARCH_NODE_BOUND} nodes, got {len(names)}"
         )
     if len(set(names)) != len(names):
         raise DomainError("node names must be unique")
-    try:
-        for d in range(len(names)):
-            # The top level is read once, so it is built uncached: only proper
-            # sub-blocks recur. Unnamed, a depth's list is freed before the
-            # next depth's is built.
-            for _, e in sorted(_exact_depth.__wrapped__(names, d), key=lambda pair: pair[0]):
-                yield e
-    finally:
-        # Free the shared subtrees once the stream is done with.
-        _exact_depth.cache_clear()
+    # This stream's memo of the formulas of each proper sub-block, freed
+    # with the stream. The top level is read once, so it is not kept:
+    # unnamed, a depth's list is freed before the next depth's is built.
+    kept: dict[tuple[tuple[str, ...], int], list] = {}
+    for d in range(len(names)):
+        for _, e in sorted(_exact_depth(names, d, kept), key=lambda pair: pair[0]):
+            yield e
 
 
-@functools.cache
-def _exact_depth(block: tuple[str, ...], d: int) -> list[tuple[str, _expr.Expression]]:
+def _exact_depth(block: tuple[str, ...], d: int, kept: dict) -> list[tuple[str, _expr.Expression]]:
     """The formulas of depth exactly d over ``block``, each with its printed
-    form; :func:`enumerate_candidates` builds each candidate from them."""
+    form; :func:`enumerate_candidates` builds each candidate from them.
+    ``kept`` maps each (proper sub-block, depth) already built in the same
+    stream to its formulas, and takes those that this call builds."""
     if d == 0:
         return [(block[0], _expr.Var(block[0]))] if len(block) == 1 else []
     results = []
     for blocks in _set_partitions(block):
         if len(blocks) < 2:
             continue
-        options = [[(i, *pair) for i in range(d) for pair in _exact_depth(b, i)]
-                   for b in blocks]
+        for key in itertools.product(blocks, range(d)):
+            if key not in kept:
+                kept[key] = _exact_depth(*key, kept)
+        options = [[(i, *pair) for i in range(d) for pair in kept[b, i]] for b in blocks]
         for entries in itertools.product(*options):
             if max(i for i, _, _ in entries) != d - 1:
                 continue
@@ -253,6 +268,21 @@ def _score(strategy: Strategy, workload: Workload, objective: Objective) -> floa
     unit = [(float(r), float(w)) for r, w in strategy._unit_load.values()]
     points = [(float(fr), float(p)) for fr, p in workload.items()]
     return sum(p / max(fr * r + (1 - fr) * w for r, w in unit) for fr, p in points)
+
+
+def _stacked(systems: list[QuorumSystem], side: str, f: int) -> np.ndarray:
+    """``member[row, node, j]`` is 1 iff the j-th minimal f-resilient quorum
+    of ``side`` of the row's system holds the node: each system's
+    :meth:`QuorumSystem.members` table, nodes in universe order, which every
+    system shares. Rows with fewer quorums are padded with all-ones quorums:
+    one holds every node, so it costs at least as much as any quorum and,
+    coming last, changes neither the least cost nor the first quorum that
+    has it."""
+    tables = [qs.members(side, f) for qs in systems]
+    member = np.ones((len(systems), len(systems[0].universe), max(t.shape[1] for t in tables)))
+    for row, table in zip(member, tables):
+        row[:, : table.shape[1]] = table
+    return member
 
 
 class _Screen:
@@ -309,6 +339,17 @@ class _Screen:
         type_of = {n.name: str(types.index(t)) for n, t in zip(universe, types)}
         self.group_key = None if len(set(types)) == len(types) else functools.partial(
             _expr.fold, leaf=type_of.__getitem__, take=_sorted_key)
+        self.groups: set[str] = set()  # the keys of the candidates taken
+
+    def first_of_group(self, reads: _expr.Expression) -> bool:
+        """Whether no candidate taken before ``reads`` shares its group
+        key; ``reads`` is then taken, so a later member of its group is
+        not. Always true when no two nodes share a type."""
+        if self.group_key is None:
+            return True
+        seen = len(self.groups)
+        self.groups.add(self.group_key(reads))
+        return len(self.groups) > seen
 
     def _least_cost(self, qs: QuorumSystem, kind: Objective, side: str) -> float:
         """The least latency or node count of a minimal f-resilient quorum of
@@ -439,7 +480,6 @@ def search(
     band = float(1 + _TIE if maximize else 1 - _TIE)
 
     screen = _Screen(universe, w, objective, constraints, f)
-    groups: set[str] = set()
 
     start = time.monotonic()
     best: Strategy | None = None
@@ -447,27 +487,21 @@ def search(
     examined = 0
 
     def reached() -> Iterator[QuorumSystem]:
-        """The quorum system of each first member of a group taken."""
+        """The quorum system of each candidate taken that meets the floor
+        and is the first of its group."""
         nonlocal examined
-        for reads in enumerate_candidates(names):
-            if options.budget is not None and examined >= options.budget:
-                return
+        for reads in itertools.islice(enumerate_candidates(names), options.budget):
             if options.timeout is not None and time.monotonic() - start >= options.timeout:
                 return
             examined += 1
-            # Built for a later member of a group too: perfbench's traced
-            # mode checks one quorum system per candidate examined.
+            # Built for every candidate: perfbench's traced mode checks one
+            # quorum system per candidate examined.
             qs = QuorumSystem(universe, reads=reads)
-            if screen.group_key is not None:
-                key = screen.group_key(reads)
-                if key in groups:
-                    continue
-                groups.add(key)
-            yield qs
+            if qs.fault_tolerance() >= floor and screen.first_of_group(reads):
+                yield qs
 
     systems = reached()
     while block := list(itertools.islice(systems, _BLOCK)):
-        block = [qs for qs in block if qs.fault_tolerance() >= floor]
         cost = screen.costs(block)
         kept = ~screen.out_of_reach(bar, cost)
         block, cost = list(itertools.compress(block, kept)), cost[kept]

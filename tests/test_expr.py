@@ -225,6 +225,11 @@ class TestMinimalSets:
         with pytest.raises(DomainError):
             minimal_sets(a * b, universe=["a"])
 
+    def test_a_universe_that_is_no_collection_is_refused(self):
+        # it used to end in TypeError: 'int' object is not iterable
+        with pytest.raises(DomainError, match="^a universe is a collection of node names, got 5$"):
+            minimal_sets(a * b, universe=5)
+
 
 class TestStructure:
     def test_depth(self):
@@ -254,6 +259,14 @@ class TestStructure:
             Or((a,))
         with pytest.raises(DomainError):
             And(())
+
+    @pytest.mark.parametrize("build", [lambda: choose(2, 5), lambda: Or(5)],
+                             ids=["choose", "Or"])
+    def test_children_that_are_no_collection_are_refused(self, build):
+        # each used to end in TypeError: 'int' object is not iterable
+        with pytest.raises(DomainError,
+                           match="^a node's children are a collection of Expressions, got 5$"):
+            build()
 
     def test_children_must_be_expressions(self):
         with pytest.raises(DomainError, match="^Or child 'b' is not an Expression$"):

@@ -217,6 +217,19 @@ class TestQuorumSystem:
         with pytest.raises(DomainError, match="a universe holds Nodes, got 'a'"):
             QuorumSystem(["a"], reads="a")
 
+    def test_a_universe_that_is_no_collection_is_refused(self):
+        # it used to end in TypeError: 'int' object is not iterable
+        with pytest.raises(DomainError, match="^a universe holds Nodes, got 5$"):
+            QuorumSystem(5, reads="a")
+
+    def test_a_node_name_that_cannot_be_hashed_is_refused(self):
+        # it used to end in TypeError: unhashable type: 'list'
+        qs = QuorumSystem(nodes("abc"), reads="choose(2, [a, b, c])")
+        with pytest.raises(DomainError, match=r"^a node name is a string, got \['a'\]$"):
+            qs.node(["a"])
+        with pytest.raises(UnknownNode, match="^no node named 'z'$"):
+            qs.node("z")
+
     def test_some_side_required(self):
         with pytest.raises(DomainError):
             QuorumSystem(nodes("ab"))

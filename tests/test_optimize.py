@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import statistics
 from fractions import Fraction
 from pathlib import Path
@@ -482,6 +483,11 @@ class TestNodeLoad:
         with pytest.raises(UnknownNode):
             uniform_strategy(maj3).node_load("z", 1)
 
+    def test_a_name_that_cannot_be_hashed_is_refused(self, maj3):
+        # it used to end in TypeError: unhashable type: 'list'
+        with pytest.raises(DomainError, match=r"^a node name is a string, got \['a'\]$"):
+            uniform_strategy(maj3).node_load(["a"], 1)
+
     def test_optimal_grid_balances_fast_and_slow(self, grid):
         sigma = find_strategy(grid, 1)
         third = Fraction(1, 300)
@@ -531,6 +537,19 @@ class TestMetrics:
         for p in (2, -1):
             with pytest.raises(DomainError, match=f"probability {p} is outside"):
                 Strategy(maj3, [({"a", "b"}, p)], [({"a", "b"}, 1)])
+
+    @pytest.mark.parametrize("read_dist,write_dist,got", [
+        (5, 5, "5"),
+        ([5], [({"a", "b"}, 1)], "the entry 5"),
+        ([(["a", "b"],)], [({"a", "b"}, 1)], "the entry (['a', 'b'],)"),
+        ([(["a", "b"], 1, 2)], [({"a", "b"}, 1)], "the entry (['a', 'b'], 1, 2)"),
+    ], ids=["int", "int-entry", "one-item", "three-items"])
+    def test_a_distribution_that_is_no_collection_of_pairs_is_refused(self, maj3, read_dist,
+                                                                     write_dist, got):
+        # each used to end in TypeError or ValueError
+        message = f"a read distribution is a collection of (quorum, probability) pairs, got {got}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Strategy(maj3, read_dist, write_dist)
 
     def test_a_quorum_given_as_text_is_refused(self):
         # "ab" used to be read as the set of its characters, {a, b}
@@ -769,8 +788,8 @@ class TestLeastCost:
     @settings(max_examples=100, deadline=None)
     def test_resilient_quorums_are_priced_from_their_masks(self, e, data):
         # The f > 0 bounds price the side's cached membership table
-        # (_quorum_metric) alone: no padded batch of tables (_stacked, as the
-        # search module reads it) is built.
+        # (_quorum_metric) alone: no padded batch of tables (the search's
+        # _stacked) is built.
         latencies = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 8])
         qs = QuorumSystem([Node(x, latency=data.draw(latencies)) for x in sorted(e.names())],
                           reads=e)
@@ -859,6 +878,18 @@ class TestCapacityCurve:
         for fr, cap in capacity_curve(qs, grid):
             cold = find_strategy(qs, fr).capacity(fr)
             assert abs(cap - cold) <= cold * Fraction(1, 10**9)
+
+    @pytest.mark.parametrize("fractions,message", [
+        ("01", "^fractions are read fractions, got the text '01'$"),
+        (5, "^fractions are a collection of read fractions, got 5$"),
+    ], ids=["str", "int"])
+    def test_fractions_that_are_text_or_no_collection_are_refused(self, maj3, fractions,
+                                                                  message):
+        # "01" used to give a curve at 0 and 1, read from its characters; 5
+        # ended in TypeError
+        for target in (maj3, uniform_strategy(maj3)):
+            with pytest.raises(DomainError, match=message):
+                capacity_curve(target, fractions)
 
     def test_each_point_starts_from_the_previous_basis(self, monkeypatch):
         qs = QuorumSystem(plain("abcdefg"), reads="choose(4, [a, b, c, d, e, f, g])")

@@ -100,23 +100,45 @@ class TestEnumerateCandidates:
     @pytest.mark.parametrize("n", [4, 5])
     def test_only_proper_sub_blocks_enter_the_cache(self, monkeypatch, n):
         # Every recursive call is on a proper sub-block, so the top level of
-        # each depth is built uncached, and no list of whole candidates is
-        # held until the stream ends. The stream stays the pinned one.
-        raw = search_module._exact_depth.__wrapped__
-        cached_blocks = []
+        # each depth is built and not kept, and no list of whole candidates
+        # is held until the stream ends. The stream has one memo, which
+        # builds each (sub-block, depth) once, and stays the pinned one.
+        raw = search_module._exact_depth
+        calls = []
 
-        def recording(block, d):
-            cached_blocks.append(block)
-            return raw(block, d)
+        def recording(block, d, kept):
+            calls.append((block, d, kept))
+            return raw(block, d, kept)
 
-        cached = functools.cache(recording)
-        cached.__wrapped__ = raw
-        monkeypatch.setattr(search_module, "_exact_depth", cached)
+        monkeypatch.setattr(search_module, "_exact_depth", recording)
         names = tuple("abcdef"[:n])
         text = "".join(f"{e}\n" for e in enumerate_candidates(names))
         assert (text.count("\n"), hashlib.sha256(text.encode()).hexdigest()) == PINNED_ORDER[n]
-        assert cached_blocks and all(set(b) < set(names) for b in cached_blocks)
-        assert cached.cache_info().currsize == 0  # freed once the stream is done
+        memo = calls[0][2]
+        assert all(kept is memo for _, _, kept in calls)
+        assert [(block, d) for block, d, _ in calls if block == names] == [
+            (names, d) for d in range(n)]
+        built = [(block, d) for block, d, _ in calls if block != names]
+        assert memo and sorted(built) == sorted(memo)
+        assert all(set(block) < set(names) for block, _ in memo)
+
+    def test_an_ending_stream_leaves_a_running_ones_memo(self):
+        # A 4-name stream that runs to its end while a 6-name one is midway
+        # frees its own memo, not the other's: the 6-name stream keeps every
+        # sub-block that it built, and both streams are the pinned ones.
+        def pinned(printed):
+            text = "".join(p + "\n" for p in printed)
+            return len(printed), hashlib.sha256(text.encode()).hexdigest()
+
+        six = enumerate_candidates("abcdef")
+        head = [str(next(six)) for _ in range(500)]
+        memo = six.gi_frame.f_locals["kept"]
+        before = dict(memo)
+        four = [str(e) for e in enumerate_candidates("abcd")]
+        assert before and memo.keys() == before.keys()
+        assert all(memo[key] is value for key, value in before.items())
+        assert pinned(four) == PINNED_ORDER[4]
+        assert pinned(head + [str(e) for e in six]) == PINNED_ORDER[6]
 
     def test_single_node(self):
         assert [str(e) for e in enumerate_candidates(["a"])] == ["a"]
@@ -133,6 +155,15 @@ class TestEnumerateCandidates:
             list(enumerate_candidates([f"n{i}" for i in range(9)]))
         with pytest.raises(DomainError):
             list(enumerate_candidates([]))
+
+    @pytest.mark.parametrize("nodes,message", [
+        (5, "^search enumerates a collection of node names, got 5$"),
+        (["a", 1], "^node names must be strings, got 1$"),
+        ([["a"], "b"], r"^node names must be strings, got \['a'\]$"),
+    ], ids=["int", "int-name", "list-name"])
+    def test_names_that_are_no_collection_of_strings_are_refused(self, nodes, message):
+        with pytest.raises(DomainError, match=message):
+            list(enumerate_candidates(nodes))
 
 
 class TestSearch:
@@ -243,6 +274,11 @@ class TestSearch:
     def test_a_universe_of_names_is_refused(self):
         with pytest.raises(DomainError, match="a universe holds Nodes, got 'a'"):
             search(["a", "b"], Fraction(1, 2))
+
+    def test_a_universe_that_is_no_collection_is_refused(self):
+        # it used to end in TypeError: 'int' object is not iterable
+        with pytest.raises(DomainError, match="^a universe holds Nodes, got 5$"):
+            search(5, Fraction(1, 2))
 
     def test_constraints_that_are_no_constraints_are_refused(self):
         with pytest.raises(DomainError, match=r"^constraints must be a Constraints or None, "
@@ -475,6 +511,28 @@ class TestBoundPruning:
         firsts = first_members(config.nodes, options, above)
         assert len(firsts) == 67
         assert sorted(enumerated) == sorted(str(s) for e in firsts for s in (e, e.dual()))
+
+    def test_case_study_folds_no_key_below_the_floor(self, monkeypatch):
+        # A renaming keeps fault tolerance, so a group lies wholly above or
+        # below the floor: the floor is tested first, and only the 293
+        # candidates that meet it have their group key folded (all 885 did
+        # when the key came first). The search still solves its 10 LPs.
+        config = load_config(str(DATA / "case_study_search.json"))
+        keyed, screen = [], search_module._Screen
+
+        def keying(*args):
+            built = screen(*args)
+            key = built.group_key
+            built.group_key = lambda reads: keyed.append(reads) or key(reads)
+            return built
+
+        monkeypatch.setattr(search_module, "_Screen", keying)
+        solves = counted_solves(monkeypatch)
+        result = search(config.nodes, config.workload, SearchOptions(min_fault_tolerance=1))
+        assert result.candidates_examined == 885
+        assert solves == ["solved"] * 10
+        assert len(keyed) == 293
+        assert all(meets_floor(config.nodes, reads, 1) for reads in keyed)
 
     @pytest.mark.parametrize("flags,lps", [
         (dict(objective="network", f=1), 2),

@@ -314,6 +314,37 @@ def quorum_readers(sources: dict[str, str]) -> list[str]:
             if "." in place and place.split(".")[1] != "_optimal"]
 
 
+# The decorators that make a cache which lives as long as the object they
+# decorate: at module level, as long as the process.
+CACHES = ("cache", "lru_cache")
+
+
+def cache_clearers(sources: dict[str, str]) -> list[str]:
+    """Where the named ``sources`` call ``cache_clear`` on anything (see
+    :func:`places`)."""
+
+    def clears(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cache_clear")
+
+    return places(sources, clears)
+
+
+def module_caches(source: str) -> list[int]:
+    """The lines of ``source`` that read a name of ``CACHES``, as a name or
+    an attribute, outside every function body: a decorator of a function
+    or a method defined at module level, or a call there. Such a cache is
+    shared by every caller in the process. A cache made inside a function
+    body lives with that call."""
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    inside = {id(node) for function in ast.walk(tree) if isinstance(function, functions)
+              for statement in function.body for node in ast.walk(statement)}
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+        isinstance(node, ast.Name) and node.id in CACHES
+        or isinstance(node, ast.Attribute) and node.attr in CACHES)})
+
+
 def code_lines(source: str) -> int:
     """The lines of ``source`` that hold a token other than a comment, a
     newline or an indent, outside the docstring of the module, a class or a
@@ -730,6 +761,46 @@ def test_quorum_readers_are_found():
     # read no caller's quorum
     assert quorum_readers(sources) == [
         "optimize.Strategy._normalize", "optimize.outer.inner", "optimize.quorum_latency"]
+
+
+def test_the_search_keeps_no_module_cache_and_no_module_clears_one():
+    # The enumeration's memo belongs to one stream: a cache of search.py's
+    # module would be shared by every stream in the process, and a stream
+    # that cleared it when it ended would clear it under every other one.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert cache_clearers(sources) == []
+    assert module_caches(sources["search"]) == []
+
+
+def test_module_caches_and_cache_clearers_are_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\n"
+        "def depth(block, d):\n"
+        "    return d\n"
+        "class Screen:\n"
+        "    @lru_cache(maxsize=8)\n"
+        "    def key(self, reads):\n"
+        "        return reads\n"
+        "memo = cache(depth)\n"
+        "def stream(names, kept=None):\n"
+        "    @cache\n"
+        "    def inner(block):\n"
+        "        return functools.lru_cache(block)\n"
+        "    depth.cache_clear()\n"
+        "    return inner\n"
+        "class Search:\n"
+        "    def done(self):\n"
+        "        self.memo.cache_clear()\n"
+        "depth.cache_clear()\n"
+        "cached = functools.cached_property\n"
+    )
+    # the import names no cache, a cache made in a function body lives with
+    # its call, and a cached_property lives with its instance
+    assert module_caches(source) == [3, 7, 10]
+    assert cache_clearers({"search": source}) == [
+        "search", "search.Search.done", "search.stream"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
