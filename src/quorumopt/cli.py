@@ -172,8 +172,8 @@ def cmd_analyze(config: Config, args) -> dict:
         "reads": str(canonical(qs.reads)),
         "writes": str(canonical(qs.writes)),
         "fault_tolerance": qs.fault_tolerance(),
-        "read_ft": qs.read_fault_tolerance(),
-        "write_ft": qs.write_fault_tolerance(),
+        "read_ft": qs.fault_tolerance("read"),
+        "write_ft": qs.fault_tolerance("write"),
         "capacity": _q9(sigma.capacity(w)),
         "load": _q9(sigma.load(w)),
         "latency": _q9(sigma.latency(w)),

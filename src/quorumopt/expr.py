@@ -121,7 +121,10 @@ class Var(Expression):
 
 def as_tuple(items: Iterable[T], what: str) -> tuple[T, ...]:
     """``items`` as a tuple; DomainError, its message led by ``what``, if
-    it is no iterable."""
+    it is no iterable, or a ``str``, which would be read as the collection
+    of its characters."""
+    if isinstance(items, str):
+        raise DomainError(f"{what}, got the text {items!r}")
     try:
         return tuple(items)
     except TypeError:
@@ -420,7 +423,7 @@ def minimal_sets(
     children, built bottom-up without sweeping subsets. A union can be
     non-minimal only where children share a variable; there, non-minimal
     unions are dropped after every child, so partial families stay antichains.
-    A ``universe`` that is no collection raises DomainError."""
+    A ``universe`` that is no collection, or a ``str``, raises DomainError."""
     names = (sorted(e.names()) if universe is None
              else as_tuple(universe, "a universe is a collection of node names"))
     check_enumeration_bound(len(names))

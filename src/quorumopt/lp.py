@@ -15,8 +15,13 @@ departs from scipy in one place: a model that HiGHS refuses, at
 ``passModel`` (a coefficient of magnitude 1e15 or more) or as
 ``kModelError``, is a solver failure (status 4) here, where scipy reports
 it as infeasible (status 2); status 2 means that HiGHS proved the model
-infeasible. A ``MemoryError`` raised while HiGHS takes or solves a model is
-a solver failure too, whose message gives the model's size. Required
+infeasible. So is a model that ``passModel`` takes with a warning: HiGHS
+has then altered it, dropping each coefficient of magnitude 1e-9 or less
+(``small_matrix_value``), and would solve another LP than the one asked,
+whose optimum can be a fraction of the true one; the message gives the
+smallest and largest nonzero magnitude of the model. A ``MemoryError``
+raised while HiGHS takes or solves a model is a solver failure too, whose
+message gives the model's size. Required
 accuracy: feasibility violation <= 1e-9, objective gap <= 1e-6.
 
 Every solve runs on one kept HiGHS instance, configured once: a solve
@@ -127,7 +132,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, basis=None):
     array; ``bounds`` is (n, 2), with ``np.inf`` for no bound.
 
     Returns an object with ``status`` (scipy's codes: 0 optimal, 2
-    infeasible, 4 any other failure, running out of memory included),
+    infeasible, 4 any other failure, running out of memory or a model that
+    HiGHS altered included),
     ``x`` (None unless HiGHS found an optimum), ``nit`` (simplex
     iterations), ``message`` and ``basis`` (HiGHS's basis at the optimum,
     None when x is). Status 2 is only HiGHS's proof of infeasibility; a
@@ -184,9 +190,16 @@ def _run(lp: HighsLp, basis, a, b_ub, b_eq, bounds) -> SimpleNamespace:
     global _kept
     highs = _instance()
     try:
-        if highs.passModel(lp) == HighsStatus.kError:
+        passed = highs.passModel(lp)
+        if passed == HighsStatus.kError:
             return SimpleNamespace(status=4, x=None, nit=0, message="HiGHS rejected the model",
                                    basis=None)
+        if passed == HighsStatus.kWarning:  # it changed the model, dropping tiny coefficients
+            values = np.abs(np.concatenate((a.ravel(), lp.col_cost_, b_ub, b_eq, bounds.ravel())))
+            values = values[(values > 0) & (values < np.inf)]
+            message = (f"HiGHS altered a model whose nonzero magnitudes span {values.min():.3g} "
+                       f"to {values.max():.3g}")
+            return SimpleNamespace(status=4, x=None, nit=0, message=message, basis=None)
         if basis is not None:
             highs.setBasis(basis)  # a basis of another shape is refused, and the run starts cold
         highs.run()  # a failed run leaves a model status other than kOptimal

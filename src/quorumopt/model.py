@@ -4,6 +4,11 @@ All values are immutable after construction. Capacities, latencies, and
 probabilities are held as exact ``Fraction``s so that metric recomputation
 downstream stays exact; floats and decimal strings are converted by their
 decimal meaning (0.1 becomes 1/10).
+
+A :class:`QuorumSystem` is asked about one side at a time: each method
+that reads a fact of a side, its quorums, its membership table or its
+fault tolerance, takes the side, "read" or "write", as an argument, so
+each fact has one method rather than one per side.
 """
 
 from __future__ import annotations
@@ -191,6 +196,13 @@ def as_universe(nodes: Sequence[Node]) -> tuple[Node, ...]:
     return nodes
 
 
+def _checked_side(side: str) -> str:
+    """``side``, which must be "read" or "write"; else DomainError."""
+    if side not in ("read", "write"):
+        raise DomainError(f"side must be 'read' or 'write', got {side!r}")
+    return side
+
+
 def _coerce_expr(e: ExprLike) -> _expr.Expression | None:
     if e is None or isinstance(e, _expr.Expression):
         return e
@@ -208,10 +220,19 @@ class QuorumSystem:
     the nodes outside each minimal write quorum hold no read quorum, in one
     tree pass over the membership of every minimal write quorum.
 
+    Each fact of a side has one public method that takes the side, "read"
+    or "write", as its first argument, as the two sides are each other's
+    duals: :meth:`side` (its expression), :meth:`is_quorum`,
+    :meth:`resilient_quorums` (its minimal quorums at f = 0),
+    :meth:`members`, :meth:`is_resilient` and :meth:`fault_tolerance`,
+    which with no side gives the weaker side's. Any other side raises
+    DomainError. Only the given expressions, :attr:`reads` and
+    :attr:`writes`, are named by side.
+
     A family is a side or a side's dual, and each fact is kept once per
     family: its names, its minimal (f-resilient) quorums, enumerated on
     first use and cached in canonical order as int bitmasks over its names
-    (:meth:`quorum_masks` for a side), and its smallest quorum size
+    (:meth:`_family`), and its smallest quorum size
     (:meth:`_least_size`). In a derived system the two sides are each
     other's duals; otherwise a side's dual is one more family. An
     expression that was not given, a derived system's missing side or a
@@ -225,14 +246,13 @@ class QuorumSystem:
     A side over more than ``expr.ENUMERATION_BOUND`` names raises
     UniverseTooLarge at construction.
 
-    A quorum that a caller gives, to :meth:`is_read_quorum`,
-    :meth:`is_write_quorum` and :meth:`is_resilient` here, and to
-    ``optimize.quorum_latency`` and ``optimize.Strategy``, is any iterable
-    of node names of the universe, read once by :meth:`node_set` into a
-    frozenset. A ``str``, which is no set of names, an ``int`` or another
-    object that is no iterable, and a member that cannot be hashed, such
-    as a list, raise DomainError; a name outside the universe raises
-    UnknownNode.
+    A quorum that a caller gives, to :meth:`is_quorum` and
+    :meth:`is_resilient` here, and to ``optimize.quorum_latency`` and
+    ``optimize.Strategy``, is any iterable of node names of the universe,
+    read once by :meth:`node_set` into a frozenset. A ``str``, which is no
+    set of names, an ``int`` or another object that is no iterable, and a
+    member that cannot be hashed, such as a list, raise DomainError; a name
+    outside the universe raises UnknownNode.
     """
 
     def __init__(self, universe: Sequence[Node], reads: ExprLike = None, writes: ExprLike = None):
@@ -291,7 +311,7 @@ class QuorumSystem:
             masks = self._family("write")
             writes = _expr.unmask([masks[i] for i in missed], self._names["write"])
             raise IntersectionViolation(*next(
-                (r, w) for r in self.read_minimal for w in writes if not r & w))
+                (r, w) for r in self.resilient_quorums("read") for w in writes if not r & w))
 
     @property
     def universe(self) -> tuple[Node, ...]:
@@ -304,14 +324,6 @@ class QuorumSystem:
     @property
     def writes(self) -> _expr.Expression:
         return self._expression("write")
-
-    @property
-    def read_minimal(self) -> list[frozenset[str]]:
-        return self.minimal_quorums("read")
-
-    @property
-    def write_minimal(self) -> list[frozenset[str]]:
-        return self.minimal_quorums("write")
 
     def node(self, name: str) -> Node:
         """The node named ``name``: UnknownNode if the universe has none,
@@ -346,41 +358,23 @@ class QuorumSystem:
             raise UnknownNode(f"no node named {min(unknown, key=str)!r}")
         return names
 
-    def is_read_quorum(self, names: Iterable[str]) -> bool:
-        return self.reads.evaluate(self.node_set(names))
-
-    def is_write_quorum(self, names: Iterable[str]) -> bool:
-        return self.writes.evaluate(self.node_set(names))
+    def is_quorum(self, side: str, names: Iterable[str]) -> bool:
+        """True iff the node set ``names`` holds a quorum of ``side``."""
+        return self.side(side).evaluate(self.node_set(names))
 
     def side(self, side: str) -> _expr.Expression:
         """The expression of ``side``, which must be "read" or "write"."""
-        if side not in ("read", "write"):
-            raise DomainError(f"side must be 'read' or 'write', got {side!r}")
-        return self._expression(side)
-
-    def side_names(self, side: str) -> tuple[str, ...]:
-        """The sorted names of ``side``, the first in the top bit of its masks."""
-        self.side(side)  # rejects an unknown side
-        return self._names[side]
-
-    def minimal_quorums(self, side: str) -> list[frozenset[str]]:
-        """``resilient_quorums(side, 0)``: the side's minimal quorums."""
-        return self.resilient_quorums(side, 0)
-
-    def quorum_masks(self, side: str, f: int = 0) -> tuple[int, ...]:
-        """``resilient_quorums(side, f)`` as masks over :meth:`side_names`;
-        there are some iff f is at most the side's fault tolerance."""
-        self.side(side)  # rejects an unknown side
-        return self._family(side, f)
+        return self._expression(_checked_side(side))
 
     def members(self, side: str, f: int = 0) -> np.ndarray:
         """``table[node, j]`` is True iff the j-th of ``side``'s minimal
-        f-resilient quorums, in :meth:`quorum_masks` order, holds the node,
-        nodes in universe order; a node outside the side is in none. Built
-        once per (side, f) from the masks and kept, read-only: every caller
-        shares it. This is the form in which a quorum family leaves the
-        model: the LP, the search's screen and the quorum metrics read it."""
-        masks = self.quorum_masks(side, f)
+        f-resilient quorums, in :meth:`resilient_quorums` order, holds the
+        node, nodes in universe order; a node outside the side is in none.
+        Built once per (side, f) from the masks and kept, read-only: every
+        caller shares it. This is the form in which a quorum family leaves
+        the model: the LP, the search's screen and the quorum metrics read
+        it."""
+        masks = self._family(_checked_side(side), f)
         if (side, f) not in self._members:
             bit = _expr._bits(self._names[side])
             column = np.array([bit.get(n.name, 0) for n in self._universe], dtype=np.int64)
@@ -416,17 +410,14 @@ class QuorumSystem:
 
     # -- fault tolerance -----------------------------------------------------
 
-    def read_fault_tolerance(self) -> int:
-        """Largest f such that some read quorum survives any f failures, via the dual."""
-        return self._fault_tolerance("read")
-
-    def write_fault_tolerance(self) -> int:
-        """Largest f such that some write quorum survives any f failures, via the dual."""
-        return self._fault_tolerance("write")
-
-    def fault_tolerance(self) -> int:
-        """The smaller side's fault tolerance, computed from the duals."""
-        return min(self.read_fault_tolerance(), self.write_fault_tolerance())
+    def fault_tolerance(self, side: str | None = None) -> int:
+        """The largest f such that some quorum of ``side`` survives any f
+        failures, or the smaller of the two sides' if ``side`` is None: the
+        smallest quorum of the side's dual less one, read without building
+        the side's own expression."""
+        if side is None:
+            return min(self._fault_tolerance("read"), self._fault_tolerance("write"))
+        return self._fault_tolerance(_checked_side(side))
 
     def _fault_tolerance(self, family: str) -> int:
         # Killing a node set removes every quorum iff the set meets every
@@ -448,22 +439,23 @@ class QuorumSystem:
     def is_resilient(self, side: str, quorum: Iterable[str], f: int) -> bool:
         """True iff ``quorum`` stays a quorum of ``side`` after the removal of
         any f of its nodes, so never for f or fewer nodes: iff it holds one
-        of the side's minimal f-resilient quorums (:meth:`quorum_masks`),
+        of the side's minimal f-resilient quorums (:meth:`resilient_quorums`),
         which the first call for a (side, f) sweeps for. False for every set
         past the side's fault tolerance; a negative f raises DomainError
         before the quorum is read (:meth:`node_set`)."""
         try:
-            masks = self.quorum_masks(side, f)
+            masks = self._family(_checked_side(side), f)
         except NoResilientQuorum:
             masks = ()
         bit = _expr._bits(self._names[side])
         s = sum(bit.get(x, 0) for x in self.node_set(quorum))
         return any(s & m == m for m in masks)
 
-    def resilient_quorums(self, side: str, f: int) -> list[frozenset[str]]:
+    def resilient_quorums(self, side: str, f: int = 0) -> list[frozenset[str]]:
         """Inclusion-minimal quorums of ``side`` that survive the removal of
         any f of their nodes, in canonical order; for f = 0, the minimal
         quorums. For f > 0, :func:`expr.minimal_transversals` finds them in
         one vectorised sweep of every set of the side's names, once per
-        (side, f); each call unmasks a fresh list from :meth:`quorum_masks`."""
-        return _expr.unmask(self.quorum_masks(side, f), self.side_names(side))
+        (side, f); there are some iff f is at most the side's fault
+        tolerance. Each call unmasks a fresh list from the cached masks."""
+        return _expr.unmask(self._family(_checked_side(side), f), self._names[side])

@@ -130,8 +130,7 @@ def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fracti
     is read by :meth:`QuorumSystem.node_set`.
     """
     quorum = qs.node_set(quorum)
-    latency = dict.fromkeys(qs.side_names(side), math.inf)
-    latency.update((x, qs.node(x).latency) for x in quorum)
+    latency = {n.name: n.latency if n.name in quorum else math.inf for n in qs.universe}
     fastest = _expr.min_quorum_latency(qs.side(side), latency)
     if fastest == math.inf:
         raise DomainError(f"{set(quorum)} is not a {side} quorum")
@@ -148,10 +147,11 @@ class Strategy:
     system, with exact metric recomputation.
 
     Each distribution is an iterable of (quorum, probability) pairs, else
-    DomainError. A quorum is an iterable of node names, read by
-    :meth:`QuorumSystem.node_set`: a ``str``, an ``int`` or a list among
-    its names raises DomainError, and a name outside the universe
-    UnknownNode. It must be a quorum of its side, f-resilient when f > 0,
+    DomainError; a ``str``, as a distribution or as an entry, is no such
+    collection or pair, and its message names it. A quorum is an iterable
+    of node names, read by :meth:`QuorumSystem.node_set`: a ``str``, an
+    ``int`` or a list among its names raises DomainError, and a name
+    outside the universe UnknownNode. It must be a quorum of its side, f-resilient when f > 0,
     and each side's probabilities must sum to 1 within 1e-6, else
     DomainError."""
 
@@ -174,8 +174,8 @@ class Strategy:
         pairs = f"a {side} distribution is a collection of (quorum, probability) pairs"
         for entry in _expr.as_tuple(dist, pairs):
             try:
-                quorum, prob = entry
-            except (TypeError, ValueError):  # no iterable, or not two items
+                quorum, prob = () if isinstance(entry, str) else entry
+            except (TypeError, ValueError):  # no iterable, a str, or not two items
                 raise DomainError(f"{pairs}, got the entry {entry!r}") from None
             quorum = self._qs.node_set(quorum)
             prob = as_fraction(prob)

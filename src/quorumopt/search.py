@@ -193,7 +193,8 @@ def enumerate_candidates(nodes: Sequence[str]) -> Iterator[_expr.Expression]:
     DomainError, as do more than ``SEARCH_NODE_BOUND`` names, none, or a
     repeated one.
     """
-    names = _expr.as_tuple(nodes, "search enumerates a collection of node names")
+    names = (tuple(nodes) if isinstance(nodes, str)
+             else _expr.as_tuple(nodes, "search enumerates a collection of node names"))
     for name in names:
         if not isinstance(name, str):
             raise DomainError(f"node names must be strings, got {name!r}")

@@ -127,8 +127,8 @@ def test_criterion_02_two_by_three_grid_exact_capacities():
     failures: list[str] = []
     qs = QuorumSystem([Node(x) for x in "abcdef"], reads="a*b*c + d*e*f")
     for label, got, want in [
-        ("read ft", qs.read_fault_tolerance(), 1),
-        ("write ft", qs.write_fault_tolerance(), 2),
+        ("read ft", qs.fault_tolerance("read"), 1),
+        ("write ft", qs.fault_tolerance("write"), 2),
         ("ft", qs.fault_tolerance(), 1),
     ]:
         if got != want:
@@ -275,10 +275,7 @@ def test_criterion_11_property_suites():
         e = random_duplicate_free(rng, names6)
         qs = QuorumSystem([Node(x) for x in sorted(e.names())], reads=e)
         for side in ("read", "write"):
-            fast = (
-                qs.read_fault_tolerance() if side == "read" else qs.write_fault_tolerance()
-            )
-            if fast != exhaustive_fault_tolerance(qs, side):
+            if qs.fault_tolerance(side) != exhaustive_fault_tolerance(qs, side):
                 failures.append(f"fault tolerance mismatch on {e} ({side})")
 
     # resilient-quorum fast path equals the unpruned oracle
@@ -301,7 +298,7 @@ def test_criterion_11_property_suites():
         universe = hetero_grid_nodes() if "d" in reads else [Node(x) for x in "abc"]
         qs = QuorumSystem(universe, reads=reads)
         best = find_strategy(qs, w).load(w)
-        reads_pool, writes_pool = qs.read_minimal, qs.write_minimal
+        reads_pool, writes_pool = qs.resilient_quorums("read"), qs.resilient_quorums("write")
         for _ in range(1000):
             sigma = Strategy(
                 qs,

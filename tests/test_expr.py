@@ -230,6 +230,12 @@ class TestMinimalSets:
         with pytest.raises(DomainError, match="^a universe is a collection of node names, got 5$"):
             minimal_sets(a * b, universe=5)
 
+    def test_a_universe_given_as_text_is_refused(self):
+        # it used to be read as the set of its characters: [{c}, {a, b}]
+        with pytest.raises(DomainError,
+                           match="^a universe is a collection of node names, got the text 'abc'$"):
+            minimal_sets(parse("a*b + c"), universe="abc")
+
 
 class TestStructure:
     def test_depth(self):

@@ -12,7 +12,7 @@ from scipy.optimize import linprog as scipy_linprog
 
 from exprgen import expressions
 from quorumopt import lp
-from quorumopt.cli import main
+from quorumopt.cli import load_config, main
 from quorumopt.errors import Infeasible, NoResilientQuorum, SolverFailure
 from quorumopt.model import Node, QuorumSystem
 from quorumopt.optimize import (
@@ -359,6 +359,34 @@ def test_a_refused_model_is_a_solver_failure():
                         reads="a*b + b*c + a*c")
     with pytest.raises(SolverFailure, match="^LP solve failed: HiGHS rejected the model$"):
         find_strategy(tiny, 1)
+
+
+
+def test_a_model_that_highs_alters_is_a_solver_failure(tmp_path, capsys):
+    # HiGHS drops each coefficient of magnitude 1e-9 or less when the model
+    # is passed, and says so only with a warning; solved, the rest of the
+    # model answers x = 2 where the asked optimum is x = 1
+    args = dict(A_ub=np.array([[1e-10]]), b_ub=np.array([1e-10]), A_eq=np.zeros((0, 1)),
+                b_eq=np.zeros(0), bounds=np.array([[0.0, 2.0]]))
+    result = lp.linprog(np.array([-1.0]), **args)
+    assert (result.status, result.x, result.nit, result.basis) == (4, None, 0, None)
+    assert result.message == "HiGHS altered a model whose nonzero magnitudes span 1e-10 to 2"
+    assert scipy_linprog(np.array([-1.0]), **args, method="highs").x.tolist() == [2.0]
+    # The case study with its largest capacity at 1e9: node-load coefficients
+    # of 1e-10 were dropped, and analyze printed 0.75 of the optimal capacity
+    doc = json.loads((DATA / "case_study.json").read_text())
+    for node in doc["nodes"]:
+        node["read_cap"] *= 250_000
+        node["write_cap"] *= 250_000
+    path = tmp_path / "case_study_1e9.json"
+    path.write_text(json.dumps(doc))
+    config = load_config(str(path))
+    message = "LP solve failed: HiGHS altered a model whose nonzero magnitudes span 1e-10 to 1"
+    with pytest.raises(SolverFailure, match=f"^{message}$"):
+        find_strategy(config.quorum_system(), config.workload)
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"solver failure: {message}\n")
 
 
 def _random_lp(rng, rows, cols):

@@ -34,6 +34,17 @@ def nodes(names):
     return [Node(x) for x in names]
 
 
+# Each method that asks about one side of a quorum system, given the side.
+SIDED = {
+    "side": lambda qs, side: qs.side(side),
+    "is_quorum": lambda qs, side: qs.is_quorum(side, {"a"}),
+    "resilient_quorums": lambda qs, side: qs.resilient_quorums(side),
+    "members": lambda qs, side: qs.members(side),
+    "is_resilient": lambda qs, side: qs.is_resilient(side, {"a"}, 0),
+    "fault_tolerance": lambda qs, side: qs.fault_tolerance(side),
+}
+
+
 def network_bound(qs, side, f):
     """The search screen's least node count of a side's f-resilient quorum."""
     return screen(qs, 1, "network", f)._least_cost(qs, Objective.NETWORK, side)
@@ -183,7 +194,7 @@ class TestQuorumSystem:
 
     def test_both_sides_accepted_when_intersecting(self):
         qs = QuorumSystem(nodes("abc"), reads="a + b", writes="a*b")
-        assert qs.read_minimal == [frozenset("a"), frozenset("b")]
+        assert qs.resilient_quorums("read") == [frozenset("a"), frozenset("b")]
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
@@ -207,7 +218,7 @@ class TestQuorumSystem:
     def test_spare_nodes_do_not_count_toward_the_enumeration_bound(self):
         names = [f"n{i}" for i in range(25)]
         qs = QuorumSystem(nodes(names), reads=" + ".join(names[:20]))
-        assert (qs.read_fault_tolerance(), qs.write_fault_tolerance()) == (19, 0)
+        assert (qs.fault_tolerance("read"), qs.fault_tolerance("write")) == (19, 0)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DomainError):
@@ -221,6 +232,8 @@ class TestQuorumSystem:
         # it used to end in TypeError: 'int' object is not iterable
         with pytest.raises(DomainError, match="^a universe holds Nodes, got 5$"):
             QuorumSystem(5, reads="a")
+        with pytest.raises(DomainError, match="^a universe holds Nodes, got the text 'ab'$"):
+            QuorumSystem("ab", reads="a")
 
     def test_a_node_name_that_cannot_be_hashed_is_refused(self):
         # it used to end in TypeError: unhashable type: 'list'
@@ -240,11 +253,33 @@ class TestQuorumSystem:
 
     def test_membership(self):
         maj = QuorumSystem(nodes("abc"), reads="a*b + b*c + a*c")
-        assert maj.is_read_quorum({"a", "b", "c"})
-        assert maj.is_write_quorum({"a", "b", "c"})
+        assert maj.is_quorum("read", {"a", "b", "c"})
+        assert maj.is_quorum("write", {"a", "b", "c"})
         grid = QuorumSystem(nodes("abcdef"), reads="a*b*c + d*e*f")
-        assert grid.is_write_quorum({"a", "d"})
-        assert not maj.is_read_quorum(set())
+        assert grid.is_quorum("write", {"a", "d"})
+        assert not maj.is_quorum("read", set())
+
+    @pytest.mark.parametrize("ask", SIDED.values(), ids=SIDED)
+    @pytest.mark.parametrize("side", ["sideways", "reads", "Read"])
+    def test_every_method_of_a_side_refuses_another_side(self, ask, side):
+        qs = QuorumSystem(nodes("ab"), reads="a + b")
+        with pytest.raises(DomainError, match=f"^side must be 'read' or 'write', got {side!r}$"):
+            ask(qs, side)
+
+    @pytest.mark.parametrize("given_as", ["reads", "writes"])
+    @pytest.mark.parametrize("text", ["choose(2, [a, b*c, d + e])", "a*b + a*c + d*e"],
+                             ids=["read-once", "repeated-name"])
+    def test_the_missing_sides_fault_tolerance_builds_no_expression(self, given_as, text,
+                                                                   monkeypatch):
+        # It is the given side's smallest quorum less one: the walk's size,
+        # or the first of the given side's masks when a name repeats.
+        duals, dual = [], Expression.dual
+        monkeypatch.setattr(Expression, "dual", lambda e: duals.append(e) or dual(e))
+        qs = QuorumSystem(nodes("abcde"), **{given_as: text})
+        missing = "write" if given_as == "reads" else "read"
+        tolerance = qs.fault_tolerance(missing)
+        assert duals == []
+        assert tolerance == exhaustive_fault_tolerance(qs, missing)
 
     @given(st.one_of(duplicate_free_expressions(), expressions()))
     @settings(max_examples=200, deadline=None)
@@ -253,10 +288,10 @@ class TestQuorumSystem:
         # both sides given: the intersection check enumerates both at once
         eager = QuorumSystem(universe, reads=e, writes=e.dual())
         lazy = QuorumSystem(universe, reads=e)
-        assert (lazy.read_fault_tolerance(), lazy.write_fault_tolerance()) == (
-            eager.read_fault_tolerance(), eager.write_fault_tolerance())
-        assert lazy.read_minimal == eager.read_minimal
-        assert lazy.write_minimal == eager.write_minimal
+        assert (lazy.fault_tolerance("read"), lazy.fault_tolerance("write")) == (
+            eager.fault_tolerance("read"), eager.fault_tolerance("write"))
+        assert lazy.resilient_quorums("read") == eager.resilient_quorums("read")
+        assert lazy.resilient_quorums("write") == eager.resilient_quorums("write")
         assert repr(lazy) == repr(eager)
 
     def test_read_once_systems_enumerate_no_quorum_for_fault_tolerance(self, monkeypatch):
@@ -268,10 +303,10 @@ class TestQuorumSystem:
 
     def test_minimal_quorums_cached_in_canonical_order(self):
         qs = QuorumSystem(nodes("abc"), reads="b*c + a*b + a*c")
-        assert qs.read_minimal == [frozenset("ab"), frozenset("ac"), frozenset("bc")]
-        assert qs.minimal_quorums("read") == qs.read_minimal
+        assert qs.resilient_quorums("read") == [frozenset("ab"), frozenset("ac"), frozenset("bc")]
+        assert qs.resilient_quorums("read", 0) == qs.resilient_quorums("read")
         with pytest.raises(DomainError):
-            qs.minimal_quorums("sideways")
+            qs.resilient_quorums("sideways")
 
 
 class TestIntersectionCheck:
@@ -321,8 +356,8 @@ class TestFaultTolerance:
 
     def test_two_by_three_grid(self):
         qs = QuorumSystem(nodes("abcdef"), reads="a*b*c + d*e*f")
-        assert qs.read_fault_tolerance() == 1
-        assert qs.write_fault_tolerance() == 2
+        assert qs.fault_tolerance("read") == 1
+        assert qs.fault_tolerance("write") == 2
         assert qs.fault_tolerance() == 1
 
     def test_singleton(self):
@@ -333,8 +368,8 @@ class TestFaultTolerance:
     @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_oracle(self, e):
         qs = QuorumSystem([Node(x) for x in sorted(e.names())], reads=e)
-        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
-        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+        assert qs.fault_tolerance("read") == exhaustive_fault_tolerance(qs, "read")
+        assert qs.fault_tolerance("write") == exhaustive_fault_tolerance(qs, "write")
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_explicit_threshold_writes_match_exhaustive_oracle(self, n):
@@ -343,8 +378,8 @@ class TestFaultTolerance:
         vs = [Var(x) for x in "abcdef"[:n]]
         for k in range(2, n + 1):
             qs = QuorumSystem(nodes("abcdef"[:n]), choose(k, vs), choose(n - k + 2, vs))
-            assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
-            assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+            assert qs.fault_tolerance("read") == exhaustive_fault_tolerance(qs, "read")
+            assert qs.fault_tolerance("write") == exhaustive_fault_tolerance(qs, "write")
 
     @given(expressions(names=("a", "b", "c", "d", "e")), st.data())
     @settings(max_examples=100, deadline=None)
@@ -352,8 +387,8 @@ class TestFaultTolerance:
         # every quorum of dual(e) * g meets every quorum of e
         g = data.draw(expressions(names=sorted(e.names())))
         qs = QuorumSystem(nodes(sorted(e.names())), reads=e, writes=and_(e.dual(), g))
-        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
-        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+        assert qs.fault_tolerance("read") == exhaustive_fault_tolerance(qs, "read")
+        assert qs.fault_tolerance("write") == exhaustive_fault_tolerance(qs, "write")
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_majority_as_sum_of_products_matches_exhaustive_oracle(self, n):
@@ -362,15 +397,16 @@ class TestFaultTolerance:
         names = "abcdefgh"[:n]
         qs = QuorumSystem(nodes(names), reads=majority_text(names, "sop"))
         assert qs.reads.dual() == qs.writes
-        assert qs.read_minimal == exhaustive_minimal_sets(qs.reads)
-        assert qs.write_minimal == exhaustive_minimal_sets(qs.writes)
+        assert qs.resilient_quorums("read") == exhaustive_minimal_sets(qs.reads)
+        assert qs.resilient_quorums("write") == exhaustive_minimal_sets(qs.writes)
         k = n // 2 + 1
-        assert qs.read_minimal == [frozenset(c) for c in itertools.combinations(names, k)]
-        assert qs.write_minimal == [
+        assert qs.resilient_quorums("read") == [
+            frozenset(c) for c in itertools.combinations(names, k)]
+        assert qs.resilient_quorums("write") == [
             frozenset(c) for c in itertools.combinations(names, n - k + 1)
         ]
-        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
-        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+        assert qs.fault_tolerance("read") == exhaustive_fault_tolerance(qs, "read")
+        assert qs.fault_tolerance("write") == exhaustive_fault_tolerance(qs, "write")
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_product_of_sums_with_explicit_writes_matches_exhaustive_oracle(self, n):
@@ -382,17 +418,17 @@ class TestFaultTolerance:
             reads=majority_text(names, "pos"),
             writes=majority_text(names, "sop"),
         )
-        assert qs.read_minimal == exhaustive_minimal_sets(qs.reads)
-        assert qs.write_minimal == exhaustive_minimal_sets(qs.writes)
-        assert qs.read_minimal == qs.write_minimal
-        assert qs.read_fault_tolerance() == exhaustive_fault_tolerance(qs, "read")
-        assert qs.write_fault_tolerance() == exhaustive_fault_tolerance(qs, "write")
+        assert qs.resilient_quorums("read") == exhaustive_minimal_sets(qs.reads)
+        assert qs.resilient_quorums("write") == exhaustive_minimal_sets(qs.writes)
+        assert qs.resilient_quorums("read") == qs.resilient_quorums("write")
+        assert qs.fault_tolerance("read") == exhaustive_fault_tolerance(qs, "read")
+        assert qs.fault_tolerance("write") == exhaustive_fault_tolerance(qs, "write")
         assert qs.fault_tolerance() == (n - 1) // 2
 
     def test_majority_of_fifteen(self):
         names = [f"n{i:02d}" for i in range(15)]
         qs = QuorumSystem(nodes(names), reads=majority([Var(x) for x in names]))
-        assert len(qs.read_minimal) == len(qs.write_minimal) == 6435
+        assert len(qs.resilient_quorums("read")) == len(qs.resilient_quorums("write")) == 6435
         assert qs.fault_tolerance() == 7
 
     @given(st.one_of(duplicate_free_expressions(), expressions()),
@@ -421,7 +457,7 @@ class TestFaultTolerance:
             if e.uses_each_variable_once() and given_as != "both":
                 m.setattr(expr_module, "_masks", refuse)
             qs = QuorumSystem(nodes(sorted(e.names())), **sides)
-            tolerance = (qs.read_fault_tolerance(), qs.write_fault_tolerance())
+            tolerance = (qs.fault_tolerance("read"), qs.fault_tolerance("write"))
         assert tolerance == (exhaustive_fault_tolerance(qs, "read"),
                              exhaustive_fault_tolerance(qs, "write"))
         assert walks == list(sides.values())
@@ -432,8 +468,8 @@ class TestFaultTolerance:
         universe = [Node(x) for x in sorted(e.names())]
         by_reads = QuorumSystem(universe, reads=e)
         by_writes = QuorumSystem(universe, writes=e)
-        assert by_reads.read_fault_tolerance() == by_writes.write_fault_tolerance()
-        assert by_reads.write_fault_tolerance() == by_writes.read_fault_tolerance()
+        assert by_reads.fault_tolerance("read") == by_writes.fault_tolerance("write")
+        assert by_reads.fault_tolerance("write") == by_writes.fault_tolerance("read")
         assert by_reads.fault_tolerance() == by_writes.fault_tolerance()
 
 
@@ -453,7 +489,7 @@ class TestResilientQuorums:
 
     def test_zero_removals_is_minimal_quorums(self):
         qs = QuorumSystem(nodes("abcd"), reads="a*b + c*d")
-        assert qs.resilient_quorums("read", 0) == qs.read_minimal
+        assert qs.resilient_quorums("read", 0) == qs.resilient_quorums("read")
 
     def test_no_resilient_quorum(self):
         qs = QuorumSystem([Node("a")], reads="a")
@@ -476,7 +512,7 @@ class TestResilientQuorums:
             quorums.append(frozenset("a"))
             quorums = qs.resilient_quorums("read", 1)
             assert quorums == expected
-        assert qs.quorum_masks("read", 1) == (0b1110, 0b1101, 0b1011, 0b0111)
+        assert qs._family("read", 1) == (0b1110, 0b1101, 0b1011, 0b0111)
         assert len(sweeps) == 1
 
     def test_negative_f_rejected(self):
@@ -493,9 +529,9 @@ class TestResilientQuorums:
         # Refused before the cache is read: True would find the entry of 1,
         # and False that of 0.
         qs = QuorumSystem(nodes("abcde"), reads="choose(3, [a, b, c, d, e])")
-        assert qs.quorum_masks("read", 1) and qs.quorum_masks("read", 0)
+        assert qs.resilient_quorums("read", 1) and qs.resilient_quorums("read", 0)
         with pytest.raises(DomainError, match=f"f must be a nonnegative integer, got {f!r}"):
-            qs.quorum_masks("read", f)
+            qs.resilient_quorums("read", f)
         with pytest.raises(DomainError):
             qs.resilient_quorums("write", f)
         with pytest.raises(DomainError):
@@ -577,8 +613,8 @@ BAD_QUORUMS = [
 ]
 # Each entry point that reads a caller's quorum, on the read side.
 QUORUM_READERS = {
-    "is_read_quorum": lambda qs, q: qs.is_read_quorum(q),
-    "is_write_quorum": lambda qs, q: qs.is_write_quorum(q),
+    "is_quorum(read)": lambda qs, q: qs.is_quorum("read", q),
+    "is_quorum(write)": lambda qs, q: qs.is_quorum("write", q),
     "is_resilient": lambda qs, q: qs.is_resilient("read", q, 0),
     "quorum_latency": lambda qs, q: quorum_latency(qs, "read", q),
     "Strategy": lambda qs, q: Strategy(qs, [(q, 1)], [({"a", "b"}, 1)]),
@@ -600,8 +636,8 @@ class TestNodeSet:
         for mask in range(1 << len(names)):
             s = frozenset(x for j, x in enumerate(names) if mask >> j & 1)
             assert qs.node_set(sorted(s)) == s
-            assert qs.is_read_quorum(s) == bool(table["read"] >> mask & 1)
-            assert qs.is_write_quorum(list(s)) == bool(table["write"] >> mask & 1)
+            assert qs.is_quorum("read", s) == bool(table["read"] >> mask & 1)
+            assert qs.is_quorum("write", list(s)) == bool(table["write"] >> mask & 1)
             for side in ("read", "write"):
                 for f in (0, 1):
                     want = _is_f_resilient(qs.side(side), s, f)
@@ -638,7 +674,7 @@ class TestNodeSet:
     def test_keeps_a_universe_name_outside_both_sides(self):
         qs = QuorumSystem(nodes("abcd"), reads="choose(2, [a, b, c])")
         assert qs.node_set(x for x in "abd") == frozenset("abd")
-        assert qs.is_read_quorum({"a", "b", "d"}) and not qs.is_read_quorum({"a", "d"})
+        assert qs.is_quorum("read", {"a", "b", "d"}) and not qs.is_quorum("read", {"a", "d"})
 
 
 class TestMembers:
@@ -664,8 +700,9 @@ class TestMembers:
                 table = qs.members(side, f)
                 assert table.dtype == bool
                 assert table.tolist() == [[n.name in q for q in expected] for n in universe]
-                assert qs.resilient_quorums(side, f) == expected  # quorum_masks order
-                outside = [i for i, n in enumerate(universe) if n.name not in qs.side_names(side)]
+                assert qs.resilient_quorums(side, f) == expected  # the table's column order
+                names = qs.side(side).names()
+                outside = [i for i, n in enumerate(universe) if n.name not in names]
                 assert not table[outside].any()
 
     def test_a_second_call_returns_the_cached_table(self):
@@ -677,7 +714,7 @@ class TestMembers:
                 assert not table.flags.writeable
         assert qs.members("read", 0) is not qs.members("read", 1)
 
-    def test_refuses_what_quorum_masks_refuses(self):
+    def test_refuses_what_resilient_quorums_refuses(self):
         qs = QuorumSystem(nodes("ab"), reads="a + b")
         qs.members("read", 1)  # the entry that True would find
         for side, f in (("sideways", 0), ("read", -1), ("read", True)):
@@ -734,7 +771,7 @@ class TestLeastSize:
         qs = QuorumSystem(nodes("abcde"), **self.SIDES[given_as](e))
         monkeypatch.setattr(expr_module, "_masks", None)
         assert (qs._least_size("read"), qs._least_size("write")) == (2, 2)
-        assert (qs.read_fault_tolerance(), qs.write_fault_tolerance()) == (1, 1)
+        assert (qs.fault_tolerance("read"), qs.fault_tolerance("write")) == (1, 1)
 
 
 def test_as_fraction_rejects_junk():

@@ -109,7 +109,7 @@ class TestQuorumLatency:
         universe = [Node(x, latency=data.draw(latencies)) for x in names + ["z"]]
         qs = QuorumSystem(universe, reads=e)
         for side in ("read", "write"):
-            for q in qs.minimal_quorums(side):
+            for q in qs.resilient_quorums(side):
                 assert quorum_latency(qs, side, q) == _subquorum_latency(qs, side, q)
                 extra = data.draw(st.sets(st.sampled_from(names + ["z"])))
                 superset = q | extra
@@ -543,7 +543,10 @@ class TestMetrics:
         ([5], [({"a", "b"}, 1)], "the entry 5"),
         ([(["a", "b"],)], [({"a", "b"}, 1)], "the entry (['a', 'b'],)"),
         ([(["a", "b"], 1, 2)], [({"a", "b"}, 1)], "the entry (['a', 'b'], 1, 2)"),
-    ], ids=["int", "int-entry", "one-item", "three-items"])
+        # a str used to be unpacked, and the message named its character 'a'
+        ("ab", [({"a", "b"}, 1)], "the text 'ab'"),
+        (["ab"], [({"a", "b"}, 1)], "the entry 'ab'"),
+    ], ids=["int", "int-entry", "one-item", "three-items", "str", "str-entry"])
     def test_a_distribution_that_is_no_collection_of_pairs_is_refused(self, maj3, read_dist,
                                                                      write_dist, got):
         # each used to end in TypeError or ValueError
@@ -595,7 +598,7 @@ class TestMetrics:
                            for x in sorted(e.names())], reads=e)
         dists = []
         for side in ("read", "write"):
-            pool = qs.minimal_quorums(side)
+            pool = qs.resilient_quorums(side)
             weights = data.draw(st.lists(st.integers(1, 5), min_size=len(pool),
                                          max_size=len(pool)))
             dists.append([(q, Fraction(w, sum(weights))) for q, w in zip(pool, weights)])
@@ -627,8 +630,8 @@ class TestOptimalityInvariants:
         tolerance = Fraction(1, 10**6)
         for qs in systems:
             best = find_strategy(qs, skew_workload).load(skew_workload)
-            reads = qs.read_minimal
-            writes = qs.write_minimal
+            reads = qs.resilient_quorums("read")
+            writes = qs.resilient_quorums("write")
             for _ in range(1000):
                 rd = rng.dirichlet(np.ones(len(reads)))
                 wd = rng.dirichlet(np.ones(len(writes)))
@@ -828,7 +831,7 @@ class TestBlockAscent:
                    for e in enumerate_candidates([n.name for n in config.nodes])]
         systems = [qs for qs in systems if qs.fault_tolerance() >= f]
         assert len(systems) == {0: 885, 1: 293}[f]
-        assert len({len(qs.quorum_masks("read", f)) for qs in systems}) > 1
+        assert len({qs.members("read", f).shape[1] for qs in systems}) > 1
         loads = screen(systems[0], w, "load", f)
         batch = loads.ascend(systems, loads.costs(systems), None)
         for qs, row in zip(systems, batch):

@@ -78,7 +78,7 @@ class TestExhaustiveResilient:
 
     def test_zero_removals_is_minimal_quorums(self):
         qs = QuorumSystem([Node(x) for x in "abcd"], reads="a*b + c*d")
-        assert exhaustive_resilient(qs, "read", 0) == qs.read_minimal
+        assert exhaustive_resilient(qs, "read", 0) == qs.resilient_quorums("read")
 
 
 class TestMetricRecompute:
@@ -112,7 +112,7 @@ class TestMetricRecompute:
         sides = ("read", "write")
         strategies = [
             uniform_strategy(qs),
-            Strategy(qs, *[weighted(qs.minimal_quorums(side)) for side in sides]),
+            Strategy(qs, *[weighted(qs.resilient_quorums(side)) for side in sides]),
         ]
         if qs.fault_tolerance() >= 1:
             strategies.append(Strategy(

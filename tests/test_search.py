@@ -758,7 +758,7 @@ class TestTieBand:
         qs = QuorumSystem(nodes, reads=reads)
 
         def dist(side):
-            pool = qs.minimal_quorums(side)
+            pool = qs.resilient_quorums(side)
             weights = data.draw(st.lists(st.integers(0, 9), min_size=len(pool),
                                          max_size=len(pool)).filter(any))
             return [(q, Fraction(k, sum(weights))) for q, k in zip(pool, weights) if k]
@@ -779,7 +779,7 @@ class TestTieBand:
         qs = QuorumSystem(nodes, reads=reads)
 
         def dist(side):
-            pool = qs.minimal_quorums(side)
+            pool = qs.resilient_quorums(side)
             weights = data.draw(st.lists(st.integers(0, 9), min_size=len(pool),
                                          max_size=len(pool)).filter(any))
             return [(q, Fraction(k, sum(weights))) for q, k in zip(pool, weights) if k]

@@ -314,6 +314,29 @@ def quorum_readers(sources: dict[str, str]) -> list[str]:
             if "." in place and place.split(".")[1] != "_optimal"]
 
 
+# The given expressions, the only public names of QuorumSystem that say
+# which side they read: every other fact of a side is one method that takes
+# the side as an argument.
+GIVEN_SIDES = ("reads", "writes")
+
+
+def sided_names(source: str, owner: str = "QuorumSystem") -> list[str]:
+    """The public methods, properties and class attributes of the class
+    ``owner`` in ``source`` whose name holds "read" or "write", other than
+    ``GIVEN_SIDES``, sorted."""
+    names = set()
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and cls.name == owner:
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(name for name in names if not name.startswith("_")
+                  and name not in GIVEN_SIDES and ("read" in name or "write" in name))
+
+
 # The decorators that make a cache which lives as long as the object they
 # decorate: at module level, as long as the process.
 CACHES = ("cache", "lru_cache")
@@ -761,6 +784,41 @@ def test_quorum_readers_are_found():
     # read no caller's quorum
     assert quorum_readers(sources) == [
         "optimize.Strategy._normalize", "optimize.outer.inner", "optimize.quorum_latency"]
+
+
+def test_quorum_system_names_no_side_but_the_given_ones():
+    # The read and write sides are each other's duals, so each fact of a
+    # side is one method that takes the side; a read_*/write_* pair would
+    # write the fact twice.
+    assert sided_names((PACKAGE / "model.py").read_text()) == []
+
+
+def test_sided_names_are_found():
+    source = (
+        "class QuorumSystem:\n"
+        "    read_quorums = property(lambda self: self.side('read'))\n"
+        "    write_ft: int = 0\n"
+        "    @property\n"
+        "    def reads(self):\n"
+        "        return self._exprs['read']\n"
+        "    @property\n"
+        "    def write_minimal(self):\n"
+        "        return self.resilient_quorums('write')\n"
+        "    def is_read_quorum(self, names):\n"
+        "        return self.is_quorum('read', names)\n"
+        "    def _read_once(self):\n"
+        "        return True\n"
+        "    def fault_tolerance(self, side=None):\n"
+        "        return 0\n"
+        "class Strategy:\n"
+        "    def read_load(self):\n"
+        "        return 0\n"
+        "def read_fraction(value):\n"
+        "    return value\n"
+    )
+    # a given side, a private helper, another class's method and a module
+    # function are not the quorum system's public surface
+    assert sided_names(source) == ["is_read_quorum", "read_quorums", "write_ft", "write_minimal"]
 
 
 def test_the_search_keeps_no_module_cache_and_no_module_clears_one():
