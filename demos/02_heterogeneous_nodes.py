@@ -24,5 +24,5 @@ for read_fraction in (1, 0.5, 0):
 
 sigma = find_strategy(grid, 1)
 print("read distribution at 100% reads:")
-for quorum, prob in sigma.read_dist:
+for quorum, prob in sigma.dist("read"):
     print(f"  {sorted(quorum)}  {float(prob):.3f}")

@@ -32,8 +32,6 @@ print("expected capacity:", round(float(sigma.capacity(workload))))  # 159
 # The fixed strategy gives up a little at every individual fraction but is
 # the best compromise across the distribution.
 points = [i / 10 for i in range(11)]
-fixed = capacity_curve(sigma, points)
-per_point = capacity_curve(grid, points)
 print("fr    fixed   per-point optimum")
-for (fr, cap_fixed), (_, cap_best) in zip(fixed, per_point):
-    print(f"{float(fr):.1f}  {float(cap_fixed):7.1f}  {float(cap_best):7.1f}")
+for fr, cap_best in capacity_curve(grid, points):
+    print(f"{float(fr):.1f}  {float(sigma.capacity(fr)):7.1f}  {float(cap_best):7.1f}")

@@ -27,5 +27,5 @@ sigma = find_strategy(
 print("latency:     ", float(sigma.latency(1)), "s")   # 2.0
 print("capacity:    ", float(sigma.capacity(1)))       # 150
 print("network load:", float(sigma.network_load(1)))   # 2
-for quorum, prob in sigma.read_dist:
+for quorum, prob in sigma.dist("read"):
     print(f"  read {sorted(quorum)}  {float(prob):.3f}")

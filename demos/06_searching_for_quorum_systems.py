@@ -26,7 +26,7 @@ result = search(
         constraints=Constraints(capacity_limit=150, network_limit=2),
     ),
 )
-print("winner:", result.qs)
+print("winner:", result.strategy.qs)
 # reads=a + b + c + d, writes=a*b*c*d: single-node reads are unbeatable on
 # latency, and the write side only has to keep up with 0% of the traffic
 # here (the workload is all reads).

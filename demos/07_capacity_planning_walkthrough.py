@@ -47,7 +47,7 @@ for name, qs in [("majority", maj), ("grid", grid), ("paths", paths)]:
 # plain grid once node speeds and the real read mix enter the picture.
 
 result = search(nodes, workload, SearchOptions(min_fault_tolerance=1))
-print("\nsearched system:", result.qs)
+print("\nsearched system:", result.strategy.qs)
 print("capacity:", round(float(result.metric_value)),
       f"({result.candidates_examined} candidates)")  # ~5005
 
@@ -68,4 +68,4 @@ for name, qs in [("majority", maj), ("grid", grid), ("paths", paths)]:
     print(f"  {name:9s} {float(sigma.latency(workload)):.2f} s")
 # 3.24 / 1.95 / 2.43
 result = search(nodes, workload, SearchOptions(objective="latency", constraints=limit))
-print("searched :", f"{float(result.metric_value):.2f} s", "-", result.qs)
+print("searched :", f"{float(result.metric_value):.2f} s", "-", result.strategy.qs)

@@ -126,8 +126,8 @@ def _dist_doc(dist) -> list[dict]:
 
 def _strategy_doc(sigma: Strategy, workload: Workload) -> dict:
     return {
-        "read_dist": _dist_doc(sigma.read_dist),
-        "write_dist": _dist_doc(sigma.write_dist),
+        "read_dist": _dist_doc(sigma.dist("read")),
+        "write_dist": _dist_doc(sigma.dist("write")),
         "load": _q9(sigma.load(workload)),
         "capacity": _q9(sigma.capacity(workload)),
         "latency": _q9(sigma.latency(workload)),
@@ -195,8 +195,8 @@ def cmd_search(config: Config, args) -> dict:
                             timeout=args.timeout, budget=args.budget)
     result = search(config.nodes, config.workload, options)
     return {
-        "reads": str(canonical(result.qs.reads)),
-        "writes": str(canonical(result.qs.writes)),
+        "reads": str(canonical(result.strategy.qs.reads)),
+        "writes": str(canonical(result.strategy.qs.writes)),
         "strategy": _strategy_doc(result.strategy, config.workload),
         "metric": _q9(result.metric_value),
         "candidates_examined": result.candidates_examined,
@@ -209,7 +209,8 @@ def cmd_curve(config: Config, args) -> list[dict]:
     qs = config.quorum_system()
     grid = [Fraction(i, args.points) for i in range(args.points + 1)]
     if args.fixed:
-        rows = capacity_curve(find_strategy(qs, config.workload, "load", f=args.f), grid)
+        sigma = find_strategy(qs, config.workload, "load", f=args.f)
+        rows = [(fr, sigma.capacity(fr)) for fr in grid]
     else:
         rows = capacity_curve(qs, grid, f=args.f)
     return [{"read_fraction": repr(float(fr)), "capacity": _q9(cap)} for fr, cap in rows]

@@ -160,10 +160,6 @@ class Workload:
             raise DomainError("workload weights must have positive total")
         return cls({fr: w / total for fr, w in ws.items() if w > 0})
 
-    @property
-    def points(self) -> dict[Fraction, Fraction]:
-        return dict(self._points)
-
     def items(self) -> list[tuple[Fraction, Fraction]]:
         return list(self._points.items())
 

@@ -10,9 +10,11 @@ workload distribution:
 * load: expected per-fraction load (the LP objective);
 * capacity: expected per-fraction capacity, ``E[1 / load_f]``. For a
   single-point workload this is exactly 1/load; under a distribution it is
-  the throughput the strategy averages across fractions drawn from it,
-  while 1/load remains the largest rate sustainable at every fraction
-  simultaneously (used by :func:`throughput_breakdown`);
+  the throughput the strategy averages across fractions drawn from it.
+  A node's load is linear in the read fraction, so at the rate 1/load no
+  node passes its capacity at the workload's mean read fraction (the rate
+  of :func:`throughput_breakdown`); the rate every fraction sustains is
+  ``1 / max_f load_f``, which can be lower;
 * latency: expected time for the fastest sub-quorum of the chosen quorum to
   respond;
 * network load: expected number of nodes contacted per operation.
@@ -56,7 +58,8 @@ import numpy as np
 from . import expr as _expr
 from . import lp
 from .errors import DomainError, Infeasible, SolverFailure
-from .model import Node, QuorumSystem, Rational, Workload, WorkloadLike, as_fraction, read_fraction
+from .model import (Node, QuorumSystem, Rational, Workload, WorkloadLike, _checked_side, as_fraction,
+                    read_fraction)
 
 _DIST_SUM_TOL = Fraction(1, 10**6)
 # How far an LP strategy's metric may pass a bound on it: the
@@ -203,13 +206,10 @@ class Strategy:
     def f(self) -> int:
         return self._f
 
-    @property
-    def read_dist(self) -> list[tuple[frozenset[str], Fraction]]:
-        return list(self._dist["read"])
-
-    @property
-    def write_dist(self) -> list[tuple[frozenset[str], Fraction]]:
-        return list(self._dist["write"])
+    def dist(self, side: str) -> list[tuple[frozenset[str], Fraction]]:
+        """``side``'s distribution, as a new list of (quorum, probability)
+        pairs; DomainError unless ``side`` is "read" or "write"."""
+        return list(self._dist[_checked_side(side)])
 
     def __repr__(self) -> str:
         def fmt(dist):
@@ -429,46 +429,42 @@ def _limit_excess(a_ub: np.ndarray, b_ub: np.ndarray, nload: int, a_eq: np.ndarr
 
 
 def capacity_curve(
-    target: Union[Strategy, QuorumSystem],
+    qs: QuorumSystem,
     fractions: Iterable[Rational],
     f: int = 0,
 ) -> list[tuple[Fraction, Fraction]]:
-    """Capacity at each read fraction.
+    """The optimal capacity at each read fraction: a load-optimal strategy
+    is re-optimized per point. (A fixed strategy's capacity at a point is
+    its :meth:`Strategy.capacity` there.)
 
-    For a fixed strategy this evaluates 1/load at each point; for a quorum
-    system it re-optimizes a load-optimal strategy per point. Each point's LP
-    differs from the previous one only in its load coefficients, so it is
-    warm-started from the previous point's optimal basis; a warm solve that
-    fails is solved again cold (:func:`lp.linprog`). Either way each point
-    gets its optimal capacity, so what the curve prints does not depend on
-    the warm start or on the fallback. ``fractions`` that are a ``str``, or
-    no collection, raise DomainError.
+    Each point's LP differs from the previous one only in its load
+    coefficients, so it is warm-started from the previous point's optimal
+    basis; a warm solve that fails is solved again cold
+    (:func:`lp.linprog`). Either way each point gets its optimal capacity,
+    so what the curve prints does not depend on the warm start or on the
+    fallback. ``fractions`` that are a ``str``, or no collection, raise
+    DomainError.
     """
-    if isinstance(fractions, str):
-        raise DomainError(f"fractions are read fractions, got the text {fractions!r}")
     rows = []
     basis = None
     for fr in _expr.as_tuple(fractions, "fractions are a collection of read fractions"):
         fr = as_fraction(fr)
-        if isinstance(target, Strategy):
-            cap = 1 / target.load_at(fr)
-        else:
-            sigma, basis = _optimal(target, Workload.coerce(fr), Objective.LOAD, Constraints(),
-                                    f, basis)
-            cap = sigma.capacity(fr)
-        rows.append((fr, cap))
+        sigma, basis = _optimal(qs, Workload.coerce(fr), Objective.LOAD, Constraints(), f, basis)
+        rows.append((fr, sigma.capacity(fr)))
     return rows
 
 
 def throughput_breakdown(
     strategy: Strategy, workload: WorkloadLike
 ) -> list[tuple[str, str, frozenset[str], Fraction]]:
-    """Per-node, per-quorum throughput at the peak sustainable rate.
+    """Per-node, per-quorum throughput at the rate 1/load.
 
-    The aggregate rate is 1/load: the largest rate at which no node exceeds
-    its capacity at any workload point. A read quorum r with selection
-    probability p contributes rate*E[f]*p ops/sec to each of its nodes;
-    writes contribute rate*E[1-f]*p. Rows are sorted by node, side, quorum.
+    At that rate no node passes its capacity at the workload's mean read
+    fraction E[f], as a node's load is linear in the read fraction; at a
+    single point of a workload with several, the busiest node may pass it.
+    A read quorum r with selection probability p contributes rate*E[f]*p
+    ops/sec to each of its nodes; writes contribute rate*E[1-f]*p. Rows are
+    sorted by node, side, quorum.
     """
     w = Workload.coerce(workload)
     rate = 1 / strategy.load(w)

@@ -117,10 +117,10 @@ def strategy_metric_recompute(
         worst = Fraction(0)
         for node in qs.universe:
             busy = Fraction(0)
-            for quorum, q in strategy.read_dist:
+            for quorum, q in strategy.dist("read"):
                 if node.name in quorum:
                     busy += fr * q / node.read_cap
-            for quorum, q in strategy.write_dist:
+            for quorum, q in strategy.dist("write"):
                 if node.name in quorum:
                     busy += (1 - fr) * q / node.write_cap
             worst = max(worst, busy)
@@ -131,14 +131,14 @@ def strategy_metric_recompute(
     for fr, p in w.items():
         lat = fr * sum(
             q * _subquorum_latency(qs, "read", quorum)
-            for quorum, q in strategy.read_dist
+            for quorum, q in strategy.dist("read")
         ) + (1 - fr) * sum(
             q * _subquorum_latency(qs, "write", quorum)
-            for quorum, q in strategy.write_dist
+            for quorum, q in strategy.dist("write")
         )
-        net = fr * sum(q * len(quorum) for quorum, q in strategy.read_dist) + (
+        net = fr * sum(q * len(quorum) for quorum, q in strategy.dist("read")) + (
             1 - fr
-        ) * sum(q * len(quorum) for quorum, q in strategy.write_dist)
+        ) * sum(q * len(quorum) for quorum, q in strategy.dist("write"))
         latency += p * lat
         network += p * net
 

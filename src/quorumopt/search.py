@@ -154,7 +154,6 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class SearchResult:
-    qs: QuorumSystem
     strategy: Strategy
     metric_value: Fraction
     candidates_examined: int
@@ -521,4 +520,4 @@ def search(
         raise NoFeasibleCandidate(
             f"no feasible quorum system among {examined} candidates"
         )
-    return SearchResult(best.qs, best, _metric(best, w, objective), examined)
+    return SearchResult(best, _metric(best, w, objective), examined)

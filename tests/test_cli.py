@@ -12,7 +12,7 @@ import quorumopt.lp
 from quorumopt.cli import build_parser, load_config, main
 from quorumopt.expr import NESTING_BOUND, parse
 from quorumopt.model import QuorumSystem, Workload
-from quorumopt.optimize import Strategy
+from quorumopt.optimize import Strategy, find_strategy
 from quorumopt.oracle import strategy_metric_recompute, truth_table
 
 DATA = Path(__file__).parent / "data"
@@ -441,6 +441,15 @@ class TestOutputContracts:
         _, opt = run(capsys, "curve", DATA / "hetero_grid.json", "--points", "5")
         for fline, oline in zip(fixed.splitlines()[1:], opt.splitlines()[1:]):
             assert float(fline.split(",")[1]) <= float(oline.split(",")[1]) + 1e-6
+
+    def test_fixed_curve_rows_are_the_strategys_capacity(self, capsys):
+        code, out = run(capsys, "curve", DATA / "hetero_grid.json", "--points", "5", "--fixed")
+        assert code == 0
+        cfg = load_config(str(DATA / "hetero_grid.json"))
+        sigma = find_strategy(cfg.quorum_system(), cfg.workload, "load")
+        assert out.splitlines()[1:] == [
+            f"{float(Fraction(i, 5))!r},{float(sigma.capacity(Fraction(i, 5))):.9f}"
+            for i in range(6)]
 
     def test_breakdown_favors_higher_capacity_nodes(self, capsys):
         code, out = run(capsys, "breakdown", DATA / "case_study.json")

@@ -117,7 +117,7 @@ class TestWorkload:
 
     def test_from_weights_normalizes_exactly(self):
         w = Workload.from_weights({0.9: 10, 0.5: 460})
-        assert w.points[Fraction(9, 10)] == Fraction(10, 470)
+        assert dict(w.items())[Fraction(9, 10)] == Fraction(10, 470)
 
     def test_from_weights_refuses_a_negative_weight(self):
         with pytest.raises(DomainError, match="weight -1 of read fraction 1/2 is negative"):
@@ -148,7 +148,7 @@ class TestWorkload:
 
     def test_string_fraction_values(self):
         w = Workload({"0.5": "1/3", "0.25": "2/3"})
-        assert w.points[Fraction(1, 2)] == Fraction(1, 3)
+        assert dict(w.items())[Fraction(1, 2)] == Fraction(1, 3)
 
     def test_repr_prints_exact_fractions(self):
         assert repr(Workload({"0.5": 1})) == "Workload({1/2: 1})"

@@ -193,17 +193,17 @@ def captured_costs(qs, workload, objective, f):
 class TestUniformStrategy:
     def test_three_node_majority(self, maj3):
         sigma = uniform_strategy(maj3)
-        assert [p for _, p in sigma.read_dist] == [Fraction(1, 3)] * 3
+        assert [p for _, p in sigma.dist("read")] == [Fraction(1, 3)] * 3
 
     def test_grid_rows(self):
         qs = QuorumSystem(plain("abcdef"), reads="a*b*c + d*e*f")
         sigma = uniform_strategy(qs)
-        assert [p for _, p in sigma.read_dist] == [Fraction(1, 2)] * 2
+        assert [p for _, p in sigma.dist("read")] == [Fraction(1, 2)] * 2
 
     def test_five_node_majority_has_ten_quorums(self):
         qs = QuorumSystem(plain("abcde"), reads="majority([a, b, c, d, e])")
         sigma = uniform_strategy(qs)
-        assert [p for _, p in sigma.read_dist] == [Fraction(1, 10)] * 10
+        assert [p for _, p in sigma.dist("read")] == [Fraction(1, 10)] * 10
 
     def test_exact_metrics(self, maj3):
         sigma = uniform_strategy(maj3)
@@ -268,7 +268,7 @@ class TestFindStrategy:
         qs = QuorumSystem(plain("abc"), reads="a + b*c")
         sigma = find_strategy(qs, 1, "network")
         assert sigma.network_load(1) == 1
-        assert sigma.read_dist == [(frozenset("a"), Fraction(1))]
+        assert sigma.dist("read") == [(frozenset("a"), Fraction(1))]
 
     @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
     @pytest.mark.parametrize(
@@ -297,7 +297,7 @@ class TestFindStrategy:
         qs = QuorumSystem(hetero_nodes(latencies=(1, 1, 5, 5)), reads="a*b + c*d")
         sigma = find_strategy(qs, 1, "load", Constraints(latency_limit=1))
         assert sigma.latency(1) <= 1
-        assert sigma.read_dist == [(frozenset("ab"), Fraction(1))]
+        assert sigma.dist("read") == [(frozenset("ab"), Fraction(1))]
 
     @pytest.mark.parametrize("f", [0, 1])
     @pytest.mark.parametrize(
@@ -317,7 +317,8 @@ class TestFindStrategy:
         monkeypatch.setattr(QuorumSystem, "resilient_quorums", refuse)
         qs = QuorumSystem(hetero_nodes(), reads=reads)
         sigma = find_strategy(qs, Fraction(1, 2), objective, constraints, f=f)
-        assert (sigma.read_dist, sigma.write_dist) == (expected.read_dist, expected.write_dist)
+        for side in ("read", "write"):
+            assert sigma.dist(side) == expected.dist(side)
 
     def test_repeated_names_enumerate_each_side_once(self, monkeypatch):
         """Each side's fault tolerance is read off the other side's family,
@@ -410,8 +411,9 @@ def test_constraints_that_are_no_constraints_are_a_domain_error(maj3):
                                           r"got \{'capacity_limit': 1\}$"):
         find_strategy(maj3, 1, "load", {"capacity_limit": 1})
     sigma = find_strategy(maj3, 1, "load", None)
-    assert (sigma.read_dist, sigma.write_dist) == (find_strategy(maj3, 1).read_dist,
-                                                   find_strategy(maj3, 1).write_dist)
+    expected = find_strategy(maj3, 1)
+    for side in ("read", "write"):
+        assert sigma.dist(side) == expected.dist(side)
 
 
 class TestSolverStatus:
@@ -518,14 +520,16 @@ class TestMetrics:
 
     def test_a_read_fraction_outside_the_unit_interval_is_rejected(self, maj3):
         # reads a*b at write_cap 100: -1 would give a load of -49/50, and
-        # -1/99 a load of 0, a division by zero in the capacity curve
+        # -1/99 a load of 0, a division by zero in the capacity
         qs = QuorumSystem([Node(x, read_cap=1, write_cap=100) for x in "ab"], reads="a*b")
         sigma = find_strategy(qs, 1)
         for fr in (-1, Fraction(-1, 99)):
             with pytest.raises(DomainError, match=f"read fraction {fr} is outside"):
                 sigma.load_at(fr)
             with pytest.raises(DomainError, match=f"read fraction {fr} is outside"):
-                capacity_curve(sigma, [fr])
+                sigma.capacity(fr)
+            with pytest.raises(DomainError, match=f"read fraction {fr} is outside"):
+                capacity_curve(qs, [fr])
         with pytest.raises(DomainError, match="read fraction 2 is outside"):
             find_strategy(maj3, Fraction(1, 2)).load_at(2)
 
@@ -537,6 +541,22 @@ class TestMetrics:
         for p in (2, -1):
             with pytest.raises(DomainError, match=f"probability {p} is outside"):
                 Strategy(maj3, [({"a", "b"}, p)], [({"a", "b"}, 1)])
+
+    def test_each_side_gives_a_new_list_of_its_distribution(self, grid):
+        sigma = Strategy(grid, [({"a", "b"}, 1)], [({"a", "c"}, 1)])
+        for side, quorum in (("read", "ab"), ("write", "ac")):
+            dist = sigma.dist(side)
+            assert dist == [(frozenset(quorum), 1)]
+            dist.clear()
+            assert sigma.dist(side) == [(frozenset(quorum), 1)]
+            assert sigma.dist(side) is not sigma.dist(side)
+
+    @pytest.mark.parametrize("side", ["reads", "Read", None])
+    def test_a_side_other_than_read_or_write_is_refused(self, grid, side):
+        sigma = Strategy(grid, [({"a", "b"}, 1)], [({"a", "c"}, 1)])
+        message = f"side must be 'read' or 'write', got {side!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sigma.dist(side)
 
     @pytest.mark.parametrize("read_dist,write_dist,got", [
         (5, 5, "5"),
@@ -671,7 +691,7 @@ class TestOptimalityInvariants:
         assert within(cap_scaled, cap * scale, Fraction(1, 10**6))
         # the unscaled optimum, rescaled, stays optimal on the scaled system
         sigma = find_strategy(base, skew_workload)
-        replayed = Strategy(scaled, sigma.read_dist, sigma.write_dist)
+        replayed = Strategy(scaled, sigma.dist("read"), sigma.dist("write"))
         assert replayed.load(skew_workload) <= (
             find_strategy(scaled, skew_workload).load(skew_workload) + Fraction(1, 10**9)
         )
@@ -860,11 +880,8 @@ class TestCapacityCurve:
         qs = QuorumSystem(hetero_nodes(), reads="a*c + b*d")
         sigma = find_strategy(qs, skew_workload)
         grid_points = [Fraction(i, 10) for i in range(11)]
-        fixed = capacity_curve(sigma, grid_points)
-        optimal = capacity_curve(qs, grid_points)
-        for (fr1, cap_fixed), (fr2, cap_opt) in zip(fixed, optimal):
-            assert fr1 == fr2
-            assert cap_opt >= cap_fixed - Fraction(1, 10**6)
+        for fr, cap_opt in capacity_curve(qs, grid_points):
+            assert cap_opt >= sigma.capacity(fr) - Fraction(1, 10**6)
 
     def test_every_capacity_positive(self, grid):
         rows = capacity_curve(grid, [Fraction(i, 4) for i in range(5)])
@@ -883,16 +900,15 @@ class TestCapacityCurve:
             assert abs(cap - cold) <= cold * Fraction(1, 10**9)
 
     @pytest.mark.parametrize("fractions,message", [
-        ("01", "^fractions are read fractions, got the text '01'$"),
+        ("01", "^fractions are a collection of read fractions, got the text '01'$"),
         (5, "^fractions are a collection of read fractions, got 5$"),
     ], ids=["str", "int"])
     def test_fractions_that_are_text_or_no_collection_are_refused(self, maj3, fractions,
                                                                   message):
         # "01" used to give a curve at 0 and 1, read from its characters; 5
         # ended in TypeError
-        for target in (maj3, uniform_strategy(maj3)):
-            with pytest.raises(DomainError, match=message):
-                capacity_curve(target, fractions)
+        with pytest.raises(DomainError, match=message):
+            capacity_curve(maj3, fractions)
 
     def test_each_point_starts_from_the_previous_basis(self, monkeypatch):
         qs = QuorumSystem(plain("abcdefg"), reads="choose(4, [a, b, c, d, e, f, g])")
@@ -935,3 +951,57 @@ class TestThroughputBreakdown:
                 if name == node.name
             )
             assert usage <= 1 + Fraction(1, 10**9)
+
+
+def node_usage(qs: QuorumSystem, rows) -> dict[str, Fraction]:
+    """Each node's breakdown throughput over its capacity, summed over its
+    rows: its utilization at the breakdown's rate."""
+    usage = {}
+    for name, side, _, thr in rows:
+        node = qs.node(name)
+        cap = node.read_cap if side == "read" else node.write_cap
+        usage[name] = usage.get(name, 0) + thr / cap
+    return usage
+
+
+class TestBreakdownRate:
+    """The breakdown runs at 1/load, at which no node passes its capacity at
+    the workload's mean read fraction: a node's load is linear in the
+    fraction, and the busiest node's load is convex in it."""
+
+    def test_no_node_passes_its_capacity_on_the_case_study(self):
+        config = load_config(str(Path(__file__).parent / "data" / "case_study.json"))
+        qs = config.quorum_system()
+        rows = throughput_breakdown(find_strategy(qs, config.workload), config.workload)
+        usage = node_usage(qs, rows)
+        assert len(usage) == 5
+        assert max(usage.values()) <= 1
+
+    @given(expressions(), st.dictionaries(st.integers(0, 10), st.integers(1, 5), min_size=2,
+                                          max_size=4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_no_node_passes_its_capacity_on_multi_point_workloads(self, e, weights, data):
+        caps = st.sampled_from([50, 100, 200, 1000])
+        universe = [Node(x, read_cap=data.draw(caps), write_cap=data.draw(caps))
+                    for x in sorted(e.names())]
+        qs = QuorumSystem(universe, reads=e)
+        w = Workload.from_weights({Fraction(k, 10): v for k, v in weights.items()})
+        rows = throughput_breakdown(find_strategy(qs, w), w)
+        assert max(node_usage(qs, rows).values()) <= 1
+
+    def test_the_rate_is_not_sustained_at_every_point(self):
+        # Every write quorum holds c, whose write capacity is 1, so at read
+        # fraction 0 no rate above 1 is sustained; the load-optimal strategy
+        # reads a*b mostly, and 1/load is 11/6.
+        qs = QuorumSystem([Node("a", read_cap=100, write_cap=10),
+                           Node("b", read_cap=10, write_cap=100), Node("c")], reads="a*b + c")
+        w = Workload({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        sigma = Strategy(qs, [({"a", "b"}, Fraction(10, 11)), ({"c"}, Fraction(1, 11))],
+                         [({"a", "c"}, 1)])
+        assert within(find_strategy(qs, w).load(w), sigma.load(w), Fraction(1, 10**9))
+        assert 1 / sigma.load(w) == Fraction(11, 6)
+        assert 1 / max(sigma.load_at(fr) for fr, _ in w.items()) == 1
+        rows = throughput_breakdown(sigma, w)
+        # each quorum's throughput is counted once per member
+        assert sum(thr / len(q) for _, _, q, thr in rows) == Fraction(11, 6)
+        assert node_usage(qs, rows)["c"] == 1

@@ -223,7 +223,7 @@ class TestSearch:
         options = SearchOptions(min_fault_tolerance=1, budget=40)
         first = search(hetero_nodes(), Fraction(1, 2), options)
         second = search(hetero_nodes(), Fraction(1, 2), options)
-        assert str(first.qs.reads) == str(second.qs.reads)
+        assert str(first.strategy.qs.reads) == str(second.strategy.qs.reads)
         assert first.metric_value == second.metric_value
         assert first.candidates_examined == second.candidates_examined == 40
 
@@ -237,7 +237,7 @@ class TestSearch:
 
     def test_meets_fault_tolerance_floor(self):
         result = search(hetero_nodes(), 1, SearchOptions(min_fault_tolerance=1))
-        assert result.qs.fault_tolerance() >= 1
+        assert result.strategy.qs.fault_tolerance() >= 1
 
     def test_options_validation(self):
         with pytest.raises(DomainError):
@@ -306,7 +306,7 @@ class TestSearch:
         with pytest.raises(DomainError, match="^f must be an integer of at least 0, got 1.5$"):
             search(five, Fraction(1, 2), SearchOptions(f=1.5))
         result = search(five, Fraction(1, 2), SearchOptions(f=1))
-        assert str(result.qs.reads) == "choose(2, [a, b, c, d, e])"
+        assert str(result.strategy.qs.reads) == "choose(2, [a, b, c, d, e])"
 
 
 @st.composite
@@ -337,7 +337,7 @@ def outcome(nodes, w, options):
     except NoFeasibleCandidate:
         return None
     s = r.strategy
-    return (str(r.qs.reads), str(r.qs.writes), s.read_dist, s.write_dist,
+    return (str(s.qs.reads), str(s.qs.writes), s.dist("read"), s.dist("write"),
             r.metric_value, r.candidates_examined)
 
 
@@ -668,7 +668,7 @@ def unbounded_outcome(nodes, w, options):
             best, bar = sigma, value * band
     if best is None:
         return None
-    return (str(best.qs.reads), str(best.qs.writes), best.read_dist, best.write_dist,
+    return (str(best.qs.reads), str(best.qs.writes), best.dist("read"), best.dist("write"),
             metric(best, w), examined)
 
 
@@ -746,7 +746,7 @@ class TestTieBand:
             result = search(nodes, w, options)
         assert reached == expected
         _, winner = improved[-1]
-        assert str(result.qs.reads) == winner
+        assert str(result.strategy.qs.reads) == winner
         sigma = find_strategy(QuorumSystem(nodes, reads=winner), w, objective)
         assert result.metric_value == search_module._metric(sigma, w, Objective(objective))
 
@@ -819,14 +819,14 @@ class TestTimeout:
         assert result.candidates_examined == len(built) == reached
         budget = search(config.nodes, config.workload,
                         SearchOptions(budget=reached, **options))
-        assert (str(result.qs.reads), result.metric_value) == (
-            str(budget.qs.reads), budget.metric_value)
+        assert (str(result.strategy.qs.reads), result.metric_value) == (
+            str(budget.strategy.qs.reads), budget.metric_value)
         # The best of those candidates, every LP solved.
         never_out_of_reach(monkeypatch)
         solved = search(config.nodes, config.workload,
                         SearchOptions(budget=reached, **options))
-        assert (str(result.qs.reads), result.metric_value) == (
-            str(solved.qs.reads), solved.metric_value)
+        assert (str(result.strategy.qs.reads), result.metric_value) == (
+            str(solved.strategy.qs.reads), solved.metric_value)
 
     def test_expiry_before_a_feasible_candidate(self, monkeypatch):
         # The first two candidates, a + b + c + d and a*b*c*d, tolerate no fault.

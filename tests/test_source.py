@@ -793,6 +793,11 @@ def test_quorum_system_names_no_side_but_the_given_ones():
     assert sided_names((PACKAGE / "model.py").read_text()) == []
 
 
+def test_strategy_names_no_side():
+    # A strategy is one distribution per side, read through dist(side).
+    assert sided_names((PACKAGE / "optimize.py").read_text(), "Strategy") == []
+
+
 def test_sided_names_are_found():
     source = (
         "class QuorumSystem:\n"
@@ -819,6 +824,22 @@ def test_sided_names_are_found():
     # a given side, a private helper, another class's method and a module
     # function are not the quorum system's public surface
     assert sided_names(source) == ["is_read_quorum", "read_quorums", "write_ft", "write_minimal"]
+    strategy = (
+        "class Strategy:\n"
+        "    @property\n"
+        "    def write_dist(self):\n"
+        "        return self.dist('write')\n"
+        "    def read_load(self, workload):\n"
+        "        return 0\n"
+        "    def dist(self, side):\n"
+        "        return []\n"
+        "class QuorumSystem:\n"
+        "    def is_read_quorum(self, names):\n"
+        "        return True\n"
+    )
+    # a property is a public name too, and the quorum system's method is not
+    # the strategy's
+    assert sided_names(strategy, "Strategy") == ["read_load", "write_dist"]
 
 
 def test_the_search_keeps_no_module_cache_and_no_module_clears_one():
