@@ -36,6 +36,10 @@ LP's columns, load rows and costs read it, and so does the search's
 screen, which stacks the tables of a block of candidates itself and prices
 their quorums through :func:`_quorum_metric`.
 
+Every public function and class here that takes a quorum system refuses
+one that is no QuorumSystem with DomainError, and
+:func:`throughput_breakdown` likewise a strategy that is no Strategy.
+
 This module holds strategies, their exact metrics and the LP, and no bound
 on what an LP could reach: the search's screen (:mod:`quorumopt.search`)
 owns those, and reads from here the tables that the LP is built from,
@@ -124,6 +128,13 @@ def _constraints(value: Constraints | None) -> Constraints:
     return value or Constraints()
 
 
+def _checked_qs(qs: QuorumSystem) -> QuorumSystem:
+    """``qs``; DomainError if it is no QuorumSystem."""
+    if not isinstance(qs, QuorumSystem):
+        raise DomainError(f"qs must be a QuorumSystem, got a {type(qs).__name__}")
+    return qs
+
+
 def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fraction:
     """Time to assemble a quorum of responses after contacting ``quorum``.
 
@@ -132,7 +143,7 @@ def quorum_latency(qs: QuorumSystem, side: str, quorum: Iterable[str]) -> Fracti
     outside ``quorum`` at infinity, exact for every expression. ``quorum``
     is read by :meth:`QuorumSystem.node_set`.
     """
-    quorum = qs.node_set(quorum)
+    quorum = _checked_qs(qs).node_set(quorum)
     latency = {n.name: n.latency if n.name in quorum else math.inf for n in qs.universe}
     fastest = _expr.min_quorum_latency(qs.side(side), latency)
     if fastest == math.inf:
@@ -165,7 +176,7 @@ class Strategy:
         write_dist: Iterable[tuple[Iterable[str], Rational]],
         f: int = 0,
     ):
-        self._qs = qs
+        self._qs = _checked_qs(qs)
         self._f = f
         self._dist = {"read": self._normalize(read_dist, "read"),
                       "write": self._normalize(write_dist, "write")}
@@ -309,6 +320,7 @@ def _unit_loads(universe: tuple[Node, ...], w: Workload) -> np.ndarray:
 
 def uniform_strategy(qs: QuorumSystem, f: int = 0) -> Strategy:
     """Every minimal (f-resilient) quorum of each side equally likely."""
+    qs = _checked_qs(qs)
     pools = [qs.resilient_quorums(side, f) for side in ("read", "write")]
     return Strategy(qs, *[[(q, Fraction(1, len(pool))) for q in pool] for pool in pools], f=f)
 
@@ -348,7 +360,7 @@ def find_strategy(
     :func:`_limit_excess` decides: Infeasible if the limits are out of reach
     by more than ``_BOUND_MARGIN``, else SolverFailure.
     """
-    return _optimal(qs, Workload.coerce(workload), _objective(objective),
+    return _optimal(_checked_qs(qs), Workload.coerce(workload), _objective(objective),
                     _constraints(constraints), f, None)[0]
 
 
@@ -445,6 +457,7 @@ def capacity_curve(
     fallback. ``fractions`` that are a ``str``, or no collection, raise
     DomainError.
     """
+    qs = _checked_qs(qs)
     rows = []
     basis = None
     for fr in _expr.as_tuple(fractions, "fractions are a collection of read fractions"):
@@ -466,6 +479,8 @@ def throughput_breakdown(
     ops/sec to each of its nodes; writes contribute rate*E[1-f]*p. Rows are
     sorted by node, side, quorum.
     """
+    if not isinstance(strategy, Strategy):
+        raise DomainError(f"strategy must be a Strategy, got a {type(strategy).__name__}")
     w = Workload.coerce(workload)
     rate = 1 / strategy.load(w)
     share = _shares(w.mean_read_fraction)

@@ -47,42 +47,46 @@ keys of the candidates taken.
 
 A candidate's quorum system enumerates no quorum when it is built: the
 floor is decided on the expression tree (fault tolerance is the dual's
-cheapest quorum, less one). Every bound of the search then lives in one
+cheapest quorum, less one). The decision then lives in one
 :class:`_Screen`, which :func:`search` builds once from the universe, the
-workload, the objective, the limits and f, and which holds what every
-candidate would otherwise re-derive: the workload's probabilities and
-E[f], the table of node loads per unit of reads and of writes, each node's
-latency as a float, and the thresholds of the limits. It reads the limits
-once, from :meth:`Constraints.limits`, the bounds that the LP's limit rows
-take: the objective and the limited metrics are what the query reads, and
-give the tree costs, the thresholds and the node types. It bounds what any
-strategy of a candidate can reach: tree costs, the least latency and
-network load, from passes over each side's expression, and per-point load
-bounds, from an ascent over the minimal quorums. One predicate,
-:meth:`_Screen.out_of_reach`, decides on them whether a candidate can
-beat the best so far moved by the tie band, which is what it must beat to
-replace it, and meet every requested limit. Its LP is skipped when it
-cannot; so exact ties are skipped without an LP. Each bound holds for every
-strategy the LP could return, allowing by ``_BOUND_MARGIN`` for the
-tolerance on distribution sums and for float rounding, and for a limit
-also for the solver's tolerance on its row. So the winner, its strategy
-and its metric are the ones the search without the screen finds.
+workload, the objective, the limits and f: its :meth:`_Screen.decide` takes
+any stream of quorum systems on that universe, any read and write
+expressions, and returns the strategy of the best. :func:`search` is the
+stream: the enumeration under the budget and the timeout, one quorum system
+per candidate, the floor and the group filter. The screen holds every bound
+of the search and what every candidate would otherwise re-derive: the
+workload's probabilities and E[f], the table of node loads per unit of
+reads and of writes, each node's latency as a float, and the thresholds of
+the limits. It reads the limits once, from :meth:`Constraints.limits`, the
+bounds that the LP's limit rows take: the objective and the limited metrics
+are what the query reads, and give the tree costs, the thresholds and the
+node types. It bounds what any strategy of a candidate can reach: tree
+costs, the least latency and network load, from passes over each side's
+expression, and per-point load bounds, from an ascent over the minimal
+quorums. One predicate, :meth:`_Screen.out_of_reach`, decides on them
+whether a candidate can beat the best so far moved by the tie band, which
+is what it must beat to replace it, and meet every requested limit. Its LP
+is skipped when it cannot; so exact ties are skipped without an LP. Each
+bound holds for every strategy the LP could return, allowing by
+``_BOUND_MARGIN`` for the tolerance on distribution sums and for float
+rounding, and for a limit also for the solver's tolerance on its row. So
+the winner, its strategy and its metric are the ones the search without the
+screen finds.
 
-Each candidate taken has its quorum system built once, a later member of
-a group and one below the floor too. The first members that meet the floor
-are taken ``_BLOCK`` at a time and screened
-as arrays. A [candidate, kind] array of tree costs drops those that the
-predicate rules out against the incumbent the block started with; one
-load-bound ascent (:meth:`_Screen.ascend`) over the rest gives a
+Each candidate taken has its quorum system built once, a later member of a
+group and one below the floor too. The first members that meet the floor go
+to :meth:`_Screen.decide`, which takes them ``_BLOCK`` at a time and
+screens them as arrays. A [candidate, kind] array of tree costs drops those
+that the predicate rules out against the incumbent the block started with;
+one load-bound ascent (:meth:`_Screen.ascend`) over the rest gives a
 [candidate, point] array of load bounds, a candidate leaving the ascent
-once the predicate rules it out against that incumbent; and the
-candidates left are then decided in emission order, by the predicate
-against the incumbent of the moment. This decides as a search that takes
-one candidate at a time does: the incumbent only improves and an ascent's
-running maximum only grows, so a candidate ruled out against the block's
-first incumbent is ruled out against any later one, and a candidate that
-took every ascent step is decided on the bound that the one-at-a-time
-ascent ends with.
+once the predicate rules it out against that incumbent; and the candidates
+left are then decided in emission order, by the predicate against the
+incumbent of the moment. This decides as a search that takes one candidate
+at a time does: the incumbent only improves and an ascent's running maximum
+only grows, so a candidate ruled out against the block's first incumbent is
+ruled out against any later one, and a candidate that took every ascent
+step is decided on the bound that the one-at-a-time ascent ends with.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -287,9 +291,11 @@ def _stacked(systems: list[QuorumSystem], side: str, f: int) -> np.ndarray:
 
 class _Screen:
     """Every bound of one search, on what can be known of a candidate's
-    strategies without solving its LP, and the one predicate that decides
-    on them, :meth:`out_of_reach`. Built once per search; a block of
-    candidates is screened as arrays, with no object per candidate.
+    strategies without solving its LP, the one predicate that decides on
+    them, :meth:`out_of_reach`, and the decision, :meth:`decide`, which
+    solves the LP of each candidate in reach. Built once per search; a
+    block of candidates is screened as arrays, with no object per
+    candidate.
 
     Latency and network load are at least the tree costs of :meth:`costs`;
     for f = 0 each side's least latency is one pass over its expression
@@ -318,7 +324,7 @@ class _Screen:
 
     def __init__(self, universe: tuple[Node, ...], w: Workload, objective: Objective,
                  constraints: Constraints, f: int):
-        self.objective, self.f = objective, f
+        self.workload, self.objective, self.constraints, self.f = w, objective, constraints, f
         self.prob = np.array([float(p) for _, p in w.items()])
         self.ef = float(w.mean_read_fraction)
         # read and write node loads per unit of selection, each [point, node]
@@ -437,6 +443,37 @@ class _Screen:
                             for u, m, p in zip(self.unit, member, price)])
             mu *= np.exp(gain / gain.max(axis=2, keepdims=True) / math.sqrt(step + 1))
 
+    def decide(self, systems: Iterable[QuorumSystem]) -> Strategy | None:
+        """The strategy of the best of ``systems`` by the rules of the
+        module docstring, or None if no system's LP is feasible; a tie keeps
+        the earlier system. ``systems`` is any iterable, read once, of
+        quorum systems on the screen's universe, each side of each with an
+        f-resilient quorum, and any read and write expressions. They are
+        taken ``_BLOCK`` at a time, screened as arrays, and those in reach
+        are solved in order."""
+        maximize = self.objective is Objective.LOAD  # capacity: higher is better
+        band = float(1 + _TIE if maximize else 1 - _TIE)
+        best: Strategy | None = None
+        bar: float | None = None  # what a challenger must beat: the best score moved by the band
+        systems = iter(systems)
+        while block := list(itertools.islice(systems, _BLOCK)):
+            cost = self.costs(block)
+            kept = ~self.out_of_reach(bar, cost)
+            block, cost = list(itertools.compress(block, kept)), cost[kept]
+            load = self.ascend(block, cost, bar)
+            for qs, qs_cost, qs_load in zip(block, cost, load):
+                if self.out_of_reach(bar, qs_cost, qs_load):
+                    continue
+                try:
+                    sigma = find_strategy(qs, self.workload, self.objective, self.constraints,
+                                          f=self.f)
+                except Infeasible:
+                    continue
+                score = _score(sigma, self.workload, self.objective)
+                if bar is None or (score > bar if maximize else score < bar):
+                    best, bar = sigma, score * band
+        return best
+
 
 def search(
     universe: Sequence[Node],
@@ -447,7 +484,10 @@ def search(
     duplicate-free read expressions over its node names, each with the dual
     as writes, under ``options`` (the defaults if None), by the rules of
     the module docstring: the highest capacity for the load objective, the
-    lowest latency or network load for theirs.
+    lowest latency or network load for theirs. This function is the
+    stream of candidates, each taken with its quorum system built and
+    handed on if it meets the floor and is the first of its group; the
+    search's :class:`_Screen` decides them (:meth:`_Screen.decide`).
 
     The result holds the winner's quorum system, its strategy, its metric
     in exact ``Fraction`` arithmetic (``metric_value``), and
@@ -474,50 +514,23 @@ def search(
     universe = as_universe(universe)
     w = Workload.coerce(workload)
     names = sorted(node.name for node in universe)
-    objective, constraints, f = options.objective, options.constraints, options.f
-    floor = max(options.min_fault_tolerance, f)
-    maximize = objective is Objective.LOAD  # capacity: higher is better
-    band = float(1 + _TIE if maximize else 1 - _TIE)
-
-    screen = _Screen(universe, w, objective, constraints, f)
-
-    start = time.monotonic()
-    best: Strategy | None = None
-    bar: float | None = None  # what a challenger must beat: the best score moved by the band
-    examined = 0
-
-    def reached() -> Iterator[QuorumSystem]:
-        """The quorum system of each candidate taken that meets the floor
-        and is the first of its group."""
-        nonlocal examined
-        for reads in itertools.islice(enumerate_candidates(names), options.budget):
-            if options.timeout is not None and time.monotonic() - start >= options.timeout:
-                return
-            examined += 1
-            # Built for every candidate: perfbench's traced mode checks one
-            # quorum system per candidate examined.
-            qs = QuorumSystem(universe, reads=reads)
-            if qs.fault_tolerance() >= floor and screen.first_of_group(reads):
-                yield qs
-
-    systems = reached()
-    while block := list(itertools.islice(systems, _BLOCK)):
-        cost = screen.costs(block)
-        kept = ~screen.out_of_reach(bar, cost)
-        block, cost = list(itertools.compress(block, kept)), cost[kept]
-        load = screen.ascend(block, cost, bar)
-        for qs, qs_cost, qs_load in zip(block, cost, load):
-            if screen.out_of_reach(bar, qs_cost, qs_load):
-                continue
-            try:
-                sigma = find_strategy(qs, w, objective, constraints, f=f)
-            except Infeasible:
-                continue
-            score = _score(sigma, w, objective)
-            if bar is None or (score > bar if maximize else score < bar):
-                best, bar = sigma, score * band
+    floor = max(options.min_fault_tolerance, options.f)
+    screen = _Screen(universe, w, options.objective, options.constraints, options.f)
+    deadline = math.inf if options.timeout is None else time.monotonic() + options.timeout
+    # The candidates taken: up to the budget, each while the clock reads
+    # before the deadline. zip draws from ``counted`` only once both gave
+    # one, so it counts the candidates taken.
+    counted = itertools.count()
+    taken = zip(itertools.islice(enumerate_candidates(names), options.budget),
+                itertools.takewhile(deadline.__gt__, iter(time.monotonic, None)), counted)
+    # Built for every candidate: perfbench's traced mode checks one quorum
+    # system per candidate examined.
+    systems = (QuorumSystem(universe, reads=reads) for reads, _, _ in taken)
+    best = screen.decide(qs for qs in systems
+                         if qs.fault_tolerance() >= floor and screen.first_of_group(qs.reads))
+    examined = next(counted)
     if best is None:
         raise NoFeasibleCandidate(
             f"no feasible quorum system among {examined} candidates"
         )
-    return SearchResult(best, _metric(best, w, objective), examined)
+    return SearchResult(best, _metric(best, w, options.objective), examined)

@@ -416,6 +416,44 @@ def test_constraints_that_are_no_constraints_are_a_domain_error(maj3):
         assert sigma.dist(side) == expected.dist(side)
 
 
+class TestArgumentsOfTheWrongKind:
+    # Each call ended in an AttributeError on a method that a QuorumSystem
+    # or a Strategy has and the argument lacks.
+    NOT_A_QS = "^qs must be a QuorumSystem, got a "
+
+    @pytest.fixture(params=["strategy", "text", "none"])
+    def not_a_qs(self, request, maj3):
+        return {"strategy": uniform_strategy(maj3), "text": "a*b + b*c + a*c",
+                "none": None}[request.param]
+
+    def test_strategy(self, not_a_qs):
+        with pytest.raises(DomainError, match=self.NOT_A_QS):
+            Strategy(not_a_qs, [({"a", "b"}, 1)], [({"a", "b"}, 1)])
+
+    def test_find_strategy(self, not_a_qs):
+        with pytest.raises(DomainError, match=self.NOT_A_QS):
+            find_strategy(not_a_qs, Fraction(1, 2))
+
+    def test_uniform_strategy(self, not_a_qs):
+        with pytest.raises(DomainError, match=self.NOT_A_QS):
+            uniform_strategy(not_a_qs)
+
+    def test_capacity_curve(self, not_a_qs):
+        # refused before the fractions are read, so with none too
+        for fractions in ([Fraction(1, 2)], []):
+            with pytest.raises(DomainError, match=self.NOT_A_QS):
+                capacity_curve(not_a_qs, fractions)
+
+    def test_quorum_latency(self, not_a_qs):
+        with pytest.raises(DomainError, match=self.NOT_A_QS):
+            quorum_latency(not_a_qs, "read", {"a", "b"})
+
+    def test_throughput_breakdown(self, maj3):
+        for strategy, kind in ((maj3, "QuorumSystem"), ("a*b", "str"), (None, "NoneType")):
+            with pytest.raises(DomainError, match=f"^strategy must be a Strategy, got a {kind}$"):
+                throughput_breakdown(strategy, Fraction(1, 2))
+
+
 class TestSolverStatus:
     @pytest.mark.parametrize("limits", [Constraints(), Constraints(capacity_limit=1)],
                              ids=["no-limit", "capacity-limit"])

@@ -629,6 +629,50 @@ class TestBlocks:
         assert len(screens) == 1
 
 
+class TestDecide:
+    # A stream that is not the enumeration, on six nodes of four types: a
+    # majority, a system given both sides, read-once ones, a choose over
+    # composite children, and one whose reads repeat names. Under a capacity
+    # limit of 3000 the majority, the choose and a*b + c*d + e*f are
+    # infeasible; under the network objective the choose ties the system
+    # with repeated names at 2, and keeps its place as the earlier one.
+    CAPS = [(4000, 2000), (4000, 2000), (2000, 1000), (2000, 1000), (1000, 500), (2000, 1000)]
+    LATENCIES = [1, 5, 2, 3, 8, 4]
+    SYSTEMS = [
+        ("majority([a, b, c, d, e, f])", None),
+        ("a*b*c + d*e*f", "(a + b + c)*(d + e + f)"),
+        ("(a + b)*(c + d)*(e + f)", None),
+        ("choose(2, [a*b, c, d + e + f])", None),
+        ("a*b + a*c*d + b*e*f", None),
+        ("a*b + c*d + e*f", None),
+    ]
+
+    @pytest.mark.parametrize("capacity_limit", [None, 3000])
+    @pytest.mark.parametrize("objective", ["load", "latency", "network"])
+    def test_decides_a_hand_built_stream_as_brute_force_does(self, objective, capacity_limit):
+        nodes = [Node(x, read_cap=r, write_cap=wc, latency=latency)
+                 for x, (r, wc), latency in zip("abcdef", self.CAPS, self.LATENCIES)]
+        w = Workload.from_weights({Fraction(1, 10): 1, Fraction(1, 2): 2, Fraction(9, 10): 1})
+        systems = [QuorumSystem(nodes, reads=r, writes=wr) for r, wr in self.SYSTEMS]
+        objective, constraints = Objective(objective), Constraints(capacity_limit=capacity_limit)
+        # Every LP solved; a later system replaces the best only if its
+        # exact metric is strictly better, so a tie keeps the first.
+        best, best_value = None, None
+        for qs in systems:
+            try:
+                sigma = find_strategy(qs, w, objective, constraints)
+            except Infeasible:
+                continue
+            value = search_module._metric(sigma, w, objective)
+            if best is None or (value > best_value if objective is Objective.LOAD
+                                else value < best_value):
+                best, best_value = qs, value
+        screen = search_module._Screen(tuple(nodes), w, objective, constraints, 0)
+        decided = screen.decide(systems)
+        assert decided.qs is best
+        assert search_module._metric(decided, w, objective) == best_value
+
+
 @st.composite
 def typed_universes(draw):
     """Four or five nodes of at most three kinds, so that some share a type."""

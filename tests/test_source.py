@@ -322,8 +322,9 @@ GIVEN_SIDES = ("reads", "writes")
 
 def sided_names(source: str, owner: str = "QuorumSystem") -> list[str]:
     """The public methods, properties and class attributes of the class
-    ``owner`` in ``source`` whose name holds "read" or "write", other than
-    ``GIVEN_SIDES``, sorted."""
+    ``owner`` in ``source`` whose name holds "read" or "write", sorted,
+    other than ``GIVEN_SIDES`` when ``owner`` is the quorum system, whose
+    given expressions they are."""
     names = set()
     for cls in ast.walk(ast.parse(source)):
         if isinstance(cls, ast.ClassDef) and cls.name == owner:
@@ -333,8 +334,9 @@ def sided_names(source: str, owner: str = "QuorumSystem") -> list[str]:
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     names.update(t.id for t in targets if isinstance(t, ast.Name))
+    given = GIVEN_SIDES if owner == "QuorumSystem" else ()
     return sorted(name for name in names if not name.startswith("_")
-                  and name not in GIVEN_SIDES and ("read" in name or "write" in name))
+                  and name not in given and ("read" in name or "write" in name))
 
 
 # The decorators that make a cache which lives as long as the object they
@@ -640,6 +642,44 @@ def test_k_of_m_readers_are_found():
         ["expr.fold", "model.inner", "model.outer", "search.key"], ["expr", "search"])
 
 
+def nonlocal_statements(sources: dict[str, str]) -> list[str]:
+    """Where the named ``sources`` hold a ``nonlocal`` statement (see
+    :func:`places`). A closure that rebinds a name of its enclosing
+    function shares state that a return value or an object would carry."""
+    return places(sources, lambda node: isinstance(node, ast.Nonlocal))
+
+
+def test_no_function_rebinds_a_name_of_another():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert nonlocal_statements(sources) == []
+
+
+def test_nonlocal_statements_are_found():
+    source = (
+        "def search(names):\n"
+        "    examined = 0\n"
+        "    def reached():\n"
+        "        nonlocal examined\n"
+        "        examined += 1\n"
+        "        yield examined\n"
+        "    return list(reached()), examined\n"
+        "class Screen:\n"
+        "    def decide(self, systems):\n"
+        "        best = None\n"
+        "        def keep(qs):\n"
+        "            nonlocal best\n"
+        "            best = qs\n"
+        "        return best, keep\n"
+        "def counted(names):\n"
+        "    total = 0\n"
+        "    for _ in names:\n"
+        "        total += 1\n"
+        "    return total\n"
+    )
+    assert nonlocal_statements({"search": source}) == [
+        "search.Screen.decide.keep", "search.search.reached"]
+
+
 def test_no_nested_function_refers_to_itself():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert self_referring_closures(sources) == []
@@ -826,6 +866,7 @@ def test_sided_names_are_found():
     assert sided_names(source) == ["is_read_quorum", "read_quorums", "write_ft", "write_minimal"]
     strategy = (
         "class Strategy:\n"
+        "    reads = None\n"
         "    @property\n"
         "    def write_dist(self):\n"
         "        return self.dist('write')\n"
@@ -837,9 +878,9 @@ def test_sided_names_are_found():
         "    def is_read_quorum(self, names):\n"
         "        return True\n"
     )
-    # a property is a public name too, and the quorum system's method is not
-    # the strategy's
-    assert sided_names(strategy, "Strategy") == ["read_load", "write_dist"]
+    # a property is a public name too, the given sides are the quorum
+    # system's alone, and the quorum system's method is not the strategy's
+    assert sided_names(strategy, "Strategy") == ["read_load", "reads", "write_dist"]
 
 
 def test_the_search_keeps_no_module_cache_and_no_module_clears_one():
